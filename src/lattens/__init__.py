@@ -7,7 +7,7 @@ of lattice polygons with the rank-9 triangulation valuation, and the exact
 rank computations behind the classification of tensor valuations.
 """
 
-from .arith import Rational, bernoulli, bernoulli_table, faulhaber_sum, power_sum_polynomial
+from .arith import bernoulli, bernoulli_table, faulhaber_sum, power_sum_polynomial
 from .ehrhart import (
     CheckReport,
     EhrhartTensorExpansion,
@@ -43,7 +43,6 @@ __all__ = [
     "EhrhartTensorExpansion",
     "LatticePolytope",
     "MultiIndex",
-    "Rational",
     "SymTensor",
     "Triangulation2D",
     "UnimodularMap",

@@ -10,8 +10,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-Rational = Fraction
-
 
 @lru_cache(maxsize=None)
 def bernoulli(m: int) -> Fraction:
@@ -65,13 +63,3 @@ def multinomial(r: int, alpha: tuple[int, ...]) -> int:
     for a in alpha:
         out //= factorial(a)
     return out
-
-
-def format_rational(q: Fraction) -> str:
-    """Canonical string form "p/q" with q > 0, or "p" for integers."""
-    return str(q)
-
-
-def parse_rational(s: str) -> Fraction:
-    """Inverse of format_rational."""
-    return Fraction(s)

@@ -11,11 +11,11 @@ T_n.  Ranks and kernels are computed exactly over the rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .linalg import clear_denominators, kernel_basis as _rational_kernel, rank_bareiss, rref
+from .linalg import kernel_basis as _rational_kernel, rank_bareiss
 from .tensor import MultiIndex, coordinate_row, multi_indices
 
 Row = dict[MultiIndex, Fraction]
@@ -87,6 +87,7 @@ class ConstraintSystem:
 
 
 def _fold_rows(system: ConstraintSystem):
+    """Rows summed onto orbit representatives; the identity without generators."""
     reps, rep_of = system.orbits()
     pos = {rep: i for i, rep in enumerate(reps)}
     folded = []
@@ -101,23 +102,12 @@ def _fold_rows(system: ConstraintSystem):
 
 def rank(system: ConstraintSystem) -> int:
     """Exact rank of the system, symmetry rows included."""
-    if not system.symmetry_generators:
-        int_rows = [
-            clear_denominators([row.get(label, Fraction(0)) for label in system.labels])
-            for row in system.row_dicts()
-        ]
-        return rank_bareiss([r for r in int_rows if any(r)])
     reps, _, folded = _fold_rows(system)
-    reduced_rank = len(rref(folded)[1]) if folded else 0
-    kernel_dim = len(reps) - reduced_rank
-    return system.unknowns - kernel_dim
+    return system.unknowns - len(reps) + rank_bareiss(folded)
 
 
 def kernel_basis(system: ConstraintSystem) -> list[list[Fraction]]:
     """Canonical rational basis of the solution space, ordered like the labels."""
-    if not system.symmetry_generators:
-        rows = [[row.get(label, Fraction(0)) for label in system.labels] for row in system.row_dicts()]
-        return _rational_kernel(rows, system.unknowns)
     reps, rep_of, folded = _fold_rows(system)
     pos = {rep: i for i, rep in enumerate(reps)}
     reduced = _rational_kernel(folded, len(reps))
@@ -323,10 +313,7 @@ def expected_survey_rank(r: int) -> int | None:
 
 def in_span(vectors: list[list[Fraction]], target: list[Fraction]) -> bool:
     """Whether target lies in the rational span of the given vectors."""
-    if all(v == 0 for v in target):
-        return True
-    base_rank = len(rref([list(v) for v in vectors])[1])
-    return len(rref([list(v) for v in vectors] + [list(target)])[1]) == base_rank
+    return rank_bareiss([*vectors, target]) == rank_bareiss(vectors)
 
 
 def high_rank_survey(r_list) -> list[dict]:
@@ -369,7 +356,7 @@ def _rank9_kernel_report(system: ConstraintSystem) -> dict:
     nine = valuation_n(t2)
     lead_vec = [lead.coord(alpha) for alpha in system.labels]
     nine_vec = [nine.coord(alpha) for alpha in system.labels]
-    independent = len(rref([lead_vec, nine_vec])[1]) == 2
+    independent = rank_bareiss([lead_vec, nine_vec]) == 2
     return {
         "kernel_dim": len(basis),
         "contains_degree_one_coefficient": in_span(basis, lead_vec),

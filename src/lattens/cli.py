@@ -15,10 +15,8 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from . import classify, ehrhart, points, tri2d
-from .arith import format_rational
 from .polytope import (
     LatticePolytope,
     UnimodularMap,
@@ -36,18 +34,6 @@ PRISM_MAX_RANK = 8
 
 class InputError(ValueError):
     """Malformed input or parameters outside the supported desk-scale caps."""
-
-
-@dataclass
-class RunConfig:
-    """Resolved invocation: subcommand plus the knobs that determine the output."""
-
-    subcommand: str
-    args: argparse.Namespace
-
-    @property
-    def seed(self) -> int:
-        return getattr(self.args, "seed", 0)
 
 
 def _read_polytope(args) -> LatticePolytope:
@@ -118,7 +104,7 @@ def _cmd_ehrhart(args) -> int:
     r = _check_rank(args.rank)
     expansion = ehrhart.ehrhart_tensors(p, r)
     if r == 0:
-        _emit([format_rational(c.scalar_value()) for c in expansion.coefficients])
+        _emit([str(c.scalar_value()) for c in expansion.coefficients])
     else:
         _emit([c.to_json_dict() for c in expansion.coefficients])
     return 0
@@ -149,7 +135,11 @@ def _cmd_equivariance(args) -> int:
         except (ValueError, TypeError) as exc:
             raise InputError(f"bad matrix: {exc}") from exc
     else:
+        if args.steps < 0:
+            raise InputError("steps must be non-negative")
         phi = random_unimodular(p.ambient_dim, seed=args.seed, steps=args.steps)
+    if len(phi.matrix) != p.ambient_dim:
+        raise InputError(f"matrix must be {p.ambient_dim} x {p.ambient_dim} to match the polytope")
     return _report_exit(ehrhart.check_equivariance(p, _check_rank(args.rank), phi))
 
 
@@ -157,6 +147,8 @@ def _cmd_nval(args) -> int:
     p = _read_polytope(args)
     if p.ambient_dim != 2:
         raise InputError("nval needs a polygon in ambient dimension 2")
+    if args.check_independence < 0:
+        raise InputError("--check-independence must be non-negative")
     value = tri2d.valuation_n(p)
     if args.check_independence == 0:
         _emit(value.to_json_dict())
@@ -314,18 +306,14 @@ _HANDLERS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch a resolved configuration; returns the process exit status."""
+def main(argv=None) -> int:
+    """Parse arguments and dispatch; returns the process exit status."""
+    args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[config.subcommand](config.args)
-    except InputError as exc:
+        return _HANDLERS[args.subcommand](args)
+    except (InputError, points.ScanTooLarge) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return run(RunConfig(subcommand=args.subcommand, args=args))
 
 
 if __name__ == "__main__":

@@ -17,10 +17,10 @@ from math import factorial
 import numpy as np
 
 from .arith import multinomial
-from .linalg import invert_matrix
+from .linalg import det, invert_matrix
 from .points import lattice_points, relint_lattice_points
-from .polytope import LatticePolytope, UnimodularMap, _det, dilate, faces, negate, transform, translate
-from .tensor import MultiIndex, SymTensor, apply_linear, multi_indices
+from .polytope import LatticePolytope, UnimodularMap, dilate, faces, negate, transform, translate
+from .tensor import MultiIndex, SymTensor, _poly_mul, _poly_mul_linear, apply_linear, multi_indices
 
 _INT64_SAFE = 2**62
 
@@ -138,30 +138,20 @@ def _simplicial_pieces(p: LatticePolytope) -> list[tuple[tuple[int, ...], ...]]:
     return pieces
 
 
-def _poly_mul_linear(poly: dict, vec, dim: int) -> dict:
-    out: dict[MultiIndex, Fraction] = {}
-    for mono, c in poly.items():
-        for i in range(dim):
-            if vec[i]:
-                key = mono[:i] + (mono[i] + 1,) + mono[i + 1 :]
-                out[key] = out.get(key, Fraction(0)) + c * vec[i]
-    return out
-
-
 def _complete_homogeneous(vectors, dim: int, rank: int) -> dict[MultiIndex, Fraction]:
     """Sum over |beta| = rank of prod_i (v_i . z)^beta_i, as a polynomial in z."""
     layers = [{(0,) * dim: Fraction(1)}] + [dict() for _ in range(rank)]
     for v in vectors:
         powers = [{(0,) * dim: Fraction(1)}]
         for _ in range(rank):
-            powers.append(_poly_mul_linear(powers[-1], v, dim))
-        new_layers = [dict() for _ in range(rank + 1)]
+            powers.append(_poly_mul_linear(powers[-1], v))
+        new_layers = []
         for t in range(rank + 1):
+            layer: dict[MultiIndex, Fraction] = {}
             for s in range(t + 1):
-                for mono, c in layers[t - s].items():
-                    for m2, c2 in powers[s].items():
-                        key = tuple(x + y for x, y in zip(mono, m2))
-                        new_layers[t][key] = new_layers[t].get(key, Fraction(0)) + c * c2
+                for key, c in _poly_mul(layers[t - s], powers[s]).items():
+                    layer[key] = layer.get(key, Fraction(0)) + c
+            new_layers.append(layer)
         layers = new_layers
     return layers[rank]
 
@@ -181,7 +171,7 @@ def moment_tensor(p: LatticePolytope, r: int) -> SymTensor:
     for simplex in _simplicial_pieces(p):
         base = simplex[0]
         edges = [[v[j] - base[j] for j in range(n)] for v in simplex[1:]]
-        vol_factor = abs(_det(edges))  # n! times the simplex volume
+        vol_factor = abs(det(edges))  # n! times the simplex volume
         if vol_factor == 0:
             continue
         h = _complete_homogeneous(list(simplex), n, r)

@@ -1,102 +1,149 @@
-"""Exact linear algebra helpers: rational elimination, Bareiss rank, integer kernels."""
+"""Exact linear algebra: one fraction-free elimination kernel, and integer kernels.
+
+The elimination kernel serves rref, rank_bareiss, det, invert_matrix,
+kernel_basis and rational_row_space_equations.  It takes rows of int or
+Fraction entries and scales each row by the lcm of its denominators, which
+keeps the row space, the rank and the reduced row echelon form.  It then
+runs Bareiss's fraction-free elimination (Bareiss 1968, Math. Comp. 22):
+every entry is a minor of the scaled matrix, every division is an exact
+integer division, and the forward pass stops once no rows remain below the
+pivots.  det takes square integer matrices only (int entries, or Fractions
+with denominator 1).  integer_kernel is unimodular lattice reduction and
+does not use the elimination kernel.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q; returns (matrix, pivot column list)."""
-    m = [list(map(Fraction, row)) for row in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
+def _echelon(rows, ncols: int) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free forward pass: (echelon rows, pivot columns, swap sign).
+
+    Row k of the result has its pivot at column pivots[k]; that pivot is the
+    determinant of the leading (k+1) x (k+1) pivot minor of the row-permuted
+    integer matrix, so for a non-singular square matrix the last pivot times
+    the swap sign is the determinant.  Rows that are or become zero are dropped.
+    """
+    m = []
+    for row in rows:
+        scale = lcm(*[x.denominator for x in row])
+        ints = [x.numerator * (scale // x.denominator) for x in row]
+        if any(ints):
+            m.append(ints)
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m[:r], pivots
-
-
-def rank_bareiss(rows: list[list[int]]) -> int:
-    """Exact rank of an integer matrix by fraction-free (Bareiss) elimination."""
-    m = [list(row) for row in rows if any(row)]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
+    sign = 1
     prev = 1
     for c in range(ncols):
-        piv = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
+        k = len(pivots)
+        if k == len(m):
+            break
+        piv = next((i for i in range(k, len(m)) if m[i][c]), None)
         if piv is None:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        p = m[rank][c]
-        for i in range(rank + 1, len(m)):
-            if not any(m[i][c:]):
-                continue
-            fi = m[i][c]
-            for j in range(ncols):
-                m[i][j] = (p * m[i][j] - fi * m[rank][j]) // prev
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        top = m[k]
+        p = top[c]
+        rest = []
+        for row in m[k + 1 :]:
+            f = row[c]
+            if f:
+                row = [(p * x - f * y) // prev for x, y in zip(row, top)]
+            elif p != prev:
+                row = [p * x // prev for x in row]
+            if any(row):
+                rest.append(row)
+        m[k + 1 :] = rest
         prev = p
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+        pivots.append(c)
+    return m[: len(pivots)], pivots, sign
 
 
-def kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+def _reduced(rows, ncols: int) -> tuple[list[list[int]], list[int], int]:
+    """Forward pass plus back-substitution: (D, pivots, d) with RREF = D / d.
+
+    d is the last Bareiss pivot, the determinant of the pivot minor, so
+    d times the reduced row echelon form is an integer matrix (Cramer).
+    """
+    ech, pivots, _ = _echelon(rows, ncols)
+    if not pivots:
+        return [], [], 1
+    d = ech[-1][pivots[-1]]
+    red = ech[:]
+    for i in range(len(pivots) - 2, -1, -1):
+        row = [d * x for x in ech[i]]
+        for j in range(i + 1, len(pivots)):
+            f = ech[i][pivots[j]]
+            if f:
+                row = [x - f * y for x, y in zip(row, red[j])]
+        di = ech[i][pivots[i]]
+        red[i] = [x // di for x in row]
+    return red, pivots, d
+
+
+def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q; returns (non-zero rows, pivot column list)."""
+    red, pivots, d = _reduced(rows, len(rows[0]) if rows else 0)
+    return [[Fraction(x, d) for x in row] for row in red], pivots
+
+
+def rank_bareiss(rows) -> int:
+    """Exact rank of a matrix with int or Fraction entries."""
+    return len(_echelon(rows, len(rows[0]) if rows else 0)[1])
+
+
+def det(matrix) -> int:
+    """Exact determinant of a square integer matrix."""
+    n = len(matrix)
+    if any(x.denominator != 1 for row in matrix for x in row):
+        raise ValueError("det takes integer matrices")
+    ech, pivots, sign = _echelon(matrix, n)
+    if len(pivots) < n:
+        return 0
+    return sign * ech[-1][-1] if n else 1
+
+
+def _scaled_kernel(rows, ncols: int) -> tuple[list[list[int]], int]:
+    """(K, d): d times the canonical kernel basis, one integer row per free column."""
+    red, pivots, d = _reduced(rows, ncols)
+    basis = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        vec = [0] * ncols
+        vec[free] = d
+        for row, p in zip(red, pivots):
+            vec[p] = -row[free]
+        basis.append(vec)
+    return basis, d
+
+
+def kernel_basis(rows, ncols: int) -> list[list[Fraction]]:
     """Canonical basis of the rational kernel {x : rows . x = 0}.
 
     One basis vector per free column, with value 1 there and the pivot
     entries read off the reduced row echelon form.
     """
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for i, p in enumerate(pivots):
-            vec[p] = -red[i][free]
-        basis.append(vec)
-    return basis
+    basis, d = _scaled_kernel(rows, ncols)
+    return [[Fraction(x, d) for x in vec] for vec in basis]
 
 
-def invert_matrix(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse of a square rational matrix."""
+def invert_matrix(m) -> list[list[Fraction]]:
+    """Exact inverse of a square matrix with int or Fraction entries."""
     n = len(m)
-    aug = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    red, pivots = rref(aug)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    red, pivots, d = _reduced(aug, 2 * n)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red[:n]]
+    return [[Fraction(x, d) for x in row[n:]] for row in red]
 
 
 def clear_denominators(vec: list[Fraction]) -> list[int]:
     """Scale a rational vector to a primitive integer vector (gcd 1, same ray)."""
-    lcm = 1
-    for q in vec:
-        d = Fraction(q).denominator
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(q * lcm) for q in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    scale = lcm(*[Fraction(q).denominator for q in vec])
+    ints = [int(q * scale) for q in vec]
+    g = gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     return ints
@@ -139,14 +186,16 @@ def integer_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
     return basis
 
 
-def rational_row_space_equations(rows: list[list]) -> list[list[int]]:
+def rational_row_space_equations(rows, ncols: int) -> list[list[int]]:
     """Integer equations cutting out the rational span of the given rows.
 
-    Returns a basis (as primitive integer rows) of {c : rows . c = 0}; the
-    span of the input rows equals {x : c . x = 0 for all returned c}.
+    Returns a basis (as primitive integer rows) of {c : rows . c = 0}, the
+    canonical kernel basis scaled to the same rays; the span of the input
+    rows equals {x : c . x = 0 for all returned c}.
     """
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    frac_rows = [[Fraction(x) for x in row] for row in rows]
-    return [clear_denominators(v) for v in kernel_basis(frac_rows, ncols)]
+    basis, d = _scaled_kernel(rows, ncols)
+    out = []
+    for vec in basis:
+        g = gcd(*vec) if d > 0 else -gcd(*vec)
+        out.append([x // g for x in vec])
+    return out

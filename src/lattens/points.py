@@ -19,6 +19,10 @@ _INT64_SAFE = 2**62
 _MAX_SCAN_CELLS = 50_000_000
 
 
+class ScanTooLarge(ValueError):
+    """The bounding box holds more cells than the scan cap allows."""
+
+
 def _scan(p: LatticePolytope, strict: bool) -> list[tuple[int, ...]]:
     if p.is_empty:
         return []
@@ -34,7 +38,7 @@ def _scan(p: LatticePolytope, strict: bool) -> list[tuple[int, ...]]:
     for l, h in zip(lo, hi):
         cells *= h - l + 1
     if cells > _MAX_SCAN_CELLS:
-        raise ValueError("bounding box too large to scan; reduce the dilation or dimension")
+        raise ScanTooLarge("bounding box too large to scan; reduce the dilation or dimension")
 
     bound = max(
         sum(abs(a_i) * max(abs(l), abs(h)) for a_i, l, h in zip(a, lo, hi)) + abs(b)

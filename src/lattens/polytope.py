@@ -15,15 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import gcd
 
 from .linalg import (
     clear_denominators,
+    det,
     integer_kernel,
     invert_matrix,
-    kernel_basis,
+    rank_bareiss,
     rational_row_space_equations,
-    rref,
 )
 
 Point = tuple[int, ...]
@@ -33,27 +32,6 @@ MAX_AMBIENT_DIM = 6
 
 def _dot(a, x) -> int:
     return sum(ai * xi for ai, xi in zip(a, x))
-
-
-def _det(matrix: list[list[int]]) -> Fraction:
-    """Exact determinant of a square matrix."""
-    n = len(matrix)
-    m = [[Fraction(x) for x in row] for row in matrix]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = Fraction(1) / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return det
 
 
 class LatticePolytope:
@@ -92,7 +70,7 @@ class LatticePolytope:
         directions = [tuple(x - y for x, y in zip(p, origin)) for p in pts[1:]]
         directions = [d for d in directions if any(d)]
         if directions:
-            eq_rows = rational_row_space_equations(directions)
+            eq_rows = rational_row_space_equations(directions, n)
             basis = integer_kernel(eq_rows, n) if eq_rows else [
                 tuple(int(i == j) for j in range(n)) for i in range(n)
             ]
@@ -110,7 +88,7 @@ class LatticePolytope:
         # reduce_matrix R maps ambient offsets to reduced coordinates:
         # t = R (x - origin), with x = origin + sum t_j basis_j
         if m:
-            bbt = [[Fraction(_dot(basis[i], basis[j])) for j in range(m)] for i in range(m)]
+            bbt = [[_dot(basis[i], basis[j]) for j in range(m)] for i in range(m)]
             inv = invert_matrix(bbt)
             self._reduce_matrix = tuple(
                 tuple(sum(inv[i][k] * basis[k][j] for k in range(m)) for j in range(n))
@@ -126,11 +104,7 @@ class LatticePolytope:
         vertex_flags = []
         for t in reduced:
             tight = [g for g, h in facets_red if _dot(g, t) == h]
-            if m == 0:
-                vertex_flags.append(True)
-            else:
-                _, pivots = rref([[Fraction(x) for x in g] for g in tight])
-                vertex_flags.append(len(pivots) == m)
+            vertex_flags.append(m == 0 or rank_bareiss(tight) == m)
         self.vertices = tuple(p for p, keep in zip(pts, vertex_flags) if keep)
 
         self.facet_inequalities = tuple(
@@ -245,11 +219,11 @@ def _facets_of_point_set(points: list[tuple[int, ...]], m: int):
     facets = set()
     for subset in combinations(points, m):
         base = subset[0]
-        diffs = [[Fraction(x - y) for x, y in zip(p, base)] for p in subset[1:]]
-        normals = kernel_basis(diffs, m)
+        diffs = [[x - y for x, y in zip(p, base)] for p in subset[1:]]
+        normals = rational_row_space_equations(diffs, m)
         if len(normals) != 1:
             continue
-        g = tuple(clear_denominators(normals[0]))
+        g = tuple(normals[0])
         h = _dot(g, base)
         values = [_dot(g, p) for p in points]
         if all(v <= h for v in values):
@@ -321,7 +295,7 @@ class UnimodularMap:
         object.__setattr__(self, "translation", tuple(int(x) for x in self.translation))
         if any(len(row) != n for row in self.matrix) or len(self.translation) != n:
             raise ValueError("matrix must be square and match the translation")
-        if _det([list(r) for r in self.matrix]) != 1:
+        if det(self.matrix) != 1:
             raise ValueError("unimodular map needs determinant exactly +1")
 
     @staticmethod
@@ -339,7 +313,7 @@ class UnimodularMap:
         )
 
     def inverse(self) -> UnimodularMap:
-        inv = invert_matrix([[Fraction(x) for x in row] for row in self.matrix])
+        inv = invert_matrix(self.matrix)
         m = tuple(tuple(int(x) for x in row) for row in inv)
         n = len(m)
         t = tuple(-sum(m[i][j] * self.translation[j] for j in range(n)) for i in range(n))
@@ -422,11 +396,12 @@ def polytope_to_json_dict(p: LatticePolytope) -> dict:
 
 
 def polytope_from_json_dict(data: dict, max_dim: int = MAX_AMBIENT_DIM) -> LatticePolytope:
-    verts = data.get("vertices")
+    verts = data.get("vertices") if isinstance(data, dict) else None
     if not isinstance(verts, list) or not verts:
         raise ValueError("polytope JSON needs a non-empty \"vertices\" list")
     for v in verts:
-        if not isinstance(v, list) or not all(isinstance(c, int) for c in v):
+        # bool is a subclass of int, but true/false are not coordinates
+        if not isinstance(v, list) or not all(isinstance(c, int) and not isinstance(c, bool) for c in v):
             raise ValueError("vertices must be lists of integers")
     if len(verts[0]) > max_dim:
         raise ValueError(f"ambient dimension capped at {max_dim}")

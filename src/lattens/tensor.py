@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .arith import format_rational, multinomial, parse_rational
+from .arith import multinomial
 
 MultiIndex = tuple[int, ...]
 Vector = Sequence
@@ -117,7 +117,7 @@ class SymTensor:
 
     def to_json_dict(self) -> dict:
         coords = {
-            ",".join(map(str, alpha)): format_rational(value)
+            ",".join(map(str, alpha)): str(value)
             for alpha, value in sorted(self.coords.items())
         }
         return {"dim": self.dim, "rank": self.rank, "coords": coords}
@@ -125,7 +125,7 @@ class SymTensor:
     @staticmethod
     def from_json_dict(data: dict) -> SymTensor:
         coords = {
-            tuple(int(part) for part in key.split(",")): parse_rational(value)
+            tuple(int(part) for part in key.split(",")): Fraction(value)
             for key, value in data.get("coords", {}).items()
         }
         return SymTensor(int(data["dim"]), int(data["rank"]), coords)
@@ -150,6 +150,17 @@ def sym_power(v: Vector, r: int) -> SymTensor:
 
 def _diagonal_poly(t: SymTensor) -> dict[MultiIndex, Fraction]:
     return {a: v * multinomial(t.rank, a) for a, v in t.coords.items()}
+
+
+def _poly_mul_linear(poly: dict, v: Vector) -> dict:
+    """Product of a polynomial in z with the linear form z -> v . z."""
+    out: dict[MultiIndex, Fraction] = {}
+    for mono, c in poly.items():
+        for i, vi in enumerate(v):
+            if vi:
+                key = mono[:i] + (mono[i] + 1,) + mono[i + 1 :]
+                out[key] = out.get(key, Fraction(0)) + c * Fraction(vi)
+    return out
 
 
 def _poly_mul(p: dict, q: dict) -> dict:
@@ -182,13 +193,7 @@ def coordinate_row(vectors: Sequence[Vector], dim: int) -> dict[MultiIndex, Frac
     for v in vectors:
         if len(v) != dim:
             raise ValueError("vector dimension mismatch")
-        new: dict[MultiIndex, Fraction] = {}
-        for mono, c in row.items():
-            for i in range(dim):
-                if v[i]:
-                    key = mono[:i] + (mono[i] + 1,) + mono[i + 1 :]
-                    new[key] = new.get(key, Fraction(0)) + c * Fraction(v[i])
-        row = new
+        row = _poly_mul_linear(row, v)
     return {k: v for k, v in row.items() if v != 0}
 
 

@@ -9,9 +9,7 @@ from lattens.arith import (
     bernoulli,
     bernoulli_table,
     faulhaber_sum,
-    format_rational,
     multinomial,
-    parse_rational,
     power_sum_polynomial,
 )
 
@@ -86,12 +84,3 @@ def test_multinomial():
     assert multinomial(4, (2, 1, 1)) == 12
     with pytest.raises(ValueError):
         multinomial(3, (1, 1))
-
-
-def test_rational_serialization_round_trip():
-    assert format_rational(Fraction(-3, 6)) == "-1/2"
-    assert format_rational(Fraction(5)) == "5"
-    assert parse_rational("-1/2") == Fraction(-1, 2)
-    assert parse_rational("7") == 7
-    for q in (Fraction(22, 7), Fraction(0), Fraction(-9, 4), Fraction(10)):
-        assert parse_rational(format_rational(q)) == q

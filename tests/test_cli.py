@@ -138,10 +138,35 @@ def test_nval_rejects_higher_dimension(monkeypatch, capsys):
     assert code == 2
 
 
-def test_run_config_seed_default():
-    parser = cli.build_parser()
-    args = parser.parse_args(["nval", "--seed", "7"])
-    config = cli.RunConfig(subcommand=args.subcommand, args=args)
-    assert config.seed == 7
-    args = parser.parse_args(["count"])
-    assert cli.RunConfig(subcommand="count", args=args).seed == 0
+def cli_error(monkeypatch, capsys, argv, stdin=T2_JSON) -> str:
+    """Run a refused invocation: exit 2, nothing on stdout, one JSON error on stderr."""
+    code, out, err = run_cli(monkeypatch, capsys, argv, stdin)
+    assert code == 2 and out == ""
+    return json.loads(err)["error"]
+
+
+def test_scan_cap_exits_two(monkeypatch, capsys):
+    huge = json.dumps({"vertices": [[0, 0], [100000, 0], [0, 100000]]})
+    assert "too large" in cli_error(monkeypatch, capsys, ["count"], stdin=huge)
+
+
+def test_non_object_json_exits_two(monkeypatch, capsys):
+    assert "vertices" in cli_error(monkeypatch, capsys, ["count"], stdin="[1,2]")
+
+
+def test_negative_steps_exit_two(monkeypatch, capsys):
+    assert "steps" in cli_error(monkeypatch, capsys, ["equivariance", "-r", "2", "--steps", "-1"])
+
+
+def test_matrix_dimension_mismatch_exits_two(monkeypatch, capsys):
+    argv = ["equivariance", "-r", "1", "--matrix", "[[1,0,0],[0,1,0],[0,0,1]]"]
+    assert "matrix" in cli_error(monkeypatch, capsys, argv)
+
+
+def test_bool_coordinates_exit_two(monkeypatch, capsys):
+    bools = '{"vertices": [[true,false],[false,true],[false,false]]}'
+    assert "integers" in cli_error(monkeypatch, capsys, ["count"], stdin=bools)
+
+
+def test_negative_independence_trials_exit_two(monkeypatch, capsys):
+    assert "independence" in cli_error(monkeypatch, capsys, ["nval", "--check-independence", "-3"])

@@ -1,0 +1,200 @@
+"""The fraction-free elimination kernel against two independent oracles.
+
+The reference is a plain Fraction Gauss-Jordan elimination, kept here as a
+test-only implementation; sympy's exact matrices are a second, optional
+oracle.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lattens.linalg import (
+    det,
+    invert_matrix,
+    kernel_basis,
+    rank_bareiss,
+    rational_row_space_equations,
+    rref,
+)
+
+
+def reference_rref(rows):
+    """Reduced row echelon form over Q by Fraction Gauss-Jordan elimination."""
+    m = [list(map(Fraction, row)) for row in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+def reference_det(matrix):
+    """Laplace expansion along the first row."""
+    if not matrix:
+        return 1
+    return sum(
+        (-1) ** j * matrix[0][j] * reference_det([row[:j] + row[j + 1 :] for row in matrix[1:]])
+        for j in range(len(matrix))
+        if matrix[0][j]
+    )
+
+
+entries = st.one_of(
+    st.just(0),
+    st.integers(-6, 6),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+)
+
+
+@st.composite
+def matrices(draw, square=False):
+    """Matrices of mixed int and Fraction entries: tall, wide or square,
+    with zero rows and columns and dependent rows."""
+    nrows = draw(st.integers(0, 6))
+    ncols = nrows if square else draw(st.integers(1, 6))
+    rows = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+    if rows and draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [0] * ncols
+    if ncols and draw(st.booleans()):
+        zero = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[zero] = 0
+    if nrows >= 2 and draw(st.booleans()):
+        i, j, k = (draw(st.integers(0, nrows - 1)) for _ in range(3))
+        scale = Fraction(draw(entries))
+        rows[k] = [a + scale * b for a, b in zip(rows[i], rows[j])]
+    return rows, ncols
+
+
+def integer_matrix(rows):
+    """The rows times 420 = lcm(1, ..., 7), which clears every denominator drawn."""
+    return [[int(x * 420) for x in row] for row in rows]
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_rref_matches_reference(case):
+    rows, _ = case
+    assert rref(rows) == reference_rref(rows)
+    assert rref(integer_matrix(rows)) == reference_rref(integer_matrix(rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_rank_matches_reference(case):
+    rows, _ = case
+    assert rank_bareiss(rows) == len(reference_rref(rows)[1])
+    assert rank_bareiss(integer_matrix(rows)) == len(reference_rref(rows)[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_kernel_basis_matches_reference(case):
+    rows, ncols = case
+    red, pivots = reference_rref(rows)
+    basis = kernel_basis(rows, ncols)
+    free = [c for c in range(ncols) if c not in pivots]
+    assert len(basis) == len(free)
+    for vec, f in zip(basis, free):
+        assert vec[f] == 1 and all(vec[g] == 0 for g in free if g != f)
+        assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
+        assert [vec[p] for p in pivots] == [-row[f] for row in red]
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_row_space_equations_are_primitive_kernel_rays(case):
+    rows, ncols = case
+    equations = rational_row_space_equations(rows, ncols)
+    for eq, vec in zip(equations, kernel_basis(rows, ncols), strict=True):
+        scale = next(Fraction(e) / v for e, v in zip(eq, vec) if v)
+        assert scale > 0 and [scale * v for v in vec] == eq
+        assert all(isinstance(e, int) for e in eq) and gcd(*eq) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(square=True))
+def test_det_matches_laplace_expansion(case):
+    rows, _ = case
+    ints = integer_matrix(rows)
+    assert det(ints) == reference_det(ints)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(square=True))
+def test_invert_matrix_matches_reference(case):
+    rows, n = case
+    augmented = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    red, pivots = reference_rref(augmented)
+    if pivots[:n] != list(range(n)):
+        with pytest.raises(ValueError):
+            invert_matrix(rows)
+        return
+    inv = invert_matrix(rows)
+    assert inv == [row[n:] for row in red]
+
+
+def test_small_cases():
+    assert rref([]) == ([], [])
+    assert rref([[0, 0], [0, 0]]) == ([], [])
+    assert rank_bareiss([]) == 0
+    assert rank_bareiss([(0, 0, 0)]) == 0
+    assert kernel_basis([], 2) == [[1, 0], [0, 1]]
+    assert rational_row_space_equations([[2, 4]], 2) == [[-2, 1]]
+    assert rational_row_space_equations([[-2, 4]], 2) == [[2, 1]]
+    assert det([]) == 1
+    assert det([[0, 1], [1, 0]]) == -1
+    assert det([[2, 4], [1, 2]]) == 0
+    assert invert_matrix([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
+    with pytest.raises(ValueError):
+        invert_matrix([[1, 2], [2, 4]])
+
+
+def test_det_refuses_non_integer_entries():
+    assert det([[Fraction(2), 0], [0, Fraction(3)]]) == 6
+    with pytest.raises(ValueError):
+        det([[Fraction(1, 2), 0], [0, 1]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_kernel_agrees_with_sympy(sympy, case):
+    rows, ncols = case
+    matrix = sympy.Matrix(len(rows), ncols, lambda i, j: sympy.Rational(str(rows[i][j])))
+    reduced, pivots = matrix.rref()
+    assert rank_bareiss(rows) == matrix.rank()
+    red, mine = rref(rows)
+    assert list(pivots) == mine
+    assert [[sympy.Rational(str(x)) for x in row] for row in red] == [
+        list(reduced.row(i)) for i in range(len(mine))
+    ]
+    assert len(kernel_basis(rows, ncols)) == len(matrix.nullspace())
+    if len(rows) == ncols and ncols:
+        ints = integer_matrix(rows)
+        assert det(ints) == sympy.Matrix(ints).det()
+        if matrix.rank() == ncols:
+            inv = matrix.inv()
+            assert invert_matrix(rows) == [[Fraction(str(inv[i, j])) for j in range(ncols)] for i in range(ncols)]

@@ -6,7 +6,7 @@ import pytest
 from conftest import random_polytope
 from lattens import points
 from lattens.ehrhart import moment_tensor
-from lattens.linalg import rref
+from lattens.linalg import det, rref
 from lattens.polytope import (
     LatticePolytope,
     UnimodularMap,
@@ -101,12 +101,10 @@ def test_unimodular_map_validation():
 
 
 def test_random_unimodular_determinism_and_determinant():
-    from lattens.polytope import _det
-
     assert random_unimodular(3, seed=1, steps=0).matrix == UnimodularMap.identity(3).matrix
     for seed in range(8):
         m = random_unimodular(3, seed=seed, steps=12)
-        assert _det([list(r) for r in m.matrix]) == 1
+        assert det(m.matrix) == 1
     assert random_unimodular(2, seed=9, steps=7) == random_unimodular(2, seed=9, steps=7)
 
 
@@ -140,9 +138,7 @@ def test_dissect_prism_pieces_are_unimodular():
             assert piece.dim == n
             base = piece.vertices[0]
             edges = [[v[j] - base[j] for j in range(n)] for v in piece.vertices[1:]]
-            from lattens.polytope import _det
-
-            assert abs(_det(edges)) == 1
+            assert abs(det(edges)) == 1
     with pytest.raises(ValueError):
         dissect_prism(1)
 
@@ -213,3 +209,7 @@ def test_json_round_trip():
         polytope_from_json_dict({"vertices": []})
     with pytest.raises(ValueError):
         polytope_from_json_dict({"vertices": [[0, "x"]]})
+    with pytest.raises(ValueError):
+        polytope_from_json_dict({"vertices": [[True, False], [False, True]]})
+    with pytest.raises(ValueError):
+        polytope_from_json_dict([1, 2])

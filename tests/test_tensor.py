@@ -179,3 +179,13 @@ def test_json_round_trip_and_key_order():
     assert list(data["coords"]) == ["0,2", "2,0"]
     assert data["coords"]["0,2"] == "-1/3"
     assert SymTensor.from_json_dict(data) == t
+
+
+def test_rational_serialization_round_trip():
+    assert SymTensor(1, 1, {(1,): Fraction(-3, 6)}).to_json_dict()["coords"] == {"1": "-1/2"}
+    assert SymTensor.scalar(1, 5).to_json_dict()["coords"] == {"0": "5"}
+    parsed = SymTensor.from_json_dict({"dim": 2, "rank": 1, "coords": {"1,0": "-1/2", "0,1": "7"}})
+    assert parsed.coords == {(1, 0): Fraction(-1, 2), (0, 1): 7}
+    for q in (Fraction(22, 7), Fraction(0), Fraction(-9, 4), Fraction(10)):
+        t = SymTensor.scalar(1, q)
+        assert SymTensor.from_json_dict(t.to_json_dict()) == t
