@@ -131,7 +131,7 @@ def _cmd_equivariance(args) -> int:
     if args.matrix:
         try:
             rows = json.loads(args.matrix)
-            phi = UnimodularMap.linear(tuple(tuple(int(x) for x in row) for row in rows))
+            phi = UnimodularMap.linear(rows)
         except (ValueError, TypeError) as exc:
             raise InputError(f"bad matrix: {exc}") from exc
     else:

@@ -5,14 +5,18 @@ the r-fold symmetric powers of its lattice points.  Evaluating it on the
 dilates kP for k = 0..n+r and solving the Vandermonde system per tensor
 coordinate produces the homogeneous expansion; the degree-(n+r) coefficient
 is independently checked against exact simplex integration of the moment
-tensor.
+tensor.  The interpolation runs in integers: the inverse Vandermonde matrix
+is cached per degree as W / D with W an integer matrix, the integer power
+sums of the dilates are combined with W, and each coefficient coordinate
+is one exact fraction with denominator D * r!.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import factorial, lcm
 
 import numpy as np
 
@@ -97,23 +101,31 @@ class EhrhartTensorExpansion:
         return acc
 
 
+@lru_cache(maxsize=None)
+def _vandermonde_inverse(degree: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(W, D) with W an integer matrix and W / D the inverse of (k^j) on nodes k = 0..degree."""
+    inv = invert_matrix([[k**j for j in range(degree + 1)] for k in range(degree + 1)])
+    d = lcm(*(x.denominator for row in inv for x in row))
+    return tuple(tuple(int(x * d) for x in row) for row in inv), d
+
+
 def ehrhart_tensors(p: LatticePolytope, r: int) -> EhrhartTensorExpansion:
     """Exact interpolation of the dilation polynomial of the discrete moment tensor."""
     if p.is_empty:
         raise ValueError("expansion needs a non-empty polytope")
     n = p.ambient_dim
     degree = n + r
-    nodes = list(range(degree + 1))
-    values = [discrete_moment(dilate(p, k), r) for k in nodes]
-    vand = [[Fraction(k) ** j for j in range(degree + 1)] for k in nodes]
-    inv = invert_matrix(vand)
+    weights, d = _vandermonde_inverse(degree)
+    sums = [_tensor_sum(lattice_points(dilate(p, k)), n, r) for k in range(degree + 1)]
+    denom = d * factorial(r)
+    alphas = multi_indices(n, r)
     coeffs = []
-    for i in range(degree + 1):
+    for row in weights:
         coords = {}
-        for alpha in multi_indices(n, r):
-            c = sum((inv[i][k] * values[k].coord(alpha) for k in nodes), Fraction(0))
+        for alpha in alphas:
+            c = sum(w * s[alpha] for w, s in zip(row, sums))
             if c:
-                coords[alpha] = c
+                coords[alpha] = Fraction(c, denom)
         coeffs.append(SymTensor(n, r, coords))
     return EhrhartTensorExpansion(rank=r, coefficients=tuple(coeffs))
 
@@ -261,13 +273,11 @@ def check_translation_covariance(p: LatticePolytope, r: int, y) -> CheckReport:
 def check_equivariance(p: LatticePolytope, r: int, phi) -> CheckReport:
     """Moment and expansion coefficients intertwine a determinant-one lattice map."""
     failures: list[str] = []
-    if isinstance(phi, UnimodularMap):
-        if any(phi.translation):
-            raise ValueError("equivariance check takes a linear map; translation must be zero")
-        matrix = phi.matrix
-    else:
-        matrix = tuple(tuple(int(x) for x in row) for row in phi)
-        phi = UnimodularMap.linear(matrix)
+    if not isinstance(phi, UnimodularMap):
+        phi = UnimodularMap.linear(phi)
+    elif any(phi.translation):
+        raise ValueError("equivariance check takes a linear map; translation must be zero")
+    matrix = phi.matrix
     q = transform(p, phi)
     _compare(
         "moment equivariance",

@@ -6,6 +6,12 @@ affine hull, a lattice basis of the direction space (saturated, so reduced
 coordinates of lattice points are integers), and pulled-back integer facet
 inequalities that are valid relative to the affine hull.  This keeps face
 and relative-interior computations exact in any dimension.
+
+Only from_points (and so minkowski_sum, prism and each new face) runs the
+convex hull.  Images under dilation, translation, negation and unimodular
+maps carry mapped half-space data instead: an exact map x -> k M x + t
+with M in GL_n(Z) sends a . x <= b to (a M^-1) . x <= k b + (a M^-1) . t,
+and primitive normals stay primitive because M^-1 is an integer matrix.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from numbers import Integral
 
 from .linalg import (
     clear_denominators,
@@ -131,13 +138,6 @@ class LatticePolytope:
             out.append(int(val))
         return tuple(out)
 
-    def _lift_point(self, t) -> Point:
-        out = list(self._origin)
-        for tj, b in zip(t, self._basis):
-            for j in range(self.ambient_dim):
-                out[j] += tj * b[j]
-        return tuple(out)
-
     def _pull_back_inequality(self, g, h) -> tuple[Point, int]:
         # g . t <= h with t = R (x - origin) becomes (g R) x <= h + (g R) origin
         n = self.ambient_dim
@@ -184,10 +184,12 @@ class LatticePolytope:
         while stack:
             poly = stack.pop()
             for a, b in poly.facet_inequalities:
-                tight = [v for v in poly.vertices if _dot(a, v) == b]
-                face = LatticePolytope(tight)
-                if face.vertices not in found:
-                    found[face.vertices] = face
+                # every vertex of poly on the facet is a vertex of the face, so
+                # the tight vertices already are the face's canonical key
+                tight = tuple(v for v in poly.vertices if _dot(a, v) == b)
+                if tight not in found:
+                    face = LatticePolytope(tight)
+                    found[tight] = face
                     stack.append(face)
         return tuple(sorted(found.values(), key=lambda f: (f.dim, f.vertices)))
 
@@ -251,12 +253,65 @@ def standard_simplex(k: int, n: int) -> LatticePolytope:
     return LatticePolytope(pts)
 
 
+def _identity(n: int) -> tuple[Point, ...]:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _image(p: LatticePolytope, m, m_inv, t, k: int) -> LatticePolytope:
+    """Image of a non-empty p under x -> k m x + t, for k >= 1 and m, m_inv inverse integer matrices.
+
+    Vertices, hull equalities, facet inequalities and the reduced-coordinate
+    data are mapped; no hull is computed.  With x' = k m x + t, a . x <= b
+    becomes (a m_inv) . x' <= k b + (a m_inv) . t, the direction basis B
+    becomes m B, and the reduce matrix R becomes R m_inv, so reduced
+    coordinates of the image are k times those of the preimage.  m = m_inv
+    = None stands for the identity, which leaves B and the rational R as
+    they are.
+    """
+    if m is None:
+        def point(x) -> Point:
+            return tuple(k * c + ti for c, ti in zip(x, t))
+
+        def normal(a) -> Point:
+            return a
+
+        basis, reduce_matrix = p._basis, p._reduce_matrix
+    else:
+        cols = tuple(zip(*m_inv))
+
+        def point(x) -> Point:
+            return tuple(k * _dot(row, x) + ti for row, ti in zip(m, t))
+
+        def normal(a) -> Point:
+            return tuple(_dot(a, col) for col in cols)
+
+        basis = tuple(tuple(_dot(row, b) for row in m) for b in p._basis)
+        reduce_matrix = tuple(normal(row) for row in p._reduce_matrix)
+
+    def half_space(a, b) -> tuple[Point, int]:
+        c = normal(a)
+        return c, k * b + _dot(c, t)
+
+    q = LatticePolytope.__new__(LatticePolytope)
+    q.ambient_dim = p.ambient_dim
+    q.dim = p.dim
+    q.vertices = tuple(sorted(point(v) for v in p.vertices))
+    q.hull_equalities = tuple(half_space(a, b) for a, b in p.hull_equalities)
+    q.facet_inequalities = tuple(sorted(half_space(a, b) for a, b in p.facet_inequalities))
+    q._origin = point(p._origin)
+    q._basis = basis
+    q._reduce_matrix = reduce_matrix
+    return q
+
+
 def dilate(p: LatticePolytope, k: int) -> LatticePolytope:
     if k < 0:
         raise ValueError("dilation factor must be non-negative")
     if p.is_empty:
         return p
-    return LatticePolytope([tuple(k * c for c in v) for v in p.vertices])
+    if k == 0:
+        return LatticePolytope([(0,) * p.ambient_dim])
+    return _image(p, None, None, (0,) * p.ambient_dim, k)
 
 
 def translate(p: LatticePolytope, y) -> LatticePolytope:
@@ -265,13 +320,14 @@ def translate(p: LatticePolytope, y) -> LatticePolytope:
     y = tuple(int(c) for c in y)
     if len(y) != p.ambient_dim:
         raise ValueError("translation dimension mismatch")
-    return LatticePolytope([tuple(a + b for a, b in zip(v, y)) for v in p.vertices])
+    return _image(p, None, None, y, 1)
 
 
 def negate(p: LatticePolytope) -> LatticePolytope:
     if p.is_empty:
         return p
-    return LatticePolytope([tuple(-c for c in v) for v in p.vertices])
+    minus = tuple(tuple(-x for x in row) for row in _identity(p.ambient_dim))
+    return _image(p, minus, minus, (0,) * p.ambient_dim, 1)
 
 
 def minkowski_sum(p: LatticePolytope, q: LatticePolytope) -> LatticePolytope:
@@ -280,6 +336,13 @@ def minkowski_sum(p: LatticePolytope, q: LatticePolytope) -> LatticePolytope:
     if p.is_empty or q.is_empty:
         return LatticePolytope.empty(p.ambient_dim)
     return LatticePolytope([tuple(a + b for a, b in zip(u, v)) for u in p.vertices for v in q.vertices])
+
+
+def _entry(x) -> int:
+    # truncating 1.7 to 1 would silently check a different map
+    if isinstance(x, bool) or not isinstance(x, Integral):
+        raise ValueError(f"map entries must be integers, not {x!r}")
+    return int(x)
 
 
 @dataclass(frozen=True)
@@ -291,8 +354,8 @@ class UnimodularMap:
 
     def __post_init__(self) -> None:
         n = len(self.matrix)
-        object.__setattr__(self, "matrix", tuple(tuple(int(x) for x in row) for row in self.matrix))
-        object.__setattr__(self, "translation", tuple(int(x) for x in self.translation))
+        object.__setattr__(self, "matrix", tuple(tuple(_entry(x) for x in row) for row in self.matrix))
+        object.__setattr__(self, "translation", tuple(_entry(x) for x in self.translation))
         if any(len(row) != n for row in self.matrix) or len(self.translation) != n:
             raise ValueError("matrix must be square and match the translation")
         if det(self.matrix) != 1:
@@ -300,7 +363,7 @@ class UnimodularMap:
 
     @staticmethod
     def identity(n: int) -> UnimodularMap:
-        return UnimodularMap(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), (0,) * n)
+        return UnimodularMap(_identity(n), (0,) * n)
 
     @staticmethod
     def linear(matrix) -> UnimodularMap:
@@ -321,9 +384,11 @@ class UnimodularMap:
 
 
 def transform(p: LatticePolytope, phi: UnimodularMap) -> LatticePolytope:
+    if len(phi.matrix) != p.ambient_dim:
+        raise ValueError(f"map must be {p.ambient_dim} x {p.ambient_dim} to match the polytope")
     if p.is_empty:
         return p
-    return LatticePolytope([phi.apply(v) for v in p.vertices])
+    return _image(p, phi.matrix, phi.inverse().matrix, phi.translation, 1)
 
 
 def prism(p: LatticePolytope) -> LatticePolytope:

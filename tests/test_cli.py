@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import sys
@@ -170,3 +171,38 @@ def test_bool_coordinates_exit_two(monkeypatch, capsys):
 
 def test_negative_independence_trials_exit_two(monkeypatch, capsys):
     assert "independence" in cli_error(monkeypatch, capsys, ["nval", "--check-independence", "-3"])
+
+
+def test_non_integer_matrix_exits_two(monkeypatch, capsys):
+    argv = ["equivariance", "-r", "1", "--matrix", "[[1.7,0],[0,1]]"]
+    assert "integers" in cli_error(monkeypatch, capsys, argv)
+
+
+# stdout digests recorded before half-space mapping and integer interpolation
+# replaced re-hulling and Fraction interpolation; outputs must stay byte-identical
+FULL_3D = '{"vertices": [[0,0,0],[3,0,0],[0,2,0],[1,2,0],[0,0,2],[2,1,3]]}'
+FLAT_3D = '{"vertices": [[0,0,0],[2,1,0],[1,0,1],[3,1,1]]}'
+PASS_REPORT = {
+    "reciprocity": "9b87443f7924ef8ac754fee2a15e8afce8e741b3cb8bc85820d74588b8312765",
+    "covariance": "67fd8e5935b9295dd38f42bd97008381eabaaa244d4889107af0beedac7fdbf2",
+    "equivariance": "70383c76e8c27acf3f69f2f3d40c829ebbdc6005890f6ef52b9817506487902e",
+}
+GOLDEN = [
+    (["ehrhart", "-r", "0"], FULL_3D, "7452d388e21fa2b1669370f93228ac6659ae01e88df0849fe20cbf8283459b00"),
+    (["ehrhart", "-r", "3"], FULL_3D, "1bd6d0412745a0a9065daaddcb7583f2fd7b2d118d44dbcfe72a569740c10266"),
+    (["reciprocity", "-r", "2"], FULL_3D, PASS_REPORT["reciprocity"]),
+    (["covariance", "-r", "2", "--translation", "1,-2,3"], FULL_3D, PASS_REPORT["covariance"]),
+    (["equivariance", "-r", "2", "--seed", "5"], FULL_3D, PASS_REPORT["equivariance"]),
+    (["tensor", "--moment", "-r", "2"], FULL_3D, "fd60d0e70a5230ed589886a2605fcdb0c6701cb8a457469d752e2f3f93416b58"),
+    (["count"], FULL_3D, "9483e2a9498da7564c77a67c1dba54d68439fe9e101126f9b3ae4a7f3411fe27"),
+    (["ehrhart", "-r", "0"], FLAT_3D, "82813c8063164fe99ea312594ced5578ae22a52f4764273a7564fe498b3961c2"),
+    (["ehrhart", "-r", "3"], FLAT_3D, "bb735dd6d27c2ecf24a518be8c6b5a48570a129eb425f7ed47ef894bf9949eec"),
+    (["reciprocity", "-r", "2"], FLAT_3D, PASS_REPORT["reciprocity"]),
+]
+
+
+@pytest.mark.parametrize("argv, stdin, digest", GOLDEN)
+def test_golden_stdout_bytes(monkeypatch, capsys, argv, stdin, digest):
+    code, out, _ = run_cli(monkeypatch, capsys, argv, stdin)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

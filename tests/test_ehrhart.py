@@ -5,8 +5,10 @@ from math import comb
 import pytest
 
 from conftest import random_point, random_polytope
+from lattens.cli import EHRHART_MAX_DIM, EHRHART_MAX_RANK
 from lattens.ehrhart import (
     CheckReport,
+    _vandermonde_inverse,
     check_equivariance,
     check_reciprocity,
     check_translation_covariance,
@@ -228,6 +230,26 @@ def test_check_equivariance_examples():
     assert check_equivariance(t2, 3, phi).ok
     with pytest.raises(ValueError):
         check_equivariance(t2, 2, UnimodularMap(((1, 0), (0, 1)), (1, 0)))
+
+
+def test_check_equivariance_refuses_wrong_size_matrix():
+    identity3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    with pytest.raises(ValueError, match="2 x 2"):
+        check_equivariance(standard_simplex(2, 2), 1, identity3)
+
+
+def test_check_equivariance_refuses_non_integer_matrix():
+    # truncating to int would check the identity map and pass
+    with pytest.raises(ValueError, match="integers"):
+        check_equivariance(standard_simplex(2, 2), 1, [[1.7, 0], [0, 1]])
+
+
+def test_vandermonde_inverse_up_to_cli_caps():
+    for degree in range(EHRHART_MAX_RANK + EHRHART_MAX_DIM + 1):
+        weights, d = _vandermonde_inverse(degree)
+        nodes = range(degree + 1)
+        product = [[sum(k**j * weights[j][i] for j in nodes) for i in nodes] for k in nodes]
+        assert product == [[d * int(k == i) for i in nodes] for k in nodes]
 
 
 def test_lower_dimensional_coordinates_vanish():

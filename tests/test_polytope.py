@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_polytope
 from lattens import points
@@ -98,6 +100,15 @@ def test_unimodular_map_validation():
         UnimodularMap.linear(((1, 0), (0, -1)))  # determinant -1
     with pytest.raises(ValueError):
         UnimodularMap(((2, 0), (0, 1)), (0, 0))
+
+
+@pytest.mark.parametrize("entry", [1.7, 1.0, True, "1", Fraction(1)])
+def test_unimodular_map_refuses_non_integer_entries(entry):
+    # int() would truncate 1.7 to 1 and silently build the identity
+    with pytest.raises(ValueError, match="integers"):
+        UnimodularMap.linear(((entry, 0), (0, 1)))
+    with pytest.raises(ValueError, match="integers"):
+        UnimodularMap(((1, 0), (0, 1)), (entry, 0))
 
 
 def test_random_unimodular_determinism_and_determinant():
@@ -213,3 +224,77 @@ def test_json_round_trip():
         polytope_from_json_dict({"vertices": [[True, False], [False, True]]})
     with pytest.raises(ValueError):
         polytope_from_json_dict([1, 2])
+
+
+# -- mapped half-space data against the re-hull ------------------------------------
+
+
+@st.composite
+def polytopes(draw):
+    """Lattice polytopes in Z^1..Z^4; one in three spans a lower-dimensional
+    affine subspace along drawn directions, not necessarily axis-parallel."""
+    n = draw(st.integers(1, 4))
+    if draw(st.integers(0, 2)):
+        grid = st.tuples(*[st.integers(0, 2)] * n)
+        full = st.lists(grid, min_size=n + 1, max_size=n + 5).map(from_points)
+        return draw(full.filter(lambda p: p.dim == n))
+    d = draw(st.integers(0, n - 1))
+    origin = draw(st.tuples(*[st.integers(-2, 2)] * n))
+    directions = [draw(st.tuples(*[st.integers(-1, 1)] * n)) for _ in range(d)]
+    corners = [tuple(int(i == j) for j in range(d)) for i in range(-1, d)]
+    steps = corners + draw(st.lists(st.tuples(*[st.integers(0, 1)] * d), max_size=3))
+    return from_points(
+        [tuple(o + sum(c * u[j] for c, u in zip(cs, directions)) for j, o in enumerate(origin))
+         for cs in steps]
+    )
+
+
+def reference_image(p, f):
+    """The re-hull the constructions used to run: the hull of the mapped vertices."""
+    return LatticePolytope([f(v) for v in p.vertices], ambient_dim=p.ambient_dim)
+
+
+def assert_same_polytope(q, ref):
+    assert (q.ambient_dim, q.dim, q.vertices) == (ref.ambient_dim, ref.dim, ref.vertices)
+    assert points.lattice_points(q) == points.lattice_points(ref)
+    assert points.relint_lattice_points(q) == points.relint_lattice_points(ref)
+    assert faces(q) == faces(ref)
+    assert len(q.hull_equalities) == len(ref.hull_equalities)
+    assert all(_dot(a, v) == b for a, b in q.hull_equalities for v in ref.vertices)
+    if q.dim == q.ambient_dim:
+        assert set(q.facet_inequalities) == set(ref.facet_inequalities)
+    # reduced coordinates of lattice points are integers and lift back
+    for x in points.lattice_points(q):
+        t = q._reduce_point(x)
+        assert x == tuple(o + sum(tj * b[j] for tj, b in zip(t, q._basis)) for j, o in enumerate(q._origin))
+
+
+@settings(max_examples=60, deadline=None)
+@given(polytopes(), st.integers(0, 4))
+def test_dilate_matches_rehull(p, k):
+    assert_same_polytope(dilate(p, k), reference_image(p, lambda v: tuple(k * c for c in v)))
+
+
+shifts = st.lists(st.integers(-3, 3), min_size=4, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polytopes(), shifts)
+def test_translate_and_negate_match_rehull(p, y):
+    y = tuple(y[: p.ambient_dim])
+    shifted = reference_image(p, lambda v: tuple(a + b for a, b in zip(v, y)))
+    assert_same_polytope(translate(p, y), shifted)
+    assert_same_polytope(negate(p), reference_image(p, lambda v: tuple(-c for c in v)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(polytopes(), st.integers(0, 1000), st.integers(0, 3), shifts)
+def test_transform_matches_rehull(p, seed, steps, t):
+    n = p.ambient_dim
+    phi = UnimodularMap(random_unimodular(n, seed=seed, steps=steps).matrix, tuple(t[:n]))
+    assert_same_polytope(transform(p, phi), reference_image(p, phi.apply))
+
+
+def test_transform_refuses_map_of_wrong_size():
+    with pytest.raises(ValueError, match="3 x 3"):
+        transform(standard_simplex(3, 3), UnimodularMap.identity(2))
