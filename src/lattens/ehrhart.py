@@ -9,6 +9,11 @@ tensor.  The interpolation runs in integers: the inverse Vandermonde matrix
 is cached per degree as W / D with W an integer matrix, the integer power
 sums of the dilates are combined with W, and each coefficient coordinate
 is one exact fraction with denominator D * r!.
+
+Power sums are taken over the runs x0 + s step of points.fibers, not point
+by point: the sums of s^e over a run have closed forms, Faulhaber's
+polynomials (Beck and Robins, Computing the Continuous Discretely), and
+every monomial of the run's points is a combination of them.
 """
 
 from __future__ import annotations
@@ -16,72 +21,197 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from itertools import repeat
+from math import comb, factorial, lcm
+from operator import add, mul
 
-import numpy as np
-
-from .arith import multinomial
+from .arith import multinomial, power_sum_polynomial
 from .linalg import det, invert_matrix
-from .points import lattice_points, relint_lattice_points
-from .polytope import LatticePolytope, UnimodularMap, dilate, faces, negate, transform, translate
+from .points import fibers
+from .polytope import LatticePolytope, UnimodularMap, faces, negate, transform, translate
 from .tensor import MultiIndex, SymTensor, _poly_mul, _poly_mul_linear, apply_linear, multi_indices
 
-_INT64_SAFE = 2**62
+
+@lru_cache(maxsize=None)
+def _power_sum_table(rank: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Per e <= rank, integers (N_1..N_(e+1), D) with sum_(i=1..k) i^e = sum_j N_j k^j / D.
+
+    The polynomial identity P_e(k) - P_e(k - 1) = k^e holds for every
+    integer k, so sum_(u=lo..hi) u^e = P_e(hi) - P_e(lo - 1) also on ranges
+    that cross or lie below 0.
+    """
+    table = []
+    for e in range(rank + 1):
+        coeffs = power_sum_polynomial(e)
+        d = lcm(*(c.denominator for c in coeffs))
+        table.append((tuple(int(c * d) for c in coeffs), d))
+    return tuple(table)
 
 
-def _tensor_sum(points: list[tuple[int, ...]], dim: int, rank: int) -> dict[MultiIndex, int]:
-    """Exact sum over points of the monomials x^alpha, |alpha| = rank."""
+def _range_power_sums(lo: int, hi: int, rank: int) -> list[int]:
+    """[sum_(u=lo..hi) u^e for e = 0..rank], by Faulhaber's polynomials."""
+    if lo == hi:
+        pows = [1]
+        for _ in range(rank):
+            pows.append(pows[-1] * lo)
+        return pows
+    a, b = lo - 1, hi
+    pa, pb = [1], [1]
+    for _ in range(rank + 1):
+        pa.append(pa[-1] * a)
+        pb.append(pb[-1] * b)
+    diffs = [y - x for x, y in zip(pa, pb)]
+    return [
+        sum(c * dj for c, dj in zip(coeffs, diffs[1:])) // d
+        for coeffs, d in _power_sum_table(rank)
+    ]
+
+
+@lru_cache(maxsize=None)
+def _sum_plan(dim: int, rank: int):
+    """How to combine per-run power sums into the sums of x^alpha, |alpha| = rank.
+
+    Write x = (h, v, u): the head h = x_1..x_(dim-2), then v and u, the
+    last coordinate.  Returns (pairs, layers, heads, slots).  pairs lists
+    the exponents (a, e) with a + e <= rank, for the sums of v^a u^e over
+    runs that share a head.  layers builds the head monomials of degree
+    1..rank, one layer per degree: monomial number len(built) + i is
+    monomial parents[i] times h[coords[i]].  Per alpha of
+    multi_indices(dim, rank), heads and slots give the index of its head
+    monomial and of its pair.
+    """
+    pairs = [(a, e) for a in range(rank + 1) for e in range(rank + 1 - a)]
+    width = max(dim - 2, 0)
+    zero = (0,) * width
+    index = {zero: 0}
+    layers = []
+    frontier = [(zero, 0)]
+    for _ in range(rank):
+        parents, coords, grown = [], [], []
+        for mono, first in frontier:
+            for i in range(first, width):
+                new = mono[:i] + (mono[i] + 1,) + mono[i + 1 :]
+                index[new] = len(index)
+                parents.append(index[mono])
+                coords.append(i)
+                grown.append((new, i))
+        layers.append((tuple(parents), tuple(coords)))
+        frontier = grown
     alphas = multi_indices(dim, rank)
-    if not points:
-        return {a: 0 for a in alphas}
-    max_abs = max((abs(c) for p in points for c in p), default=0)
-    bound = (max(max_abs, 1) ** rank) * len(points)
-    if bound < _INT64_SAFE and len(points) > 256:
-        arr = np.asarray(points, dtype=np.int64)
-        pows = [
-            [np.ones(len(points), dtype=np.int64)] + [arr[:, i] ** e for e in range(1, rank + 1)]
-            for i in range(dim)
-        ]
-        out = {}
-        for alpha in alphas:
-            prod = pows[0][alpha[0]].copy()
-            for i in range(1, dim):
-                if alpha[i]:
-                    prod *= pows[i][alpha[i]]
-            out[alpha] = int(prod.sum())
-        return out
-    out = {a: 0 for a in alphas}
-    for p in points:
-        for alpha in alphas:
-            term = 1
-            for c, a in zip(p, alpha):
-                if a:
-                    term *= c**a
-            out[alpha] += term
+    heads = tuple(index[a[:width]] for a in alphas)
+    slots = tuple(pairs.index((a[-2] if dim > 1 else 0, a[-1])) for a in alphas)
+    return tuple(pairs), tuple(layers), heads, slots
+
+
+@lru_cache(maxsize=None)
+def _times_linear_plan(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """Per coordinate i and monomial of degree + 1: the index of the monomial over z_i
+    in multi_indices(dim, degree), or that list's length where z_i does not divide it."""
+    src = {a: k for k, a in enumerate(multi_indices(dim, degree))}
+    return tuple(
+        tuple(src[b[:i] + (b[i] - 1,) + b[i + 1 :]] if b[i] else len(src) for b in multi_indices(dim, degree + 1))
+        for i in range(dim)
+    )
+
+
+def _times_linear(form: list[int], dim: int, degree: int, v) -> list[int]:
+    """Coefficients of form(z) (v . z), for a form of the given degree, in multi_indices order."""
+    plan = _times_linear_plan(dim, degree)
+    padded = form + [0]
+    out = [0] * len(plan[0])
+    for vi, src in zip(v, plan):
+        if vi:
+            out = list(map(add, out, map(mul, repeat(vi), map(padded.__getitem__, src))))
     return out
 
 
-def _moment_of_points(points, dim: int, rank: int) -> SymTensor:
-    sums = _tensor_sum(points, dim, rank)
+def _run_form(x0, step, lo: int, hi: int, dim: int, rank: int) -> list[int]:
+    """Coefficients of sum_(s=lo..hi) ((x0 + s step) . z)^rank, by Horner's rule in step . z.
+
+    With sigma_j the power sums of s, the sum is
+    sum_j C(rank, j) sigma_j (x0 . z)^(rank-j) (step . z)^j.
+    """
+    sums = _range_power_sums(lo, hi, rank)
+    powers = [[1]]
+    for d in range(rank):
+        powers.append(_times_linear(powers[-1], dim, d, x0))
+    form = [sums[rank]]
+    for j in range(rank - 1, -1, -1):
+        form = _times_linear(form, dim, rank - j - 1, step)
+        c = comb(rank, j) * sums[j]
+        form = [f + c * p for f, p in zip(form, powers[rank - j])]
+    return form
+
+
+def _tensor_sum(runs, dim: int, rank: int) -> list[int]:
+    """Exact sums of x^alpha over the points of runs, one per alpha of multi_indices(dim, rank).
+
+    Along a run in the last coordinate u, u^e sums in closed form to a
+    difference of Faulhaber polynomials.  Consecutive such runs that share
+    the head x_1..x_(dim-2) are gathered first, into sums of v^a u^e with
+    v = x_(dim-1), and each gathered group adds to every alpha once.  Runs
+    in other directions come only from lower-dimensional polytopes.  A long
+    one is summed in closed form as a polynomial in z, the sum of
+    (x . z)^rank over its points, whose coefficients are multinomial(rank,
+    alpha) times the sums wanted; short ones are summed point by point.
+    """
+    if rank == 0:
+        return [sum(hi - lo + 1 for _, _, lo, hi in runs)]
+    pairs, layers, heads, slots = _sum_plan(dim, rank)
+    acc = [0] * len(heads)
+    forms = [0] * len(heads)
+    head, gathered = None, []
+
+    def flush():
+        mono = [1]
+        for parents, coords in layers:
+            mono += map(mul, map(mono.__getitem__, parents), map(head.__getitem__, coords))
+        terms = map(mul, map(mono.__getitem__, heads), map(gathered.__getitem__, slots))
+        return list(map(add, acc, terms))
+
+    for x0, step, lo, hi in runs:
+        if step[-1] == 1 and not any(step[:-1]):
+            pieces = [(x0, x0[-1] + lo, x0[-1] + hi)]
+        elif hi - lo >= dim + rank:
+            # the closed form costs about as much as dim + rank single points
+            forms = list(map(add, forms, _run_form(x0, step, lo, hi, dim, rank)))
+            continue
+        else:
+            points = [tuple(a + s * b for a, b in zip(x0, step)) for s in range(lo, hi + 1)]
+            pieces = [(x, x[-1], x[-1]) for x in points]
+        for x, u_lo, u_hi in pieces:
+            if x[:-2] != head:
+                if head is not None:
+                    acc = flush()
+                head, gathered = x[:-2], [0] * len(pairs)
+            sums = _range_power_sums(u_lo, u_hi, rank)
+            vp = _range_power_sums(x[-2], x[-2], rank) if dim > 1 else [1] + [0] * rank
+            gathered = [g + vp[a] * sums[e] for g, (a, e) in zip(gathered, pairs)]
+    if head is not None:
+        acc = flush()
+    if any(forms):
+        alphas = multi_indices(dim, rank)
+        acc = [a + f // multinomial(rank, alpha) for a, f, alpha in zip(acc, forms, alphas)]
+    return acc
+
+
+def _moment(runs, dim: int, rank: int) -> SymTensor:
     rfact = factorial(rank)
-    return SymTensor(dim, rank, {a: Fraction(s, rfact) for a, s in sums.items() if s})
+    sums = _tensor_sum(runs, dim, rank)
+    return SymTensor(dim, rank, {a: Fraction(s, rfact) for a, s in zip(multi_indices(dim, rank), sums) if s})
 
 
 def discrete_moment(p: LatticePolytope, r: int) -> SymTensor:
     """(1/r!) sum of x^r over the lattice points of p; rank 0 gives the point count."""
     if r < 0:
         raise ValueError("rank must be non-negative")
-    if p.is_empty:
-        return SymTensor.zero(p.ambient_dim, r)
-    return _moment_of_points(lattice_points(p), p.ambient_dim, r)
+    return _moment(fibers(p), p.ambient_dim, r)
 
 
 def discrete_moment_relint(p: LatticePolytope, r: int) -> SymTensor:
     if r < 0:
         raise ValueError("rank must be non-negative")
-    if p.is_empty:
-        return SymTensor.zero(p.ambient_dim, r)
-    return _moment_of_points(relint_lattice_points(p), p.ambient_dim, r)
+    return _moment(fibers(p, relint=True), p.ambient_dim, r)
 
 
 @dataclass(frozen=True)
@@ -109,25 +239,40 @@ def _vandermonde_inverse(degree: int) -> tuple[tuple[tuple[int, ...], ...], int]
     return tuple(tuple(int(x * d) for x in row) for row in inv), d
 
 
-def ehrhart_tensors(p: LatticePolytope, r: int) -> EhrhartTensorExpansion:
-    """Exact interpolation of the dilation polynomial of the discrete moment tensor."""
+def _expansions(p: LatticePolytope, ranks) -> list[EhrhartTensorExpansion]:
+    """Expansions of every rank in ranks, from one enumeration of each dilate kP."""
     if p.is_empty:
         raise ValueError("expansion needs a non-empty polytope")
     n = p.ambient_dim
-    degree = n + r
-    weights, d = _vandermonde_inverse(degree)
-    sums = [_tensor_sum(lattice_points(dilate(p, k)), n, r) for k in range(degree + 1)]
-    denom = d * factorial(r)
-    alphas = multi_indices(n, r)
-    coeffs = []
-    for row in weights:
-        coords = {}
-        for alpha in alphas:
-            c = sum(w * s[alpha] for w, s in zip(row, sums))
-            if c:
-                coords[alpha] = Fraction(c, denom)
-        coeffs.append(SymTensor(n, r, coords))
-    return EhrhartTensorExpansion(rank=r, coefficients=tuple(coeffs))
+    sums = {r: [] for r in ranks}
+    # fibers checks the scan cap when called, so every dilate is checked first
+    dilates = [fibers(p, scale=k) for k in range(n + max(ranks) + 1)]
+    for k, dilate_runs in enumerate(dilates):
+        runs = list(dilate_runs)
+        for r in ranks:
+            if k <= n + r:
+                sums[r].append(_tensor_sum(runs, n, r))
+    out = []
+    for r in ranks:
+        weights, d = _vandermonde_inverse(n + r)
+        denom = d * factorial(r)
+        alphas = multi_indices(n, r)
+        per_alpha = list(zip(*sums[r]))
+        coeffs = []
+        for row in weights:
+            coords = {}
+            for alpha, values in zip(alphas, per_alpha):
+                c = sum([w * s for w, s in zip(row, values)])
+                if c:
+                    coords[alpha] = Fraction(c, denom)
+            coeffs.append(SymTensor(n, r, coords))
+        out.append(EhrhartTensorExpansion(rank=r, coefficients=tuple(coeffs)))
+    return out
+
+
+def ehrhart_tensors(p: LatticePolytope, r: int) -> EhrhartTensorExpansion:
+    """Exact interpolation of the dilation polynomial of the discrete moment tensor."""
+    return _expansions(p, [r])[0]
 
 
 # -- exact moment tensor by simplex integration ---------------------------------
@@ -256,7 +401,7 @@ def check_translation_covariance(p: LatticePolytope, r: int, y) -> CheckReport:
 
     failures: list[str] = []
     n = p.ambient_dim
-    expansions = [ehrhart_tensors(p, s) for s in range(r + 1)]
+    expansions = _expansions(p, range(r + 1))
     shifted = ehrhart_tensors(translate(p, y), r)
     y_pow = [sym_power(tuple(y), j) for j in range(r + 1)]
     for l in range(n + r + 1):

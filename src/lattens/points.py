@@ -1,115 +1,286 @@
 """Exact lattice-point enumeration for polytopes and their relative interiors.
 
-Enumeration scans the integer bounding box and keeps points satisfying the
-affine-hull equalities plus the facet inequalities (strictly, for relative
-interiors).  The scan is vectorized with int64 when the coordinate sizes
-make that provably overflow-free, and falls back to Python integers
-otherwise, so results are always exact and in deterministic lex order.
+Points are enumerated fiber by fiber in the polytope's own affine lattice.
+With an origin o and a row-echelon lattice basis E_1..E_m of aff(P) (pivot
+columns increasing, pivots positive), each lattice point of aff(P) is
+x = o + sum_j t_j E_j for one integer vector t, and lex order in t is lex
+order in x.  A facet a . x <= b becomes (a E) . t <= b - a . o; the relative
+interior uses b - 1, which is exact because both sides are integers.
+
+The bounds on t_j for a fixed prefix t_1..t_(j-1) come from Fourier-Motzkin
+projections of those rows onto the first j coordinates, computed once per
+polytope and pruned to the facets of each projection.  Every projected row
+is a nonnegative combination of facet rows, and integer points satisfy it
+with a primitive normal and a floored offset.  The last level uses the
+facet rows themselves, so each run (x0, step, lo, hi), meaning the points
+x0 + s step for lo <= s <= hi, is exact, and runs come in lex order.  For a
+full-dimensional polytope o = 0 and E = I, so a run is a stretch of the last
+coordinate.  Cost grows with the number of runs and points, not with the
+bounding box.
 """
 
 from __future__ import annotations
 
-from itertools import product
-
-import numpy as np
+from fractions import Fraction
+from functools import lru_cache
+from math import ceil, gcd
 
 from .polytope import LatticePolytope, _dot
 
-_INT64_SAFE = 2**62
 _MAX_SCAN_CELLS = 50_000_000
 
 
 class ScanTooLarge(ValueError):
-    """The bounding box holds more cells than the scan cap allows."""
+    """The bounding box in lattice coordinates holds more cells than the cap allows."""
 
 
-def _scan(p: LatticePolytope, strict: bool) -> list[tuple[int, ...]]:
+def _echelon(rows) -> list[tuple[int, ...]]:
+    """Row-echelon basis with positive pivots of the lattice spanned by independent rows."""
+    rows = [list(r) for r in rows]
+    out = []
+    col = 0
+    while rows:
+        live = [r for r in rows if r[col]]
+        rest = [r for r in rows if not r[col]]
+        # Euclid on the column: reduce by the row with the smallest entry
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[col]))
+            pivot = live[0]
+            reduced = [[a - (r[col] // pivot[col]) * b for a, b in zip(r, pivot)] for r in live[1:]]
+            live = [pivot] + [r for r in reduced if r[col]]
+            rest += [r for r in reduced if not r[col]]
+        if live:
+            pivot = live[0]
+            out.append(tuple(pivot) if pivot[col] > 0 else tuple(-a for a in pivot))
+        rows = rest
+        col += 1
+    return out
+
+
+def _primitive(c, d, s):
+    g = 0
+    for x in c:
+        g = gcd(g, x)
+    return tuple(x // g for x in c), Fraction(d, g), Fraction(s, g)
+
+
+class _Frame:
+    """Lattice frame and Fourier-Motzkin levels of a non-empty polytope.
+
+    levels[j] holds rows (c, d, s) over t_1..t_(j+1) with c primitive and
+    nonzero in its last entry.  Each row is a nonnegative combination of
+    facet rows with weights summing to s, so c . t <= k d holds on kP and,
+    as each facet row loses 1 on the relative interior, c . t <= k d - s
+    holds there.
+    """
+
+    def __init__(self, p: LatticePolytope):
+        n = p.ambient_dim
+        m = p.dim
+        self.full = m == n
+        if self.full:
+            self.origin = (0,) * n
+            self.basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        else:
+            self.origin = p._origin
+            self.basis = _echelon(p._basis)
+        verts = [self._coordinates(v) for v in p.vertices]
+        self.extents = [max(t[j] for t in verts) - min(t[j] for t in verts) for j in range(m)]
+
+        # facet rows in t; each is tight at a vertex, so its offset is an integer
+        levels = []
+        if m:
+            rows = []
+            for a, b in p.facet_inequalities:
+                c, d, s = _primitive([_dot(a, e) for e in self.basis], b - _dot(a, self.origin), 1)
+                rows.append((c, int(d), s))
+            levels.append(rows)
+        for j in range(m - 1, 0, -1):
+            levels.append(_project(levels[-1], j, verts))
+        levels.reverse()
+        self.levels = [[row for row in level if row[0][-1]] for level in levels]
+
+    def _coordinates(self, x) -> tuple[int, ...]:
+        # forward substitution on the pivot columns of the echelon basis
+        diff = [xi - oi for xi, oi in zip(x, self.origin)]
+        t = []
+        for e in self.basis:
+            col = next(i for i, v in enumerate(e) if v)
+            tj = diff[col] // e[col]
+            diff = [a - tj * b for a, b in zip(diff, e)]
+            t.append(tj)
+        return tuple(t)
+
+
+def _project(rows, j, verts):
+    """Facet rows of the projection onto t_1..t_j of the polytope cut out by rows over t_1..t_(j+1)."""
+    keep = [(c[:j], d, s) for c, d, s in rows if not c[j]]
+    ups = [r for r in rows if r[0][j] > 0]
+    downs = [r for r in rows if r[0][j] < 0]
+    for cu, du, su in ups:
+        for cd, dd, sd in downs:
+            u, w = -cd[j], cu[j]
+            c = [u * x + w * y for x, y in zip(cu[:j], cd[:j])]
+            if any(c):
+                keep.append(_primitive(c, u * du + w * dd, u * su + w * sd))
+    # a row is a facet of the projection iff its set of tight projected
+    # vertices is maximal; of equal facets keep the one with the largest s
+    best = {}
+    for c, d, s in keep:
+        mask = 0
+        for i, v in enumerate(verts):
+            if _dot(c, v) == d:
+                mask |= 1 << i
+        if mask and (mask not in best or s > best[mask][2]):
+            best[mask] = (c, int(d), s)
+    masks = sorted(best, key=lambda x: -bin(x).count("1"))
+    facets = []
+    for mask in masks:
+        if all(mask & other != mask for other, _ in facets):
+            facets.append((mask, best[mask]))
+    return [row for _, row in facets]
+
+
+@lru_cache(maxsize=8)
+def _frame(p: LatticePolytope) -> _Frame:
+    # equal polytopes have the same lattice points, so they may share a frame
+    return _Frame(p)
+
+
+def fibers(p: LatticePolytope, relint: bool = False, scale: int = 1):
+    """Runs (x0, step, lo, hi) covering the lattice points of scale * p in lex order.
+
+    With relint, the runs cover the relative interior instead (a point's
+    relative interior is the point, and 0 * p is a point).  Raises
+    ScanTooLarge, before any enumeration, when the box of the vertices in
+    lattice coordinates has more than the cap's cells.
+    """
     if p.is_empty:
-        return []
-    n = p.ambient_dim
-    lo, hi = p.bounding_box()
-    if p.dim == 0:
-        return [p.vertices[0]]
-
-    rows = [(a, b, True) for a, b in p.hull_equalities] + [
-        (a, b, False) for a, b in p.facet_inequalities
-    ]
+        return iter(())
+    frame = _frame(p)
     cells = 1
-    for l, h in zip(lo, hi):
-        cells *= h - l + 1
+    for e in frame.extents:
+        cells *= scale * e + 1
     if cells > _MAX_SCAN_CELLS:
         raise ScanTooLarge("bounding box too large to scan; reduce the dilation or dimension")
-
-    bound = max(
-        sum(abs(a_i) * max(abs(l), abs(h)) for a_i, l, h in zip(a, lo, hi)) + abs(b)
-        for a, b, _ in rows
-    ) if rows else 0
-    if bound < _INT64_SAFE and cells > 512:
-        return _scan_numpy(n, lo, hi, rows, strict)
-    return _scan_python(n, lo, hi, rows, strict)
-
-
-def _scan_numpy(n, lo, hi, rows, strict):
-    axes = [np.arange(l, h + 1, dtype=np.int64) for l, h in zip(lo, hi)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=1)
-    mask = np.ones(len(pts), dtype=bool)
-    for a, b, is_eq in rows:
-        vals = pts @ np.asarray(a, dtype=np.int64)
-        if is_eq:
-            mask &= vals == b
-        elif strict:
-            mask &= vals < b
-        else:
-            mask &= vals <= b
-    kept = pts[mask]
-    return [tuple(int(c) for c in row) for row in kept]
+    strict = relint and p.dim > 0 and scale > 0
+    # per level: prefix coefficient columns, the divisors of the upper-bound
+    # rows (last coefficient > 0, listed first) and of the lower-bound rows,
+    # and the offsets
+    levels = []
+    for j, level in enumerate(frame.levels):
+        rows = sorted(level, key=lambda row: row[0][-1] < 0)
+        levels.append((
+            [[c[i] for c, _, _ in rows] for i in range(j)],
+            [c[-1] for c, _, _ in rows if c[-1] > 0],
+            [-c[-1] for c, _, _ in rows if c[-1] < 0],
+            [scale * d - ceil(s) if strict else scale * d for _, d, s in rows],
+        ))
+    return _walk(frame, levels, scale)
 
 
-def _scan_python(n, lo, hi, rows, strict):
+def _bounds(level, res) -> tuple[int, int]:
+    """Interval of the level's last coordinate, from residual offsets of its rows."""
+    _, ups, lows, _ = level
+    hi = min([r // a for r, a in zip(res, ups)])
+    lo = -min([r // a for r, a in zip(res[len(ups):], lows)])
+    return lo, hi
+
+
+def _walk(frame: _Frame, levels, k: int):
+    """Odometer over t_1..t_(m-2); each t_(m-1) interval is expanded into runs in one batch."""
+    m = len(levels)
+    origin = tuple(k * c for c in frame.origin)
+    if m == 0:
+        yield origin, (0,) * len(origin), 0, 0
+        return
+    step = frame.basis[-1]
+    if m == 1:
+        lo, hi = _bounds(levels[0], levels[0][3])
+        if lo <= hi:
+            yield origin, step, lo, hi
+        return
+    last_cols, ups, lows, _ = levels[-1]
+    nup = len(ups)
+    # res[j][l]: residual offsets of level l's rows once t_1..t_j are fixed
+    res = [[level[3] for level in levels]]
+    xs = [origin]  # the partial points o + sum_(i<=j) t_i E_i, for lower-dimensional p
+    t = [0] * (m - 1)
+    top = [0] * (m - 1)
+
+    def fix(j):
+        # t_j (that is, t[j - 1]) changed: recompute the residuals and partial point after it
+        v = t[j - 1]
+        prev = res[j - 1]
+        del res[j:]
+        res.append([None] * j + [
+            [r - c * v for r, c in zip(prev[l], levels[l][0][j - 1])] for l in range(j, m)
+        ])
+        if not frame.full:
+            del xs[j:]
+            xs.append(tuple(a + v * b for a, b in zip(xs[j - 1], frame.basis[j - 1])))
+
+    j = 0
+    while True:
+        lo, hi = _bounds(levels[j], res[j][j])
+        if lo <= hi:
+            if j < m - 2:
+                t[j], top[j] = lo, hi
+                j += 1
+                fix(j)
+                continue
+            # last level for every t_(m-1) in [lo, hi]: one column of floors per row
+            base, col = res[j][m - 1], last_cols[m - 2]
+            span = range(lo, hi + 1)
+            floors = [[(b - c * v) // a for v in span] for b, c, a in zip(base, col, ups + lows)]
+            his = floors[0] if nup == 1 else map(min, *floors[:nup])
+            los = floors[nup] if len(lows) == 1 else map(min, *floors[nup:])
+            if frame.full:
+                head = tuple(t[: m - 2])
+                for v, h, l in zip(span, his, los):
+                    if -l <= h:
+                        yield head + (v, 0), step, -l, h
+            else:
+                x, e = xs[m - 2], frame.basis[m - 2]
+                for v, h, l in zip(span, his, los):
+                    if -l <= h:
+                        yield tuple(a + v * b for a, b in zip(x, e)), step, -l, h
+        # advance the deepest prefix coordinate that has room
+        j -= 1
+        while j >= 0 and t[j] == top[j]:
+            j -= 1
+        if j < 0:
+            return
+        t[j] += 1
+        j += 1
+        fix(j)
+
+
+def _expand(runs) -> list[tuple[int, ...]]:
     out = []
-    for pt in product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-        ok = True
-        for a, b, is_eq in rows:
-            v = _dot(a, pt)
-            if is_eq:
-                if v != b:
-                    ok = False
-                    break
-            elif strict:
-                if v >= b:
-                    ok = False
-                    break
-            elif v > b:
-                ok = False
-                break
-        if ok:
-            out.append(pt)
+    for x0, step, lo, hi in runs:
+        if step[-1] == 1 and not any(step[:-1]) and not x0[-1]:
+            head = x0[:-1]
+            out.extend([head + (s,) for s in range(lo, hi + 1)])
+        else:
+            out.extend([tuple(a + s * b for a, b in zip(x0, step)) for s in range(lo, hi + 1)])
     return out
 
 
 def lattice_points(p: LatticePolytope) -> list[tuple[int, ...]]:
     """All integer points of p, in lex order."""
-    return _scan(p, strict=False)
+    return _expand(fibers(p))
 
 
 def relint_lattice_points(p: LatticePolytope) -> list[tuple[int, ...]]:
     """Integer points of the relative interior of p (facets strict, hull equalities kept)."""
-    if p.is_empty:
-        return []
-    if p.dim == 0:
-        return [p.vertices[0]]
-    return _scan(p, strict=True)
+    return _expand(fibers(p, relint=True))
 
 
 def count(p: LatticePolytope) -> int:
     """Number of lattice points in p; zero for the empty polytope."""
-    if p.is_empty:
-        return 0
-    return len(lattice_points(p))
+    return sum(hi - lo + 1 for _, _, lo, hi in fibers(p))
 
 
 def count_relint(p: LatticePolytope) -> int:
-    if p.is_empty:
-        return 0
-    return len(relint_lattice_points(p))
+    return sum(hi - lo + 1 for _, _, lo, hi in fibers(p, relint=True))

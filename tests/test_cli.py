@@ -1,12 +1,18 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from lattens import cli
-from lattens.ehrhart import CheckReport
+from lattens.ehrhart import CheckReport, EhrhartTensorExpansion, discrete_moment
+from lattens.polytope import dilate, from_points
+from lattens.tensor import SymTensor
 
 T2_JSON = '{"vertices": [[0,0],[1,0],[0,1]]}'
 
@@ -149,6 +155,37 @@ def cli_error(monkeypatch, capsys, argv, stdin=T2_JSON) -> str:
 def test_scan_cap_exits_two(monkeypatch, capsys):
     huge = json.dumps({"vertices": [[0, 0], [100000, 0], [0, 100000]]})
     assert "too large" in cli_error(monkeypatch, capsys, ["count"], stdin=huge)
+
+
+def test_lower_dimensional_expansion_is_not_refused(monkeypatch, capsys):
+    # a segment in Z^6: its dilates have at most 91 points, in boxes of up to 91^6 cells
+    vertices = [[0] * 6, [5] * 6]
+    start = time.perf_counter()
+    code, out, _ = run_cli(monkeypatch, capsys, ["ehrhart", "-r", "12"], stdin=json.dumps({"vertices": vertices}))
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert elapsed < 5
+    expansion = EhrhartTensorExpansion(12, tuple(SymTensor.from_json_dict(c) for c in json.loads(out)))
+    p = from_points(vertices)
+    for k in (1, 2):
+        assert expansion.evaluate_at(k) == discrete_moment(dilate(p, k), 12)
+
+
+def test_cli_runs_without_numpy():
+    # importing numpy fails in the child: the library must not need it
+    script = (
+        "import sys; sys.modules['numpy'] = None\n"
+        "from lattens import cli\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for argv in (["count"], ["ehrhart", "-r", "2"]):
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv], input=T2_JSON, capture_output=True, text=True, env=env, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)
 
 
 def test_non_object_json_exits_two(monkeypatch, capsys):

@@ -5,9 +5,11 @@ from math import comb
 import pytest
 
 from conftest import random_point, random_polytope
+from lattens import ehrhart
 from lattens.cli import EHRHART_MAX_DIM, EHRHART_MAX_RANK
 from lattens.ehrhart import (
     CheckReport,
+    _range_power_sums,
     _vandermonde_inverse,
     check_equivariance,
     check_reciprocity,
@@ -17,7 +19,7 @@ from lattens.ehrhart import (
     ehrhart_tensors,
     moment_tensor,
 )
-from lattens.points import count
+from lattens.points import count, fibers
 from lattens.polytope import (
     LatticePolytope,
     UnimodularMap,
@@ -220,6 +222,28 @@ def test_check_translation_covariance_examples():
     assert check_translation_covariance(t2, 2, (0, 0)).ok
     assert check_translation_covariance(t2, 0, (2, -1)).ok
     assert check_translation_covariance(t2, 2, (1, 1)).ok
+
+
+def test_translation_covariance_enumerates_each_dilate_once(monkeypatch):
+    calls = []
+
+    def counted(p, relint=False, scale=1):
+        calls.append((p.vertices, relint, scale))
+        return fibers(p, relint, scale)
+
+    monkeypatch.setattr(ehrhart, "fibers", counted)
+    p = from_points([(0, 0), (2, 0), (0, 1), (1, 2)])
+    r = 3
+    assert check_translation_covariance(p, r, (1, -2)).ok
+    # k = 0..n+r for P and for its translate, each enumerated once
+    assert len(calls) == len(set(calls)) == 2 * (p.ambient_dim + r + 1)
+
+
+def test_range_power_sums_match_direct_sums():
+    for lo, hi in [(0, 0), (-1, -1), (1, 5), (-4, 3), (-7, -2), (-3, 0), (0, 6), (5, 4), (-2, -3)]:
+        for rank in range(19):
+            direct = [sum(u**e for u in range(lo, hi + 1)) for e in range(rank + 1)]
+            assert _range_power_sums(lo, hi, rank) == direct, (lo, hi, rank)
 
 
 def test_check_equivariance_examples():

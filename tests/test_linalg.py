@@ -6,7 +6,7 @@ oracle.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -85,8 +85,13 @@ def matrices(draw, square=False):
 
 
 def integer_matrix(rows):
-    """The rows times 420 = lcm(1, ..., 7), which clears every denominator drawn."""
-    return [[int(x * 420) for x in row] for row in rows]
+    """The rows times the lcm of their denominators.
+
+    A drawn entry has a denominator of at most 7, but a dependent row sums
+    products of two entries, whose denominators can reach 49.
+    """
+    d = lcm(*(Fraction(x).denominator for row in rows for x in row))
+    return [[int(x * d) for x in row] for row in rows]
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,18 @@
 import random
+import tracemalloc
 from itertools import product
+from fractions import Fraction
+from math import factorial, prod
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_polytope
+from lattens.ehrhart import discrete_moment, discrete_moment_relint
 from lattens.points import count, count_relint, lattice_points, relint_lattice_points
 from lattens.polytope import (
     LatticePolytope,
+    UnimodularMap,
     dilate,
     faces,
     from_points,
@@ -14,14 +22,19 @@ from lattens.polytope import (
     transform,
     translate,
 )
+from lattens.tensor import multi_indices
 
 
-def brute_force_points(p):
+def brute_force_points(p, relint=False):
+    """The box scan enumeration used to run: every cell of the bounding box, tested."""
+    if p.is_empty:
+        return []
+    inside = p.contains_relint if relint and p.dim > 0 else p.contains
     lo, hi = p.bounding_box()
     return [
         x
         for x in product(*(range(l, h + 1) for l, h in zip(lo, hi)))
-        if p.contains(x)
+        if inside(x)
     ]
 
 
@@ -107,3 +120,105 @@ def test_lex_order_is_deterministic():
     pts = lattice_points(p)
     assert pts == sorted(pts)
     assert pts[0] == (0, 0) and pts[-1] == (2, 2)
+
+
+def test_thin_simplex_enumerates_without_allocating_its_box():
+    # 1,040,502 cells in the box and 37 lattice points
+    p = from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0), (100, 100, 101)])
+    tracemalloc.start()
+    try:
+        pts = lattice_points(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pts) == 37 and pts == sorted(pts)
+    assert peak < 5 * 2**20
+
+
+# -- fiber enumeration against the box scan -------------------------------------------
+
+# boxes the reference scan can afford per example
+MAX_REFERENCE_CELLS = 20_000
+
+
+@st.composite
+def polytopes(draw):
+    """Lattice polytopes in Z^1..Z^6 with negative coordinates.
+
+    One in three is the hull of points in a small box, most often
+    full-dimensional.  The others are origin + sum c_j u_j over drawn
+    directions u_j, so the dimension runs from 0 (no direction) up to the
+    ambient one, and the affine hull is rarely axis-parallel.  Half of all
+    draws are then moved by a unimodular map, whose image keeps the mapped
+    lattice basis, which is not in echelon form.
+    """
+    n = draw(st.integers(1, 6))
+    if draw(st.integers(0, 2)) == 0:
+        bound = 3 if n <= 3 else 1
+        grid = st.tuples(*[st.integers(-bound, bound)] * n)
+        p = from_points(draw(st.lists(grid, min_size=n + 1, max_size=n + 5)))
+    else:
+        d = draw(st.integers(0, n))
+        origin = draw(st.tuples(*[st.integers(-3, 3)] * n))
+        directions = [draw(st.tuples(*[st.integers(-1, 1)] * n)) for _ in range(d)]
+        corners = [tuple(int(i == j) for j in range(d)) for i in range(-1, d)]
+        extra = draw(st.lists(st.tuples(*[st.integers(-1, 2)] * d), max_size=3))
+        p = from_points(
+            [tuple(o + sum(c * u[j] for c, u in zip(cs, directions)) for j, o in enumerate(origin))
+             for cs in corners + extra]
+        )
+    if draw(st.booleans()):
+        matrix = random_unimodular(n, seed=draw(st.integers(0, 1000)), steps=draw(st.integers(1, 3))).matrix
+        shift = draw(st.tuples(*[st.integers(-3, 3)] * n))
+        p = transform(p, UnimodularMap(matrix, shift))
+    lo, hi = p.bounding_box()
+    assume(prod(h - l + 1 for l, h in zip(lo, hi)) <= MAX_REFERENCE_CELLS)
+    return p
+
+
+def point_sums(pts, n, r):
+    """(1/r!) sum of x^alpha over the points, coordinate by coordinate."""
+    return {
+        a: Fraction(sum(prod(c**e for c, e in zip(x, a)) for x in pts), factorial(r))
+        for a in multi_indices(n, r)
+    }
+
+
+def moment_coords(t, n, r):
+    return {a: t.coord(a) for a in multi_indices(n, r)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(polytopes())
+def test_enumeration_matches_box_scan(p):
+    closed = brute_force_points(p)
+    interior = brute_force_points(p, relint=True)
+    assert lattice_points(p) == closed  # the box scan runs in lex order
+    assert relint_lattice_points(p) == interior
+    assert (count(p), count_relint(p)) == (len(closed), len(interior))
+
+
+@settings(max_examples=80, deadline=None)
+@given(polytopes(), st.integers(0, 4))
+def test_moments_match_point_sums(p, r):
+    n = p.ambient_dim
+    assert moment_coords(discrete_moment(p, r), n, r) == point_sums(brute_force_points(p), n, r)
+    assert moment_coords(discrete_moment_relint(p, r), n, r) == point_sums(
+        brute_force_points(p, relint=True), n, r
+    )
+
+
+def test_moments_of_long_runs_in_lower_dimensions():
+    # runs along non-axis directions, long enough to be summed in closed form
+    u, w, o = (1, 0, 2, -1), (0, 1, 1, 1), (-3, 2, -5, 1)
+    triangle = from_points([o, tuple(a + 12 * b for a, b in zip(o, u)), tuple(a + 12 * b for a, b in zip(o, w))])
+    cases = [
+        (dilate(from_points([[-2] * 6, [5] * 6]), 6), (0, 1, 2, 5, 12)),
+        (triangle, (0, 1, 2, 3)),
+    ]
+    for p, ranks in cases:
+        n = p.ambient_dim
+        closed, interior = lattice_points(p), relint_lattice_points(p)
+        for r in ranks:
+            assert moment_coords(discrete_moment(p, r), n, r) == point_sums(closed, n, r)
+            assert moment_coords(discrete_moment_relint(p, r), n, r) == point_sums(interior, n, r)
