@@ -16,9 +16,9 @@ from fractions import Fraction
 from math import comb
 
 from .linalg import kernel_basis as _rational_kernel, rank_bareiss
-from .tensor import MultiIndex, coordinate_row, multi_indices
+from .tensor import MultiIndex, _pull_back_rows, multi_indices
 
-Row = dict[MultiIndex, Fraction]
+Row = dict[MultiIndex, int]
 
 # order-three lattice symmetry of the standard triangle: e1 -> -e2, e2 -> e1 - e2
 PLANAR_MAP = ((0, 1), (-1, -1))
@@ -35,13 +35,13 @@ class ConstraintSystem:
     """
 
     labels: tuple[MultiIndex, ...]
-    rows: tuple[tuple[str, tuple[tuple[MultiIndex, Fraction], ...]], ...]
+    rows: tuple[tuple[str, tuple[tuple[MultiIndex, int], ...]], ...]
     symmetry_generators: tuple[tuple[int, ...], ...] = ()
 
     @staticmethod
     def build(labels, tagged_rows, symmetry_generators=()) -> ConstraintSystem:
         packed = tuple(
-            (tag, tuple(sorted((tuple(a), Fraction(v)) for a, v in row.items() if v != 0)))
+            (tag, tuple(sorted((tuple(a), v) for a, v in row.items() if v != 0)))
             for tag, row in tagged_rows
         )
         return ConstraintSystem(tuple(map(tuple, labels)), packed, tuple(symmetry_generators))
@@ -49,9 +49,6 @@ class ConstraintSystem:
     @property
     def unknowns(self) -> int:
         return len(self.labels)
-
-    def row_dicts(self) -> list[Row]:
-        return [dict(row) for _, row in self.rows]
 
     def orbits(self) -> tuple[list[MultiIndex], dict[MultiIndex, MultiIndex]]:
         """Orbit representatives and the label-to-representative map."""
@@ -82,36 +79,35 @@ class ConstraintSystem:
             for label in self.labels:
                 image = tuple(label[g[i]] for i in range(len(g)))
                 if image != label:
-                    out.append({label: Fraction(1), image: Fraction(-1)})
+                    out.append({label: 1, image: -1})
         return out
 
 
 def _fold_rows(system: ConstraintSystem):
-    """Rows summed onto orbit representatives; the identity without generators."""
+    """(orbit count, orbit column of each label, rows summed onto the orbit columns)."""
     reps, rep_of = system.orbits()
     pos = {rep: i for i, rep in enumerate(reps)}
+    column = {label: pos[rep_of[label]] for label in system.labels}
     folded = []
-    for row in system.row_dicts():
-        vec = [Fraction(0)] * len(reps)
-        for label, value in row.items():
-            vec[pos[rep_of[label]]] += value
+    for _, row in system.rows:
+        vec = [0] * len(reps)
+        for label, value in row:
+            vec[column[label]] += value
         if any(vec):
             folded.append(vec)
-    return reps, rep_of, folded
+    return len(reps), column, folded
 
 
 def rank(system: ConstraintSystem) -> int:
     """Exact rank of the system, symmetry rows included."""
-    reps, _, folded = _fold_rows(system)
-    return system.unknowns - len(reps) + rank_bareiss(folded)
+    width, _, folded = _fold_rows(system)
+    return system.unknowns - width + rank_bareiss(folded)
 
 
 def kernel_basis(system: ConstraintSystem) -> list[list[Fraction]]:
     """Canonical rational basis of the solution space, ordered like the labels."""
-    reps, rep_of, folded = _fold_rows(system)
-    pos = {rep: i for i, rep in enumerate(reps)}
-    reduced = _rational_kernel(folded, len(reps))
-    return [[vec[pos[rep_of[label]]] for label in system.labels] for vec in reduced]
+    width, column, folded = _fold_rows(system)
+    return [[vec[column[label]] for label in system.labels] for vec in _rational_kernel(folded, width)]
 
 
 def kernel_dim(system: ConstraintSystem) -> int:
@@ -125,23 +121,34 @@ def planar_labels(r: int) -> list[MultiIndex]:
     return [(j, r - j) for j in range(r + 1)]
 
 
+def _pull_back_sums(terms, alphas: list[MultiIndex]) -> dict[MultiIndex, Row]:
+    """Row sum of s * (pull-back of z^alpha through M) over (M, s) in terms, for each alpha.
+
+    Entries that cancel stay in the row as zeros.
+    """
+    rows: dict[MultiIndex, Row] = {alpha: {} for alpha in alphas}
+    for matrix, sign in terms:
+        pulled = _pull_back_rows(matrix, alphas)
+        for alpha, row in rows.items():
+            for beta, c in pulled[alpha].items():
+                row[beta] = row.get(beta, 0) + sign * c
+    return rows
+
+
+def _planar_rows(r: int, matrix, sign: int) -> list[Row]:
+    """The non-zero rows x_a + sign * (x pulled back through matrix)_a, |a| = r."""
+    rows = _pull_back_sums([(((1, 0), (0, 1)), 1), (matrix, sign)], planar_labels(r))
+    return [row for row in rows.values() if any(row.values())]
+
+
 def planar_relation_rows(r: int) -> list[Row]:
     """Constraints from precomposing with the order-three symmetry of T_2.
 
     Generated symbolically: the coordinate at (a, r-a) must equal the
     multilinear expansion of the same tensor at the transformed basis
-    vectors, expanded through coordinate_row.
+    vectors, the pull-back of z^(a, r-a) through PLANAR_MAP.
     """
-    rows = []
-    for a in range(r + 1):
-        vectors = [PLANAR_MAP[0]] * a + [PLANAR_MAP[1]] * (r - a)
-        expansion = coordinate_row(vectors, 2)
-        row: Row = {(a, r - a): Fraction(1)}
-        for alpha, c in expansion.items():
-            row[alpha] = row.get(alpha, Fraction(0)) - c
-        if any(v != 0 for v in row.values()):
-            rows.append(row)
-    return rows
+    return _planar_rows(r, PLANAR_MAP, -1)
 
 
 def planar_reduced_rows(r: int) -> list[Row]:
@@ -152,11 +159,9 @@ def planar_reduced_rows(r: int) -> list[Row]:
     """
     rows = []
     for s in range(1, r + 1):
-        row: Row = {}
-        for i in range(s):
-            row[(i, r - i)] = row.get((i, r - i), Fraction(0)) + comb(s, i)
+        row: Row = {(i, r - i): comb(s, i) for i in range(s)}
         if s % 2 == 1:
-            row[(s, r - s)] = row.get((s, r - s), Fraction(0)) + 2
+            row[(s, r - s)] = 2
         rows.append(row)
     return rows
 
@@ -167,9 +172,9 @@ def planar_parity_rows(r: int, parity: int) -> list[Row]:
         raise ValueError("parity must be +1 or -1")
     rows = []
     for j in range(r + 1):
-        row: Row = {(j, r - j): Fraction(1)}
+        row: Row = {(j, r - j): 1}
         key = (r - j, j)
-        row[key] = row.get(key, Fraction(0)) - parity
+        row[key] = row.get(key, 0) - parity
         if any(v != 0 for v in row.values()):
             rows.append(row)
     return rows
@@ -177,16 +182,7 @@ def planar_parity_rows(r: int, parity: int) -> list[Row]:
 
 def planar_square_rows(r: int) -> list[Row]:
     """Constraints from vanishing on the unit square: Z(T_2) + Z(-T_2) = 0."""
-    rows = []
-    for a in range(r + 1):
-        vectors = [(-1, 0)] * a + [(0, -1)] * (r - a)
-        expansion = coordinate_row(vectors, 2)
-        row: Row = {(a, r - a): Fraction(1)}
-        for alpha, c in expansion.items():
-            row[alpha] = row.get(alpha, Fraction(0)) + c
-        if any(v != 0 for v in row.values()):
-            rows.append(row)
-    return rows
+    return _planar_rows(r, ((-1, 0), (0, -1)), 1)
 
 
 def planar_system(r: int, parity: int) -> ConstraintSystem:
@@ -199,9 +195,15 @@ def planar_system(r: int, parity: int) -> ConstraintSystem:
     """
     if r < 2:
         raise ValueError("planar systems need rank at least 2")
+    return _planar_assembly(r, parity)
+
+
+def _planar_assembly(r: int, parity: int | None) -> ConstraintSystem:
+    """Relation and reduced rows, with the parity rows unless parity is None."""
     tagged = [("relation", row) for row in planar_relation_rows(r)]
     tagged += [("reduced", row) for row in planar_reduced_rows(r)]
-    tagged += [("parity", row) for row in planar_parity_rows(r, parity)]
+    if parity is not None:
+        tagged += [("parity", row) for row in planar_parity_rows(r, parity)]
     return ConstraintSystem.build(planar_labels(r), tagged)
 
 
@@ -235,13 +237,8 @@ def prism_maps(n: int) -> list[tuple[tuple[int, ...], ...]]:
 
 def prism_relation_row(n: int, alpha: MultiIndex) -> Row:
     """Row asserting that the dissection pieces sum to zero at coordinate alpha."""
-    row: Row = {}
-    for matrix in prism_maps(n):
-        vectors = []
-        for j in range(n):
-            vectors.extend([matrix[j]] * alpha[j])
-        for beta, c in coordinate_row(vectors, n).items():
-            row[beta] = row.get(beta, Fraction(0)) + c
+    alpha = tuple(alpha)
+    row = _pull_back_sums([(matrix, 1) for matrix in prism_maps(n)], [alpha])[alpha]
     return {k: v for k, v in row.items() if v != 0}
 
 
@@ -275,15 +272,10 @@ def prism_system(n: int, r: int, coordinate_filter: str = "all") -> ConstraintSy
     if coordinate_filter not in PRISM_FILTERS:
         raise ValueError(f"filter must be one of {PRISM_FILTERS}")
     labels = multi_indices(n, r)
-    tagged = []
-    for alpha in labels:
-        if coordinate_filter == "en-odd" and alpha[-1] % 2 == 0:
-            continue
-        if coordinate_filter == "en-even" and alpha[-1] % 2 == 1:
-            continue
-        row = prism_relation_row(n, alpha)
-        if row:
-            tagged.append(("dissection", row))
+    parities = {"all": (0, 1), "en-odd": (1,), "en-even": (0,)}[coordinate_filter]
+    kept = [alpha for alpha in labels if alpha[-1] % 2 in parities]
+    rows = _pull_back_sums([(matrix, 1) for matrix in prism_maps(n)], kept)
+    tagged = [("dissection", row) for row in rows.values() if any(row.values())]
     return ConstraintSystem.build(labels, tagged, _alternating_generators(n))
 
 
@@ -291,16 +283,8 @@ def prism_system(n: int, r: int, coordinate_filter: str = "all") -> ConstraintSy
 
 
 def _planar_assemblies(r: int) -> dict[str, ConstraintSystem]:
-    base = [("relation", row) for row in planar_relation_rows(r)]
-    base += [("reduced", row) for row in planar_reduced_rows(r)]
-    labels = planar_labels(r)
-    even = base + [("parity", row) for row in planar_parity_rows(r, +1)]
-    odd = base + [("parity", row) for row in planar_parity_rows(r, -1)]
-    return {
-        "even": ConstraintSystem.build(labels, even),
-        "odd": ConstraintSystem.build(labels, odd),
-        "relation-only": ConstraintSystem.build(labels, base),
-    }
+    parities = {"even": 1, "odd": -1, "relation-only": None}
+    return {name: _planar_assembly(r, parity) for name, parity in parities.items()}
 
 
 def expected_survey_rank(r: int) -> int | None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -237,7 +238,9 @@ def _cmd_rank(args) -> int:
 # -- parser --------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="lattens",
         description="Exact lattice polytope tensor computations (JSON in, JSON/CSV out)",

@@ -154,12 +154,12 @@ def _diagonal_poly(t: SymTensor) -> dict[MultiIndex, Fraction]:
 
 def _poly_mul_linear(poly: dict, v: Vector) -> dict:
     """Product of a polynomial in z with the linear form z -> v . z."""
+    terms = [(i, vi) for i, vi in enumerate(v) if vi]
     out: dict[MultiIndex, Fraction] = {}
     for mono, c in poly.items():
-        for i, vi in enumerate(v):
-            if vi:
-                key = mono[:i] + (mono[i] + 1,) + mono[i + 1 :]
-                out[key] = out.get(key, Fraction(0)) + c * Fraction(vi)
+        for i, vi in terms:
+            key = mono[:i] + (mono[i] + 1,) + mono[i + 1 :]
+            out[key] = out.get(key, 0) + c * vi
     return out
 
 
@@ -205,6 +205,22 @@ def evaluate(t: SymTensor, vectors: Sequence[Vector]) -> Fraction:
     return sum((c * t.coord(alpha) for alpha, c in row.items()), Fraction(0))
 
 
+def _pull_back_rows(matrix: Sequence[Vector], betas: list[MultiIndex]) -> dict[MultiIndex, dict[MultiIndex, int]]:
+    """Non-zero coefficients of prod_j (M_j . z)^beta_j, M_j row j of M, for each beta of one rank.
+
+    beta is spelled as a word of row indices, j repeated beta_j times.  The
+    row of a word is the row of its prefix times (M_j . z) for its last
+    letter j, built once per distinct prefix, one length at a time; an
+    integer matrix gives integer rows.
+    """
+    n = len(matrix)
+    words = [sum(((j,) * b for j, b in enumerate(beta)), ()) for beta in betas]
+    rows = {(): {(0,) * n: 1}}
+    for d in range(1, max(map(len, words), default=0) + 1):
+        rows = {w: _poly_mul_linear(rows[w[:-1]], matrix[w[-1]]) for w in {word[:d] for word in words}}
+    return {beta: {k: c for k, c in rows[word].items() if c} for beta, word in zip(betas, words)}
+
+
 def apply_linear(t: SymTensor, matrix: Sequence[Sequence[int]]) -> SymTensor:
     """Precompose with the transpose of an integer matrix: (T o M^t).
 
@@ -215,14 +231,8 @@ def apply_linear(t: SymTensor, matrix: Sequence[Sequence[int]]) -> SymTensor:
     n = t.dim
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError("matrix dimension mismatch")
-    if t.rank == 0:
-        return t
     # M^t e_j is row j of M
     coords = {}
-    for beta in multi_indices(n, t.rank):
-        vectors = []
-        for j in range(n):
-            vectors.extend([matrix[j]] * beta[j])
-        row = coordinate_row(vectors, n)
+    for beta, row in _pull_back_rows(matrix, multi_indices(n, t.rank)).items():
         coords[beta] = sum((c * t.coord(alpha) for alpha, c in row.items()), Fraction(0))
     return SymTensor(n, t.rank, coords)

@@ -42,6 +42,7 @@ class Triangulation2D:
         tris = tuple(sorted(tuple(sorted(t)) for t in self.triangles))
         object.__setattr__(self, "triangles", tris)
         object.__setattr__(self, "points", tuple(tuple(p) for p in self.points))
+        object.__setattr__(self, "_edge_index", self.edge_triangles())  # read, never mutated
 
     def triangle_points(self, t: Triangle) -> tuple[Point, Point, Point]:
         return tuple(self.points[i] for i in t)
@@ -60,7 +61,7 @@ class Triangulation2D:
         return out
 
     def interior_edges(self) -> list[tuple[int, int]]:
-        return sorted(e for e, ts in self.edge_triangles().items() if len(ts) == 2)
+        return sorted(e for e, ts in self._edge_index.items() if len(ts) == 2)
 
 
 def validate_triangulation(tri: Triangulation2D) -> None:
@@ -74,7 +75,7 @@ def validate_triangulation(tri: Triangulation2D) -> None:
     hull = LatticePolytope(tri.points)
     if sum(tri.doubled_area(t) for t in tri.triangles) != _polygon_doubled_area(hull):
         raise ValueError("triangle areas do not add up to the polygon area")
-    for e, ts in tri.edge_triangles().items():
+    for e, ts in tri._edge_index.items():
         if len(ts) > 2:
             raise ValueError(f"edge {e} lies in more than two triangles")
 
@@ -169,7 +170,7 @@ def _insert_into_cycle(boundary: list[Point], q: Point, triangles: list[Triangle
 def _flip_targets(tri: Triangulation2D, edge: tuple[int, int]):
     """Opposite vertices (k, l) and owner triangles of an admissibly flippable edge."""
     i, j = sorted(edge)
-    owners = tri.edge_triangles().get((i, j), [])
+    owners = tri._edge_index.get((i, j), [])
     if len(owners) < 2:
         raise FlipError(f"edge {(i, j)} is not an interior edge")
     k = next(v for v in owners[0] if v not in (i, j))
@@ -219,11 +220,12 @@ def flip_walk(tri: Triangulation2D, seed: int, steps: int) -> Triangulation2D:
 
 @lru_cache(maxsize=None)
 def _degree_one_cubic_tensor(anchored: tuple[Point, Point, Point]) -> SymTensor:
-    """Degree-1 coefficient of the rank-3 expansion of a triangle anchored at the origin."""
-    return ehrhart_tensors(LatticePolytope(anchored), 3).coefficient(1)
+    """Cube of the degree-1 coefficient of the rank-3 expansion of a triangle anchored at the origin."""
+    linear = ehrhart_tensors(LatticePolytope(anchored), 3).coefficient(1)
+    return sym_product(sym_product(linear, linear), linear)
 
 
-def _triangle_linear_part(points: tuple[Point, Point, Point]) -> SymTensor:
+def _triangle_cube(points: tuple[Point, Point, Point]) -> SymTensor:
     base = min(points)
     anchored = tuple(sorted((x - base[0], y - base[1]) for x, y in points))
     return _degree_one_cubic_tensor(anchored)
@@ -241,8 +243,4 @@ def valuation_n(p: LatticePolytope, triangulation: Triangulation2D | None = None
     if p.is_empty or p.dim <= 1:
         return SymTensor.zero(2, 9)
     tri = triangulation if triangulation is not None else unimodular_triangulation(p)
-    total = SymTensor.zero(2, 9)
-    for t in tri.triangles:
-        linear = _triangle_linear_part(tri.triangle_points(t))
-        total = total + sym_product(sym_product(linear, linear), linear)
-    return total
+    return sum((_triangle_cube(tri.triangle_points(t)) for t in tri.triangles), SymTensor.zero(2, 9))

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from lattens.classify import (
+    PLANAR_MAP,
+    PRISM_FILTERS,
     ConstraintSystem,
     expected_survey_rank,
     in_span,
@@ -22,7 +24,7 @@ from lattens.classify import (
 )
 from lattens.ehrhart import ehrhart_tensors
 from lattens.polytope import standard_simplex
-from lattens.tensor import multi_indices
+from lattens.tensor import coordinate_row, multi_indices
 from lattens.tri2d import valuation_n
 
 
@@ -181,6 +183,17 @@ def test_prism_symmetry_folding_matches_explicit_rows():
     assert len(folded) == len(plain)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_folded_rank_matches_explicit_symmetry_rows(n):
+    # folding sums the entries of each orbit; explicit rows x_alpha - x_(alpha o sigma) must agree
+    for r in range(2, 7):
+        for coordinate_filter in PRISM_FILTERS:
+            system = prism_system(n, r, coordinate_filter)
+            tagged = [(tag, dict(row)) for tag, row in system.rows]
+            tagged += [("symmetry", row) for row in system.explicit_symmetry_rows()]
+            assert rank(system) == rank(ConstraintSystem.build(system.labels, tagged)), (r, coordinate_filter)
+
+
 def test_prism_system_validation():
     with pytest.raises(ValueError):
         prism_system(2, 3, "all")
@@ -202,3 +215,74 @@ def test_in_span():
     assert in_span([[Fraction(1), Fraction(1)]], [Fraction(2), Fraction(2)])
     assert not in_span([[Fraction(1), Fraction(1)]], [Fraction(1), Fraction(0)])
     assert in_span([], [Fraction(0), Fraction(0)])
+
+
+# -- integer pull-back rows against one coordinate_row per coordinate ---------------
+
+
+def reference_prism_relation_row(n, alpha):
+    """prism_relation_row with one coordinate_row per map, the former implementation."""
+    row = {}
+    for matrix in prism_maps(n):
+        vectors = []
+        for j in range(n):
+            vectors.extend([matrix[j]] * alpha[j])
+        for beta, c in coordinate_row(vectors, n).items():
+            row[beta] = row.get(beta, Fraction(0)) + c
+    return {k: v for k, v in row.items() if v != 0}
+
+
+def reference_planar_rows(r, matrix, sign):
+    """Planar relation (sign -1) or square (sign +1) rows, one coordinate_row per row."""
+    rows = []
+    for a in range(r + 1):
+        vectors = [matrix[0]] * a + [matrix[1]] * (r - a)
+        row = {(a, r - a): Fraction(1)}
+        for alpha, c in coordinate_row(vectors, 2).items():
+            row[alpha] = row.get(alpha, Fraction(0)) + sign * c
+        if any(v != 0 for v in row.values()):
+            rows.append(row)
+    return rows
+
+
+def assert_integer_rows(system):
+    assert all(type(v) is int for _, row in system.rows for _, v in row)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_prism_system_matches_reference_rows(n, r):
+    reference = {alpha: reference_prism_relation_row(n, alpha) for alpha in multi_indices(n, r)}
+    for coordinate_filter in PRISM_FILTERS:
+        system = prism_system(n, r, coordinate_filter)
+        tagged = [
+            ("dissection", row)
+            for alpha, row in reference.items()
+            if row
+            and not (coordinate_filter == "en-odd" and alpha[-1] % 2 == 0)
+            and not (coordinate_filter == "en-even" and alpha[-1] % 2 == 1)
+        ]
+        expected = ConstraintSystem.build(multi_indices(n, r), tagged)
+        assert system.labels == expected.labels
+        assert system.rows == expected.rows
+        assert_integer_rows(system)
+
+
+def test_prism_relation_row_matches_reference():
+    for n in (2, 3, 4):
+        for alpha in multi_indices(n, 4) + multi_indices(n, 1) + [(0,) * n]:
+            assert prism_relation_row(n, alpha) == reference_prism_relation_row(n, alpha)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_planar_system_matches_reference_rows(r):
+    relation = reference_planar_rows(r, PLANAR_MAP, -1)
+    assert planar_relation_rows(r) == relation
+    assert planar_square_rows(r) == reference_planar_rows(r, ((-1, 0), (0, -1)), +1)
+    for parity in (+1, -1):
+        system = planar_system(r, parity)
+        tagged = [("relation", row) for row in relation]
+        tagged += [("reduced", row) for row in planar_reduced_rows(r)]
+        tagged += [("parity", row) for row in planar_parity_rows(r, parity)]
+        assert system.rows == ConstraintSystem.build(planar_labels(r), tagged).rows
+        assert_integer_rows(system)

@@ -117,6 +117,21 @@ def test_determinism(monkeypatch, capsys):
     assert c == d
 
 
+def test_consecutive_calls_share_no_state(monkeypatch, capsys):
+    # the parser is built once per process; a call must not see an earlier call's arguments
+    seeded = ["equivariance", "-r", "2", "--seed", "5"]
+    default = ["equivariance", "-r", "2"]
+    alone = []
+    for argv in (seeded, default):
+        cli.build_parser.cache_clear()
+        alone.append(run_cli(monkeypatch, capsys, argv))
+    cli.build_parser.cache_clear()
+    assert [run_cli(monkeypatch, capsys, argv) for argv in (seeded, default)] == alone
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.build_parser().parse_args(seeded).seed == 5
+    assert cli.build_parser().parse_args(default).seed == 0
+
+
 def test_malformed_input_exits_two(monkeypatch, capsys):
     code, _, err = run_cli(monkeypatch, capsys, ["count"], stdin="not json")
     assert code == 2
@@ -219,6 +234,7 @@ def test_non_integer_matrix_exits_two(monkeypatch, capsys):
 # replaced re-hulling and Fraction interpolation; outputs must stay byte-identical
 FULL_3D = '{"vertices": [[0,0,0],[3,0,0],[0,2,0],[1,2,0],[0,0,2],[2,1,3]]}'
 FLAT_3D = '{"vertices": [[0,0,0],[2,1,0],[1,0,1],[3,1,1]]}'
+NINE_TRIANGLES = '{"vertices": [[0,0],[3,0],[0,3]]}'  # doubled area 9: nine unimodular triangles
 PASS_REPORT = {
     "reciprocity": "9b87443f7924ef8ac754fee2a15e8afce8e741b3cb8bc85820d74588b8312765",
     "covariance": "67fd8e5935b9295dd38f42bd97008381eabaaa244d4889107af0beedac7fdbf2",
@@ -235,6 +251,17 @@ GOLDEN = [
     (["ehrhart", "-r", "0"], FLAT_3D, "82813c8063164fe99ea312594ced5578ae22a52f4764273a7564fe498b3961c2"),
     (["ehrhart", "-r", "3"], FLAT_3D, "bb735dd6d27c2ecf24a518be8c6b5a48570a129eb425f7ed47ef894bf9949eec"),
     (["reciprocity", "-r", "2"], FLAT_3D, PASS_REPORT["reciprocity"]),
+    # recorded before the classification rows were built as integer pull-backs
+    (["rank", "--survey"], "", "9dc8c9d030fc60e6c367dfb64f15bb362c504c8e31472d064607d606cc7986b9"),
+    (["rank", "--survey", "--format", "json"], "", "d82fb6283e4cc2a9d3a4486ecea9f02cffb320d0dcf9bda228c20734d8091402"),
+    (["rank", "-n", "2", "-r", "9", "--kernel", "--parity", "+1"], "",
+     "70dc12d371f1ed5767080ed2bb9596584d17c62bc2296c01f03cb09d47003072"),
+    (["rank", "-n", "2", "-r", "4", "--parity", "-1", "--kernel"], "",
+     "45f26d5fce6ce70bdf5d3549e1169890c96d78554301fdd36d8267fcd97f5c2d"),
+    (["rank", "-n", "3", "-r", "5", "--filter", "en-odd"], "",
+     "d1ee429236e3b52677e58d54ad0bea727bec67d34cdfcb91e922316255d86067"),
+    (["nval", "--check-independence", "2", "--seed", "3"], NINE_TRIANGLES,
+     "baf4a4965a35e8d92e480403f2ce5c7210a5aacdcd207734b277ed0a02215ca5"),
 ]
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lattens.tensor import (
     SymTensor,
+    _pull_back_rows,
     apply_linear,
     coordinate_row,
     evaluate,
@@ -189,3 +190,55 @@ def test_rational_serialization_round_trip():
     for q in (Fraction(22, 7), Fraction(0), Fraction(-9, 4), Fraction(10)):
         t = SymTensor.scalar(1, q)
         assert SymTensor.from_json_dict(t.to_json_dict()) == t
+
+
+# -- the integer pull-back kernel against one coordinate_row per coordinate ----------
+
+
+def coordinate_vectors(matrix, beta):
+    """Row j of the matrix repeated beta_j times: the arguments behind coordinate beta."""
+    vectors = []
+    for j in range(len(matrix)):
+        vectors.extend([matrix[j]] * beta[j])
+    return vectors
+
+
+def reference_apply_linear(t, matrix):
+    """apply_linear with one coordinate_row per coordinate, the former implementation."""
+    n = t.dim
+    if t.rank == 0:
+        return t
+    coords = {}
+    for beta in multi_indices(n, t.rank):
+        row = coordinate_row(coordinate_vectors(matrix, beta), n)
+        coords[beta] = sum((c * t.coord(alpha) for alpha, c in row.items()), Fraction(0))
+    return SymTensor(n, t.rank, coords)
+
+
+@st.composite
+def integer_matrices(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    entry = st.integers(min_value=-3, max_value=3)
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_matrices(), st.integers(min_value=0, max_value=6))
+def test_pull_back_rows_match_coordinate_rows(matrix, rank):
+    n = len(matrix)
+    betas = multi_indices(n, rank)
+    rows = _pull_back_rows(matrix, betas)
+    assert list(rows) == betas
+    assert _pull_back_rows(matrix, betas[-1:]) == {betas[-1]: rows[betas[-1]]}
+    for beta, row in rows.items():
+        assert row == coordinate_row(coordinate_vectors(matrix, beta), n)
+        assert all(type(c) is int and c != 0 for c in row.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_matrices(), st.integers(min_value=0, max_value=6), st.data())
+def test_apply_linear_matches_reference(matrix, rank, data):
+    n = len(matrix)
+    fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    t = SymTensor(n, rank, {alpha: data.draw(fractions) for alpha in multi_indices(n, rank)})
+    assert apply_linear(t, matrix) == reference_apply_linear(t, matrix)
