@@ -31,6 +31,7 @@ EHRHART_MAX_DIM = 6
 PLANAR_MAX_RANK = 20
 PRISM_MAX_DIM = 7
 PRISM_MAX_RANK = 8
+EQUIVARIANCE_MAX_STEPS = 1000
 
 
 class InputError(ValueError):
@@ -136,8 +137,8 @@ def _cmd_equivariance(args) -> int:
         except (ValueError, TypeError) as exc:
             raise InputError(f"bad matrix: {exc}") from exc
     else:
-        if args.steps < 0:
-            raise InputError("steps must be non-negative")
+        if not 0 <= args.steps <= EQUIVARIANCE_MAX_STEPS:
+            raise InputError(f"steps must be between 0 and {EQUIVARIANCE_MAX_STEPS}")
         phi = random_unimodular(p.ambient_dim, seed=args.seed, steps=args.steps)
     if len(phi.matrix) != p.ambient_dim:
         raise InputError(f"matrix must be {p.ambient_dim} x {p.ambient_dim} to match the polytope")

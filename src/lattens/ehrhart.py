@@ -29,7 +29,7 @@ from .arith import multinomial, power_sum_polynomial
 from .linalg import det, invert_matrix
 from .points import fibers
 from .polytope import LatticePolytope, UnimodularMap, faces, negate, transform, translate
-from .tensor import MultiIndex, SymTensor, _poly_mul, _poly_mul_linear, apply_linear, multi_indices
+from .tensor import MultiIndex, SymTensor, _poly_mul_linear, apply_linear, multi_indices
 
 
 @lru_cache(maxsize=None)
@@ -295,21 +295,18 @@ def _simplicial_pieces(p: LatticePolytope) -> list[tuple[tuple[int, ...], ...]]:
     return pieces
 
 
-def _complete_homogeneous(vectors, dim: int, rank: int) -> dict[MultiIndex, Fraction]:
-    """Sum over |beta| = rank of prod_i (v_i . z)^beta_i, as a polynomial in z."""
-    layers = [{(0,) * dim: Fraction(1)}] + [dict() for _ in range(rank)]
+def _complete_homogeneous(vectors, dim: int, rank: int) -> dict[MultiIndex, int]:
+    """Sum over |beta| = rank of prod_i (v_i . z)^beta_i, as a polynomial in z.
+
+    Adds one vector at a time, h_t(X + v) = h_t(X) + (v . z) h_(t-1)(X + v),
+    so integer vectors give integer coefficients.
+    """
+    layers = [{(0,) * dim: 1}] + [{} for _ in range(rank)]
     for v in vectors:
-        powers = [{(0,) * dim: Fraction(1)}]
-        for _ in range(rank):
-            powers.append(_poly_mul_linear(powers[-1], v))
-        new_layers = []
-        for t in range(rank + 1):
-            layer: dict[MultiIndex, Fraction] = {}
-            for s in range(t + 1):
-                for key, c in _poly_mul(layers[t - s], powers[s]).items():
-                    layer[key] = layer.get(key, Fraction(0)) + c
-            new_layers.append(layer)
-        layers = new_layers
+        for t in range(1, rank + 1):
+            # layers[t - 1] already holds h_(t-1)(X + v)
+            for key, c in _poly_mul_linear(layers[t - 1], v).items():
+                layers[t][key] = layers[t].get(key, 0) + c
     return layers[rank]
 
 
@@ -323,7 +320,7 @@ def moment_tensor(p: LatticePolytope, r: int) -> SymTensor:
     n = p.ambient_dim
     if p.dim != n:
         raise ValueError("moment_tensor needs a full-dimensional polytope")
-    total: dict[MultiIndex, Fraction] = {}
+    total: dict[MultiIndex, int] = {}
     denom = factorial(n + r)
     for simplex in _simplicial_pieces(p):
         base = simplex[0]
@@ -333,9 +330,9 @@ def moment_tensor(p: LatticePolytope, r: int) -> SymTensor:
             continue
         h = _complete_homogeneous(list(simplex), n, r)
         for mono, c in h.items():
-            total[mono] = total.get(mono, Fraction(0)) + vol_factor * c
+            total[mono] = total.get(mono, 0) + vol_factor * c
     coords = {
-        alpha: value / (multinomial(r, alpha) * denom) for alpha, value in total.items()
+        alpha: Fraction(value, multinomial(r, alpha) * denom) for alpha, value in total.items()
     }
     return SymTensor(n, r, coords)
 

@@ -139,16 +139,6 @@ def invert_matrix(m) -> list[list[Fraction]]:
     return [[Fraction(x, d) for x in row[n:]] for row in red]
 
 
-def clear_denominators(vec: list[Fraction]) -> list[int]:
-    """Scale a rational vector to a primitive integer vector (gcd 1, same ray)."""
-    scale = lcm(*[Fraction(q).denominator for q in vec])
-    ints = [int(q * scale) for q in vec]
-    g = gcd(*ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
-
-
 def integer_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
     """Basis of the saturated lattice {z in Z^ncols : rows . z = 0}.
 

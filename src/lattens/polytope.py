@@ -1,40 +1,41 @@
 """Exact lattice polytope geometry in low dimensions.
 
-Polytopes are stored by their integer vertex lists.  Lower-dimensional
-polytopes keep exact affine-hull data: integer equalities cutting out the
-affine hull, a lattice basis of the direction space (saturated, so reduced
-coordinates of lattice points are integers), and pulled-back integer facet
-inequalities that are valid relative to the affine hull.  This keeps face
-and relative-interior computations exact in any dimension.
+Polytopes are stored by their integer vertex lists and are worked with in
+ambient integer coordinates throughout.  Each polytope keeps exact
+affine-hull data: integer equalities cutting out the affine hull, an
+origin with a saturated lattice basis of the direction space (every
+lattice point of the affine hull is the origin plus an integer combination
+of the basis), and primitive integer facet inequalities that are valid
+relative to the affine hull.  This keeps face and relative-interior
+computations exact in any dimension.
 
 Only from_points (and so minkowski_sum, prism and each new face) runs the
-convex hull.  Images under dilation, translation, negation and unimodular
-maps carry mapped half-space data instead: an exact map x -> k M x + t
-with M in GL_n(Z) sends a . x <= b to (a M^-1) . x <= k b + (a M^-1) . t,
-and primitive normals stay primitive because M^-1 is an integer matrix.
+convex hull.  It tests the hyperplanes of the affine hull through
+affinely independent subsets of the points; a candidate's normal is the
+primitive integer solution of its difference rows together with the hull
+equalities, so it lies in the direction space.  Images under
+dilation, translation, negation and unimodular maps carry mapped
+half-space data instead: an exact map x -> k M x + t with M in GL_n(Z)
+sends a . x <= b to (a M^-1) . x <= k b + (a M^-1) . t, and primitive
+normals stay primitive because M^-1 is an integer matrix.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import comb
 from numbers import Integral
 
-from .linalg import (
-    clear_denominators,
-    det,
-    integer_kernel,
-    invert_matrix,
-    rank_bareiss,
-    rational_row_space_equations,
-)
+from .linalg import det, integer_kernel, invert_matrix, rank_bareiss, rational_row_space_equations
 
 Point = tuple[int, ...]
 
 MAX_AMBIENT_DIM = 6
+# the hull tests up to C(N, m) subsets of N points, about 0.1 ms each
+MAX_HULL_SUBSETS = 100_000
 
 
 def _dot(a, x) -> int:
@@ -70,7 +71,6 @@ class LatticePolytope:
             self.hull_equalities: tuple[tuple[Point, int], ...] = ()
             self.facet_inequalities: tuple[tuple[Point, int], ...] = ()
             self._basis: tuple[Point, ...] = ()
-            self._reduce_matrix: tuple = ()
             return
 
         origin = pts[0]
@@ -92,31 +92,12 @@ class LatticePolytope:
             (tuple(row), _dot(row, origin)) for row in eq_rows
         )
 
-        # reduce_matrix R maps ambient offsets to reduced coordinates:
-        # t = R (x - origin), with x = origin + sum t_j basis_j
-        if m:
-            bbt = [[_dot(basis[i], basis[j]) for j in range(m)] for i in range(m)]
-            inv = invert_matrix(bbt)
-            self._reduce_matrix = tuple(
-                tuple(sum(inv[i][k] * basis[k][j] for k in range(m)) for j in range(n))
-                for i in range(m)
-            )
-        else:
-            self._reduce_matrix = ()
-
-        reduced = [self._reduce_point(p) for p in pts]
-        facets_red = _facets_of_point_set(reduced, m)
-
-        # a point is extreme iff its tight facet normals have full rank m
-        vertex_flags = []
-        for t in reduced:
-            tight = [g for g, h in facets_red if _dot(g, t) == h]
-            vertex_flags.append(m == 0 or rank_bareiss(tight) == m)
-        self.vertices = tuple(p for p, keep in zip(pts, vertex_flags) if keep)
-
-        self.facet_inequalities = tuple(
-            self._pull_back_inequality(g, h) for g, h in sorted(facets_red)
+        facets = _facets_of_point_set(pts, m, eq_rows)
+        # a point is extreme iff its tight facet normals span the direction space
+        self.vertices = tuple(
+            p for p in pts if m == 0 or rank_bareiss([a for a, b in facets if _dot(a, p) == b]) == m
         )
+        self.facet_inequalities = tuple(facets)
 
     # -- construction helpers ------------------------------------------------
 
@@ -127,32 +108,6 @@ class LatticePolytope:
     @property
     def is_empty(self) -> bool:
         return not self.vertices
-
-    def _reduce_point(self, p) -> tuple[int, ...]:
-        diff = [p[j] - self._origin[j] for j in range(self.ambient_dim)]
-        out = []
-        for row in self._reduce_matrix:
-            val = sum(row[j] * diff[j] for j in range(self.ambient_dim))
-            if Fraction(val).denominator != 1:
-                raise ValueError("point is not in the affine lattice of the polytope")
-            out.append(int(val))
-        return tuple(out)
-
-    def _pull_back_inequality(self, g, h) -> tuple[Point, int]:
-        # g . t <= h with t = R (x - origin) becomes (g R) x <= h + (g R) origin
-        n = self.ambient_dim
-        row = [sum(Fraction(g[i]) * self._reduce_matrix[i][j] for i in range(len(g))) for j in range(n)]
-        rhs = Fraction(h) + sum(row[j] * self._origin[j] for j in range(n))
-        ints = clear_denominators(row + [rhs])
-        # clear_denominators may flip overall sign only via gcd (positive); keep orientation
-        scale = None
-        for a, b in zip(ints, row + [rhs]):
-            if b != 0:
-                scale = Fraction(a) / b
-                break
-        if scale is not None and scale < 0:
-            ints = [-x for x in ints]
-        return tuple(ints[:n]), ints[n]
 
     # -- membership ----------------------------------------------------------
 
@@ -209,12 +164,15 @@ class LatticePolytope:
         return f"LatticePolytope({list(map(list, self.vertices))})"
 
 
-def _facets_of_point_set(points: list[tuple[int, ...]], m: int):
-    """Supporting hyperplanes of conv(points) in full-dimensional coordinates.
+def _facets_of_point_set(points: list[Point], m: int, eq_rows) -> list[tuple[Point, int]]:
+    """Facet inequalities of conv(points), an m-polytope with hull equations eq_rows . x = const.
 
-    Candidates are the hyperplanes through affinely independent m-subsets;
-    those valid for the whole point set are kept, deduplicated, as pairs
-    (primitive integer normal g, offset h) with g . x <= h.
+    Candidates are the hyperplanes of the affine hull through affinely
+    independent m-subsets.  The normals c with c . (p - base) = 0 for the
+    subset and eq_rows . c = 0 form one line of the direction space, and its
+    primitive integer generator is the candidate's normal.  Those valid for
+    the whole point set are kept, deduplicated and sorted, as pairs
+    (primitive integer normal a, offset b) with a . x <= b.
     """
     if m == 0:
         return []
@@ -222,7 +180,7 @@ def _facets_of_point_set(points: list[tuple[int, ...]], m: int):
     for subset in combinations(points, m):
         base = subset[0]
         diffs = [[x - y for x, y in zip(p, base)] for p in subset[1:]]
-        normals = rational_row_space_equations(diffs, m)
+        normals = rational_row_space_equations(diffs + eq_rows, len(base))
         if len(normals) != 1:
             continue
         g = tuple(normals[0])
@@ -260,13 +218,11 @@ def _identity(n: int) -> tuple[Point, ...]:
 def _image(p: LatticePolytope, m, m_inv, t, k: int) -> LatticePolytope:
     """Image of a non-empty p under x -> k m x + t, for k >= 1 and m, m_inv inverse integer matrices.
 
-    Vertices, hull equalities, facet inequalities and the reduced-coordinate
-    data are mapped; no hull is computed.  With x' = k m x + t, a . x <= b
-    becomes (a m_inv) . x' <= k b + (a m_inv) . t, the direction basis B
-    becomes m B, and the reduce matrix R becomes R m_inv, so reduced
-    coordinates of the image are k times those of the preimage.  m = m_inv
-    = None stands for the identity, which leaves B and the rational R as
-    they are.
+    Vertices, hull equalities, facet inequalities, the origin and the
+    direction basis are mapped; no hull is computed.  With x' = k m x + t,
+    a . x <= b becomes (a m_inv) . x' <= k b + (a m_inv) . t, and the
+    direction basis B becomes m B.  m = m_inv = None stands for the
+    identity, which leaves B as it is.
     """
     if m is None:
         def point(x) -> Point:
@@ -275,7 +231,7 @@ def _image(p: LatticePolytope, m, m_inv, t, k: int) -> LatticePolytope:
         def normal(a) -> Point:
             return a
 
-        basis, reduce_matrix = p._basis, p._reduce_matrix
+        basis = p._basis
     else:
         cols = tuple(zip(*m_inv))
 
@@ -286,7 +242,6 @@ def _image(p: LatticePolytope, m, m_inv, t, k: int) -> LatticePolytope:
             return tuple(_dot(a, col) for col in cols)
 
         basis = tuple(tuple(_dot(row, b) for row in m) for b in p._basis)
-        reduce_matrix = tuple(normal(row) for row in p._reduce_matrix)
 
     def half_space(a, b) -> tuple[Point, int]:
         c = normal(a)
@@ -300,7 +255,6 @@ def _image(p: LatticePolytope, m, m_inv, t, k: int) -> LatticePolytope:
     q.facet_inequalities = tuple(sorted(half_space(a, b) for a, b in p.facet_inequalities))
     q._origin = point(p._origin)
     q._basis = basis
-    q._reduce_matrix = reduce_matrix
     return q
 
 
@@ -468,6 +422,14 @@ def polytope_from_json_dict(data: dict, max_dim: int = MAX_AMBIENT_DIM) -> Latti
         # bool is a subclass of int, but true/false are not coordinates
         if not isinstance(v, list) or not all(isinstance(c, int) and not isinstance(c, bool) for c in v):
             raise ValueError("vertices must be lists of integers")
-    if len(verts[0]) > max_dim:
+    n = len(verts[0])
+    if n > max_dim:
         raise ValueError(f"ambient dimension capped at {max_dim}")
+    distinct = len({tuple(v) for v in verts})
+    subsets = max(comb(distinct, m) for m in range(n + 1))
+    if subsets > MAX_HULL_SUBSETS:
+        raise ValueError(
+            f"{distinct} points in dimension {n} need up to {subsets} hull candidate subsets, "
+            f"capped at {MAX_HULL_SUBSETS}"
+        )
     return LatticePolytope(verts)

@@ -72,48 +72,25 @@ def validate_triangulation(tri: Triangulation2D) -> None:
     used = {i for t in tri.triangles for i in t}
     if used != set(range(len(tri.points))):
         raise ValueError("every lattice point must be a triangulation vertex")
-    hull = LatticePolytope(tri.points)
-    if sum(tri.doubled_area(t) for t in tri.triangles) != _polygon_doubled_area(hull):
+    if sum(tri.doubled_area(t) for t in tri.triangles) != _hull_doubled_area(tri.points):
         raise ValueError("triangle areas do not add up to the polygon area")
     for e, ts in tri._edge_index.items():
         if len(ts) > 2:
             raise ValueError(f"edge {e} lies in more than two triangles")
 
 
-def _polygon_doubled_area(p: LatticePolytope) -> int:
-    """Twice the area of a polygon (the shoelace integer)."""
-    verts = _ccw_hull_vertices(p)
-    acc = 0
-    for a, b in zip(verts, verts[1:] + verts[:1]):
-        acc += a[0] * b[1] - a[1] * b[0]
-    return abs(acc)
-
-
-def _ccw_hull_vertices(p: LatticePolytope) -> list[Point]:
-    verts = list(p.vertices)
-    cx = sum(v[0] for v in verts)
-    cy = sum(v[1] for v in verts)
-    n = len(verts)
-    # exact angular order around the centroid (scaled by n to stay integral)
-    return sorted(verts, key=lambda v: _AngleKey((v[0] * n - cx, v[1] * n - cy)))
-
-
-class _AngleKey:
-    __slots__ = ("d",)
-
-    def __init__(self, d):
-        self.d = d
-
-    def _half(self):
-        x, y = self.d
-        return 0 if (y > 0 or (y == 0 and x > 0)) else 1
-
-    def __lt__(self, other):
-        a, b = self.d, other.d
-        if self._half() != other._half():
-            return self._half() < other._half()
-        cross = a[0] * b[1] - a[1] * b[0]
-        return cross > 0
+def _hull_doubled_area(pts) -> int:
+    """Twice the area of the convex hull of planar points: monotone chain, then shoelace."""
+    pts = sorted(pts)
+    hull: list[Point] = []
+    for chain in (pts, pts[::-1]):  # lower hull, then upper hull
+        start = len(hull)
+        for q in chain:
+            while len(hull) >= start + 2 and _cross(hull[-2], hull[-1], q) <= 0:
+                hull.pop()
+            hull.append(q)
+    # each chain's last point repeats as the other's first, adding 0 to the sum
+    return abs(sum(a[0] * b[1] - a[1] * b[0] for a, b in zip(hull, hull[1:] + hull[:1])))
 
 
 def unimodular_triangulation(p: LatticePolytope) -> Triangulation2D:

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -209,6 +210,25 @@ def test_non_object_json_exits_two(monkeypatch, capsys):
 
 def test_negative_steps_exit_two(monkeypatch, capsys):
     assert "steps" in cli_error(monkeypatch, capsys, ["equivariance", "-r", "2", "--steps", "-1"])
+
+
+def refused_at_once(argv, stdin=T2_JSON) -> str:
+    """Like cli_error, in a child process that must finish within seconds, so a missing cap fails, not hangs."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "lattens.cli", *argv], input=stdin, capture_output=True, text=True, env=env, timeout=10
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    return json.loads(done.stderr)["error"]
+
+
+def test_too_many_steps_exit_two():
+    assert "steps" in refused_at_once(["equivariance", "-r", "1", "--steps", "100000000"])
+
+
+def test_hull_subset_cap_exits_two():
+    cube = json.dumps({"vertices": [list(v) for v in itertools.product((0, 1), repeat=6)]})
+    assert "subsets" in refused_at_once(["count"], stdin=cube)
 
 
 def test_matrix_dimension_mismatch_exits_two(monkeypatch, capsys):

@@ -3,12 +3,15 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_point, random_polytope
 from lattens import ehrhart
 from lattens.cli import EHRHART_MAX_DIM, EHRHART_MAX_RANK
 from lattens.ehrhart import (
     CheckReport,
+    _complete_homogeneous,
     _range_power_sums,
     _vandermonde_inverse,
     check_equivariance,
@@ -30,7 +33,7 @@ from lattens.polytope import (
     standard_simplex,
     translate,
 )
-from lattens.tensor import SymTensor
+from lattens.tensor import SymTensor, multi_indices
 
 
 def unit_square():
@@ -299,3 +302,36 @@ def test_check_report_failure_surface():
     failures = []
     _compare("unit", good, bad, failures)
     assert failures and "(1, 0)" in failures[0]
+
+
+def brute_complete_homogeneous(vectors, dim, rank):
+    """Expand prod_i (v_i . z)^beta_i one linear factor at a time for every beta."""
+    total = {}
+    for beta in multi_indices(len(vectors), rank):
+        poly = {(0,) * dim: 1}
+        for v, b in zip(vectors, beta):
+            for _ in range(b):
+                out = {}
+                for mono, c in poly.items():
+                    for i in range(dim):
+                        key = tuple(e + (j == i) for j, e in enumerate(mono))
+                        out[key] = out.get(key, 0) + c * v[i]
+                poly = out
+        for mono, c in poly.items():
+            total[mono] = total.get(mono, 0) + c
+    return {mono: c for mono, c in total.items() if c}
+
+
+@st.composite
+def vector_lists(draw):
+    n = draw(st.integers(1, 4))
+    return n, draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(vector_lists(), st.integers(0, 5))
+def test_complete_homogeneous_matches_brute_force(case, rank):
+    n, vectors = case
+    h = _complete_homogeneous(vectors, n, rank)
+    assert all(isinstance(c, int) for c in h.values())
+    assert {mono: c for mono, c in h.items() if c} == brute_complete_homogeneous(vectors, n, rank)

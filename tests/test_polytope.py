@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,14 @@ from hypothesis import strategies as st
 from conftest import random_polytope
 from lattens import points
 from lattens.ehrhart import moment_tensor
-from lattens.linalg import det, rref
+from lattens.linalg import (
+    det,
+    integer_kernel,
+    invert_matrix,
+    rank_bareiss,
+    rational_row_space_equations,
+    rref,
+)
 from lattens.polytope import (
     LatticePolytope,
     UnimodularMap,
@@ -226,6 +235,81 @@ def test_json_round_trip():
         polytope_from_json_dict([1, 2])
 
 
+# -- ambient hull against the reduced-coordinate hull ------------------------------
+
+
+def reference_hull(pts, n):
+    """The hull the constructor used to run, in reduced coordinates.
+
+    Points move to t = R (x - o) with R = (B B^T)^-1 B for the saturated
+    direction basis B, facets g . t <= h are found among the m-subsets there,
+    and each is pulled back to (g R) . x <= h + (g R) . o, scaled to a
+    primitive integer row.  Returns (dim, vertices, hull equalities, facets).
+    """
+    pts = sorted(set(pts))
+    origin = pts[0]
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    directions = [d for d in (tuple(x - o for x, o in zip(p, origin)) for p in pts[1:]) if any(d)]
+    if not directions:
+        return 0, (origin,), tuple((tuple(row), _dot(row, origin)) for row in identity), set()
+    eq_rows = rational_row_space_equations(directions, n)
+    basis = integer_kernel(eq_rows, n) if eq_rows else identity
+    m = len(basis)
+    inv = invert_matrix([[_dot(b, c) for c in basis] for b in basis])
+    reduce = [[sum(inv[i][k] * basis[k][j] for k in range(m)) for j in range(n)] for i in range(m)]
+    reduced = []
+    for x in pts:
+        t = [_dot(row, [xi - oi for xi, oi in zip(x, origin)]) for row in reduce]
+        assert all(Fraction(c).denominator == 1 for c in t)
+        reduced.append(tuple(int(c) for c in t))
+    facets = set()
+    for subset in combinations(reduced, m):
+        base = subset[0]
+        normals = rational_row_space_equations([[x - y for x, y in zip(t, base)] for t in subset[1:]], m)
+        if len(normals) != 1:
+            continue
+        g = tuple(normals[0])
+        values = [_dot(g, t) for t in reduced]
+        if max(values) == _dot(g, base):
+            facets.add((g, max(values)))
+        elif min(values) == _dot(g, base):
+            facets.add((tuple(-c for c in g), -min(values)))
+    vertices = tuple(
+        x for x, t in zip(pts, reduced) if rank_bareiss([g for g, h in facets if _dot(g, t) == h]) == m
+    )
+    pulled = set()
+    for g, h in facets:
+        row = [sum(g[i] * reduce[i][j] for i in range(m)) for j in range(n)]
+        ray = row + [h + _dot(row, origin)]
+        scale = lcm(*(Fraction(c).denominator for c in ray))
+        ints = [int(c * scale) for c in ray]
+        ints = [c // gcd(*ints) for c in ints]
+        pulled.add((tuple(ints[:n]), ints[n]))
+    return m, vertices, tuple((tuple(row), _dot(row, origin)) for row in eq_rows), pulled
+
+
+@st.composite
+def point_sets(draw):
+    """Point sets in Z^1..Z^5 spanning drawn directions (often fewer than n,
+    and possibly dependent), with repeated and non-extreme points."""
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(0, n))
+    origin = draw(st.tuples(*[st.integers(-2, 2)] * n))
+    directions = [draw(st.tuples(*[st.integers(-2, 2)] * n)) for _ in range(d)]
+    steps = draw(st.lists(st.tuples(*[st.integers(0, 2)] * d), min_size=1, max_size=8))
+    return n, [tuple(o + sum(c * u[j] for c, u in zip(cs, directions)) for j, o in enumerate(origin)) for cs in steps]
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_sets())
+def test_ambient_hull_matches_reduced_coordinate_hull(case):
+    n, pts = case
+    p = LatticePolytope(pts, ambient_dim=n)
+    dim, vertices, equalities, facets = reference_hull(pts, n)
+    assert (p.dim, p.vertices, p.hull_equalities) == (dim, vertices, equalities)
+    assert p.facet_inequalities == tuple(sorted(facets))
+
+
 # -- mapped half-space data against the re-hull ------------------------------------
 
 
@@ -256,17 +340,23 @@ def reference_image(p, f):
 
 def assert_same_polytope(q, ref):
     assert (q.ambient_dim, q.dim, q.vertices) == (ref.ambient_dim, ref.dim, ref.vertices)
-    assert points.lattice_points(q) == points.lattice_points(ref)
-    assert points.relint_lattice_points(q) == points.relint_lattice_points(ref)
+    # equal polytopes share a cached frame, so enumerate each from its own
+    for enumerate_points in (points.lattice_points, points.relint_lattice_points):
+        points._frame.cache_clear()
+        mapped = enumerate_points(q)
+        points._frame.cache_clear()
+        assert mapped == enumerate_points(ref)
     assert faces(q) == faces(ref)
     assert len(q.hull_equalities) == len(ref.hull_equalities)
     assert all(_dot(a, v) == b for a, b in q.hull_equalities for v in ref.vertices)
     if q.dim == q.ambient_dim:
         assert set(q.facet_inequalities) == set(ref.facet_inequalities)
-    # reduced coordinates of lattice points are integers and lift back
-    for x in points.lattice_points(q):
-        t = q._reduce_point(x)
-        assert x == tuple(o + sum(tj * b[j] for tj, b in zip(t, q._basis)) for j, o in enumerate(q._origin))
+    # the reference's lattice points have integer coordinates in q's frame
+    # (built from q._origin and q._basis when lower dimensional) and lift back
+    frame = points._Frame(q)
+    for x in points.lattice_points(ref):
+        t = frame._coordinates(x)
+        assert x == tuple(o + sum(tj * e[j] for tj, e in zip(t, frame.basis)) for j, o in enumerate(frame.origin))
 
 
 @settings(max_examples=60, deadline=None)

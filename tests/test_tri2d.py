@@ -45,6 +45,13 @@ def test_triangulations_are_valid_on_random_polygons():
         assert unimodular_triangulation(p).triangles == tri.triangles  # deterministic
 
 
+def test_validation_refuses_triangles_short_of_the_polygon():
+    # the 2 x 1 rectangle with its middle triangle (1,0),(1,1),(0,1) left out
+    pts = ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1))
+    with pytest.raises(ValueError, match="do not add up"):
+        validate_triangulation(Triangulation2D(pts, ((0, 1, 3), (1, 2, 4), (2, 5, 4))))
+
+
 def test_flip_square_diagonal_and_involution():
     tri = unimodular_triangulation(unit_square())
     (edge,) = tri.interior_edges()
