@@ -72,16 +72,6 @@ class ConstraintSystem:
                 rep_of[member] = rep
         return reps, rep_of
 
-    def explicit_symmetry_rows(self) -> list[Row]:
-        """Materialized rows x_alpha - x_{alpha o sigma} for each generator."""
-        out = []
-        for g in self.symmetry_generators:
-            for label in self.labels:
-                image = tuple(label[g[i]] for i in range(len(g)))
-                if image != label:
-                    out.append({label: 1, image: -1})
-        return out
-
 
 def _fold_rows(system: ConstraintSystem):
     """(orbit count, orbit column of each label, rows summed onto the orbit columns)."""
@@ -180,11 +170,6 @@ def planar_parity_rows(r: int, parity: int) -> list[Row]:
     return rows
 
 
-def planar_square_rows(r: int) -> list[Row]:
-    """Constraints from vanishing on the unit square: Z(T_2) + Z(-T_2) = 0."""
-    return _planar_rows(r, ((-1, 0), (0, -1)), 1)
-
-
 def planar_system(r: int, parity: int) -> ConstraintSystem:
     """Planar constraint system on the r+1 coordinates of a T_2 tensor value.
 
@@ -233,13 +218,6 @@ def prism_maps(n: int) -> list[tuple[tuple[int, ...], ...]]:
         matrix = tuple(tuple(cols[j][i_row] for j in range(n)) for i_row in range(n))
         maps.append(matrix)
     return maps
-
-
-def prism_relation_row(n: int, alpha: MultiIndex) -> Row:
-    """Row asserting that the dissection pieces sum to zero at coordinate alpha."""
-    alpha = tuple(alpha)
-    row = _pull_back_sums([(matrix, 1) for matrix in prism_maps(n)], [alpha])[alpha]
-    return {k: v for k, v in row.items() if v != 0}
 
 
 def _alternating_generators(n: int) -> tuple[tuple[int, ...], ...]:

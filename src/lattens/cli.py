@@ -32,6 +32,7 @@ PLANAR_MAX_RANK = 20
 PRISM_MAX_DIM = 7
 PRISM_MAX_RANK = 8
 EQUIVARIANCE_MAX_STEPS = 1000
+NVAL_MAX_TRIALS = 1000
 
 
 class InputError(ValueError):
@@ -149,8 +150,8 @@ def _cmd_nval(args) -> int:
     p = _read_polytope(args)
     if p.ambient_dim != 2:
         raise InputError("nval needs a polygon in ambient dimension 2")
-    if args.check_independence < 0:
-        raise InputError("--check-independence must be non-negative")
+    if not 0 <= args.check_independence <= NVAL_MAX_TRIALS:
+        raise InputError(f"--check-independence must be between 0 and {NVAL_MAX_TRIALS}")
     value = tri2d.valuation_n(p)
     if args.check_independence == 0:
         _emit(value.to_json_dict())

@@ -10,10 +10,11 @@ is cached per degree as W / D with W an integer matrix, the integer power
 sums of the dilates are combined with W, and each coefficient coordinate
 is one exact fraction with denominator D * r!.
 
-Power sums are taken over the runs x0 + s step of points.fibers, not point
-by point: the sums of s^e over a run have closed forms, Faulhaber's
-polynomials (Beck and Robins, Computing the Continuous Discretely), and
-every monomial of the run's points is a combination of them.
+Power sums are taken over the runs of points.fibers, stretches of the last
+of P's lattice coordinates y, in closed form by Faulhaber's polynomials
+(Beck and Robins, Computing the Continuous Discretely).  For a
+lower-dimensional P, one integer plan per polytope and rank pushes the
+sums of monomials in y to the sums of monomials in x.
 """
 
 from __future__ import annotations
@@ -21,15 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
-from math import comb, factorial, lcm
+from itertools import groupby
+from math import factorial, lcm
 from operator import add, mul
 
 from .arith import multinomial, power_sum_polynomial
 from .linalg import det, invert_matrix
-from .points import fibers
+from .points import fibers, lattice_rows
 from .polytope import LatticePolytope, UnimodularMap, faces, negate, transform, translate
-from .tensor import MultiIndex, SymTensor, _poly_mul_linear, apply_linear, multi_indices
+from .tensor import MultiIndex, SymTensor, _poly_mul_linear, _pull_back_rows, apply_linear, multi_indices
 
 
 @lru_cache(maxsize=None)
@@ -69,16 +70,16 @@ def _range_power_sums(lo: int, hi: int, rank: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _sum_plan(dim: int, rank: int):
-    """How to combine per-run power sums into the sums of x^alpha, |alpha| = rank.
+    """How to combine per-run power sums into the sums of y^beta, |beta| = rank.
 
-    Write x = (h, v, u): the head h = x_1..x_(dim-2), then v and u, the
-    last coordinate.  Returns (pairs, layers, heads, slots).  pairs lists
-    the exponents (a, e) with a + e <= rank, for the sums of v^a u^e over
-    runs that share a head.  layers builds the head monomials of degree
-    1..rank, one layer per degree: monomial number len(built) + i is
-    monomial parents[i] times h[coords[i]].  Per alpha of
-    multi_indices(dim, rank), heads and slots give the index of its head
-    monomial and of its pair.
+    Write a point of a run as y = (h, v, u): h = y_1..y_(dim-2), then v,
+    and u, the run's coordinate.  Returns (pairs, layers, heads, slots).
+    pairs lists the exponents (a, e) with a + e <= rank, for the sums of
+    v^a u^e over runs that share h.  layers builds the monomials in h of
+    degree 1..rank, one layer per degree: monomial number len(built) + i is
+    monomial parents[i] times h[coords[i]].  Per beta of
+    multi_indices(dim, rank), heads and slots give the index of its
+    monomial in h and of its pair.
     """
     pairs = [(a, e) for a in range(rank + 1) for e in range(rank + 1 - a)]
     width = max(dim - 2, 0)
@@ -103,115 +104,76 @@ def _sum_plan(dim: int, rank: int):
     return tuple(pairs), tuple(layers), heads, slots
 
 
-@lru_cache(maxsize=None)
-def _times_linear_plan(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
-    """Per coordinate i and monomial of degree + 1: the index of the monomial over z_i
-    in multi_indices(dim, degree), or that list's length where z_i does not divide it."""
-    src = {a: k for k, a in enumerate(multi_indices(dim, degree))}
-    return tuple(
-        tuple(src[b[:i] + (b[i] - 1,) + b[i + 1 :]] if b[i] else len(src) for b in multi_indices(dim, degree + 1))
-        for i in range(dim)
-    )
-
-
-def _times_linear(form: list[int], dim: int, degree: int, v) -> list[int]:
-    """Coefficients of form(z) (v . z), for a form of the given degree, in multi_indices order."""
-    plan = _times_linear_plan(dim, degree)
-    padded = form + [0]
-    out = [0] * len(plan[0])
-    for vi, src in zip(v, plan):
-        if vi:
-            out = list(map(add, out, map(mul, repeat(vi), map(padded.__getitem__, src))))
-    return out
-
-
-def _run_form(x0, step, lo: int, hi: int, dim: int, rank: int) -> list[int]:
-    """Coefficients of sum_(s=lo..hi) ((x0 + s step) . z)^rank, by Horner's rule in step . z.
-
-    With sigma_j the power sums of s, the sum is
-    sum_j C(rank, j) sigma_j (x0 . z)^(rank-j) (step . z)^j.
-    """
-    sums = _range_power_sums(lo, hi, rank)
-    powers = [[1]]
-    for d in range(rank):
-        powers.append(_times_linear(powers[-1], dim, d, x0))
-    form = [sums[rank]]
-    for j in range(rank - 1, -1, -1):
-        form = _times_linear(form, dim, rank - j - 1, step)
-        c = comb(rank, j) * sums[j]
-        form = [f + c * p for f, p in zip(form, powers[rank - j])]
-    return form
-
-
 def _tensor_sum(runs, dim: int, rank: int) -> list[int]:
-    """Exact sums of x^alpha over the points of runs, one per alpha of multi_indices(dim, rank).
+    """Exact sums of y^beta over the points of runs, one per beta of multi_indices(dim, rank).
 
     Along a run in the last coordinate u, u^e sums in closed form to a
-    difference of Faulhaber polynomials.  Consecutive such runs that share
-    the head x_1..x_(dim-2) are gathered first, into sums of v^a u^e with
-    v = x_(dim-1), and each gathered group adds to every alpha once.  Runs
-    in other directions come only from lower-dimensional polytopes.  A long
-    one is summed in closed form as a polynomial in z, the sum of
-    (x . z)^rank over its points, whose coefficients are multinomial(rank,
-    alpha) times the sums wanted; short ones are summed point by point.
+    difference of Faulhaber polynomials.  Consecutive runs that share
+    h = y_1..y_(dim-2) are gathered first, into sums of v^a u^e with
+    v = y_(dim-1), and each gathered group adds to every beta once.
     """
     if rank == 0:
-        return [sum(hi - lo + 1 for _, _, lo, hi in runs)]
+        return [sum(hi - lo + 1 for _, lo, hi in runs)]
     pairs, layers, heads, slots = _sum_plan(dim, rank)
     acc = [0] * len(heads)
-    forms = [0] * len(heads)
-    head, gathered = None, []
-
-    def flush():
+    for outer, group in groupby(runs, key=lambda run: run[0][:-1]):
+        gathered = [0] * len(pairs)
+        for head, lo, hi in group:
+            sums = _range_power_sums(lo, hi, rank)
+            vp = _range_power_sums(head[-1], head[-1], rank) if dim > 1 else [1] + [0] * rank
+            gathered = [g + vp[a] * sums[e] for g, (a, e) in zip(gathered, pairs)]
         mono = [1]
         for parents, coords in layers:
-            mono += map(mul, map(mono.__getitem__, parents), map(head.__getitem__, coords))
-        terms = map(mul, map(mono.__getitem__, heads), map(gathered.__getitem__, slots))
-        return list(map(add, acc, terms))
-
-    for x0, step, lo, hi in runs:
-        if step[-1] == 1 and not any(step[:-1]):
-            pieces = [(x0, x0[-1] + lo, x0[-1] + hi)]
-        elif hi - lo >= dim + rank:
-            # the closed form costs about as much as dim + rank single points
-            forms = list(map(add, forms, _run_form(x0, step, lo, hi, dim, rank)))
-            continue
-        else:
-            points = [tuple(a + s * b for a, b in zip(x0, step)) for s in range(lo, hi + 1)]
-            pieces = [(x, x[-1], x[-1]) for x in points]
-        for x, u_lo, u_hi in pieces:
-            if x[:-2] != head:
-                if head is not None:
-                    acc = flush()
-                head, gathered = x[:-2], [0] * len(pairs)
-            sums = _range_power_sums(u_lo, u_hi, rank)
-            vp = _range_power_sums(x[-2], x[-2], rank) if dim > 1 else [1] + [0] * rank
-            gathered = [g + vp[a] * sums[e] for g, (a, e) in zip(gathered, pairs)]
-    if head is not None:
-        acc = flush()
-    if any(forms):
-        alphas = multi_indices(dim, rank)
-        acc = [a + f // multinomial(rank, alpha) for a, f, alpha in zip(acc, forms, alphas)]
+            mono += map(mul, map(mono.__getitem__, parents), map(outer.__getitem__, coords))
+        acc = list(map(add, acc, map(mul, map(mono.__getitem__, heads), map(gathered.__getitem__, slots))))
     return acc
 
 
-def _moment(runs, dim: int, rank: int) -> SymTensor:
-    rfact = factorial(rank)
-    sums = _tensor_sum(runs, dim, rank)
-    return SymTensor(dim, rank, {a: Fraction(s, rfact) for a, s in zip(multi_indices(dim, rank), sums) if s})
+def _summer(p: LatticePolytope, rank: int):
+    """The map from runs of p to the exact sums of x^alpha over their points, |alpha| = rank.
+
+    Runs live in p's lattice coordinates y.  Unless y = x, x = sum_i y_i A_i
+    with A = lattice_rows(p), and expanding (x . z)^rank both ways,
+    multinomial(rank, alpha) times the sum of x^alpha is the sum over beta
+    of multinomial(rank, beta) times the sum of y^beta times the coefficient
+    of z^alpha in prod_i (A_i . z)^beta_i, given by tensor's pull-back kernel.
+    """
+    n, rows = p.ambient_dim, lattice_rows(p)
+    if rows is None:
+        return lambda runs: _tensor_sum(runs, n, rank)
+    betas, alphas = multi_indices(len(rows), rank), multi_indices(n, rank)
+    index = {alpha: i for i, alpha in enumerate(alphas)}
+    pulled = _pull_back_rows(rows, betas)
+    terms = [[(index[a], multinomial(rank, beta) * c) for a, c in pulled[beta].items()] for beta in betas]
+    divisors = [multinomial(rank, alpha) for alpha in alphas]
+
+    def push(runs):
+        out = [0] * len(alphas)
+        for s, row in zip(_tensor_sum(runs, len(rows), rank), terms):
+            for i, c in row:
+                out[i] += c * s
+        return [x // d for x, d in zip(out, divisors)]
+
+    return push
+
+
+def _moment(p: LatticePolytope, relint: bool, rank: int) -> SymTensor:
+    n, rfact = p.ambient_dim, factorial(rank)
+    sums = _summer(p, rank)(fibers(p, relint=relint))
+    return SymTensor(n, rank, {a: Fraction(s, rfact) for a, s in zip(multi_indices(n, rank), sums) if s})
 
 
 def discrete_moment(p: LatticePolytope, r: int) -> SymTensor:
     """(1/r!) sum of x^r over the lattice points of p; rank 0 gives the point count."""
     if r < 0:
         raise ValueError("rank must be non-negative")
-    return _moment(fibers(p), p.ambient_dim, r)
+    return _moment(p, False, r)
 
 
 def discrete_moment_relint(p: LatticePolytope, r: int) -> SymTensor:
     if r < 0:
         raise ValueError("rank must be non-negative")
-    return _moment(fibers(p, relint=True), p.ambient_dim, r)
+    return _moment(p, True, r)
 
 
 @dataclass(frozen=True)
@@ -247,11 +209,12 @@ def _expansions(p: LatticePolytope, ranks) -> list[EhrhartTensorExpansion]:
     sums = {r: [] for r in ranks}
     # fibers checks the scan cap when called, so every dilate is checked first
     dilates = [fibers(p, scale=k) for k in range(n + max(ranks) + 1)]
+    summers = {r: _summer(p, r) for r in ranks}
     for k, dilate_runs in enumerate(dilates):
         runs = list(dilate_runs)
         for r in ranks:
             if k <= n + r:
-                sums[r].append(_tensor_sum(runs, n, r))
+                sums[r].append(summers[r](runs))
     out = []
     for r in ranks:
         weights, d = _vandermonde_inverse(n + r)

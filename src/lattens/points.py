@@ -12,11 +12,11 @@ projections of those rows onto the first j coordinates, computed once per
 polytope and pruned to the facets of each projection.  Every projected row
 is a nonnegative combination of facet rows, and integer points satisfy it
 with a primitive normal and a floored offset.  The last level uses the
-facet rows themselves, so each run (x0, step, lo, hi), meaning the points
-x0 + s step for lo <= s <= hi, is exact, and runs come in lex order.  For a
-full-dimensional polytope o = 0 and E = I, so a run is a stretch of the last
-coordinate.  Cost grows with the number of runs and points, not with the
-bounding box.
+facet rows themselves, so each run (head, lo, hi), meaning the points
+y = head + (s,) for lo <= s <= hi, is exact, and runs come in lex order.
+On kP the lattice coordinates are y = x for a full-dimensional P, else
+y = (k, t) with x = sum_i y_i A_i and A = (o, E_1..E_m).  Cost grows with
+the number of runs and points, not with the bounding box.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, gcd
+from operator import mul
 
 from .polytope import LatticePolytope, _dot
 
@@ -84,6 +85,7 @@ class _Frame:
         else:
             self.origin = p._origin
             self.basis = _echelon(p._basis)
+        self.rows = None if self.full else (self.origin, *self.basis)
         verts = [self._coordinates(v) for v in p.vertices]
         self.extents = [max(t[j] for t in verts) - min(t[j] for t in verts) for j in range(m)]
 
@@ -147,8 +149,15 @@ def _frame(p: LatticePolytope) -> _Frame:
     return _Frame(p)
 
 
+def lattice_rows(p: LatticePolytope) -> tuple[tuple[int, ...], ...] | None:
+    """Rows A with x = sum_i y_i A_i for the coordinates y of fibers' runs, or None when y = x."""
+    return None if p.is_empty else _frame(p).rows
+
+
 def fibers(p: LatticePolytope, relint: bool = False, scale: int = 1):
-    """Runs (x0, step, lo, hi) covering the lattice points of scale * p in lex order.
+    """Runs (head, lo, hi) covering the lattice points y of scale * p in lex order.
+
+    y is in p's lattice coordinates (see lattice_rows).
 
     With relint, the runs cover the relative interior instead (a point's
     relative interior is the point, and 0 * p is a point).  Raises
@@ -190,35 +199,31 @@ def _bounds(level, res) -> tuple[int, int]:
 def _walk(frame: _Frame, levels, k: int):
     """Odometer over t_1..t_(m-2); each t_(m-1) interval is expanded into runs in one batch."""
     m = len(levels)
-    origin = tuple(k * c for c in frame.origin)
+    prefix = () if frame.full else (k,)
     if m == 0:
-        yield origin, (0,) * len(origin), 0, 0
+        # p is a point o, so y = (k,) and x = k o
+        yield (), k, k
         return
-    step = frame.basis[-1]
     if m == 1:
         lo, hi = _bounds(levels[0], levels[0][3])
         if lo <= hi:
-            yield origin, step, lo, hi
+            yield prefix, lo, hi
         return
     last_cols, ups, lows, _ = levels[-1]
     nup = len(ups)
     # res[j][l]: residual offsets of level l's rows once t_1..t_j are fixed
     res = [[level[3] for level in levels]]
-    xs = [origin]  # the partial points o + sum_(i<=j) t_i E_i, for lower-dimensional p
     t = [0] * (m - 1)
     top = [0] * (m - 1)
 
     def fix(j):
-        # t_j (that is, t[j - 1]) changed: recompute the residuals and partial point after it
+        # t_j (that is, t[j - 1]) changed: recompute the residuals after it
         v = t[j - 1]
         prev = res[j - 1]
         del res[j:]
         res.append([None] * j + [
             [r - c * v for r, c in zip(prev[l], levels[l][0][j - 1])] for l in range(j, m)
         ])
-        if not frame.full:
-            del xs[j:]
-            xs.append(tuple(a + v * b for a, b in zip(xs[j - 1], frame.basis[j - 1])))
 
     j = 0
     while True:
@@ -235,16 +240,10 @@ def _walk(frame: _Frame, levels, k: int):
             floors = [[(b - c * v) // a for v in span] for b, c, a in zip(base, col, ups + lows)]
             his = floors[0] if nup == 1 else map(min, *floors[:nup])
             los = floors[nup] if len(lows) == 1 else map(min, *floors[nup:])
-            if frame.full:
-                head = tuple(t[: m - 2])
-                for v, h, l in zip(span, his, los):
-                    if -l <= h:
-                        yield head + (v, 0), step, -l, h
-            else:
-                x, e = xs[m - 2], frame.basis[m - 2]
-                for v, h, l in zip(span, his, los):
-                    if -l <= h:
-                        yield tuple(a + v * b for a, b in zip(x, e)), step, -l, h
+            head = prefix + tuple(t[: m - 2])
+            for v, h, l in zip(span, his, los):
+                if -l <= h:
+                    yield head + (v,), -l, h
         # advance the deepest prefix coordinate that has room
         j -= 1
         while j >= 0 and t[j] == top[j]:
@@ -256,31 +255,29 @@ def _walk(frame: _Frame, levels, k: int):
         fix(j)
 
 
-def _expand(runs) -> list[tuple[int, ...]]:
-    out = []
-    for x0, step, lo, hi in runs:
-        if step[-1] == 1 and not any(step[:-1]) and not x0[-1]:
-            head = x0[:-1]
-            out.extend([head + (s,) for s in range(lo, hi + 1)])
-        else:
-            out.extend([tuple(a + s * b for a, b in zip(x0, step)) for s in range(lo, hi + 1)])
-    return out
+def _expand(p: LatticePolytope, runs) -> list[tuple[int, ...]]:
+    ys = [head + (s,) for head, lo, hi in runs for s in range(lo, hi + 1)]
+    rows = lattice_rows(p)
+    if rows is None:
+        return ys
+    cols = list(zip(*rows))
+    return [tuple(sum(map(mul, y, col)) for col in cols) for y in ys]
 
 
 def lattice_points(p: LatticePolytope) -> list[tuple[int, ...]]:
     """All integer points of p, in lex order."""
-    return _expand(fibers(p))
+    return _expand(p, fibers(p))
 
 
 def relint_lattice_points(p: LatticePolytope) -> list[tuple[int, ...]]:
     """Integer points of the relative interior of p (facets strict, hull equalities kept)."""
-    return _expand(fibers(p, relint=True))
+    return _expand(p, fibers(p, relint=True))
 
 
 def count(p: LatticePolytope) -> int:
     """Number of lattice points in p; zero for the empty polytope."""
-    return sum(hi - lo + 1 for _, _, lo, hi in fibers(p))
+    return sum(hi - lo + 1 for _, lo, hi in fibers(p))
 
 
 def count_relint(p: LatticePolytope) -> int:
-    return sum(hi - lo + 1 for _, _, lo, hi in fibers(p, relint=True))
+    return sum(hi - lo + 1 for _, lo, hi in fibers(p, relint=True))

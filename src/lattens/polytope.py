@@ -410,10 +410,6 @@ def random_unimodular(n: int, seed: int, steps: int) -> UnimodularMap:
 # -- JSON ----------------------------------------------------------------------
 
 
-def polytope_to_json_dict(p: LatticePolytope) -> dict:
-    return {"vertices": [list(v) for v in p.vertices]}
-
-
 def polytope_from_json_dict(data: dict, max_dim: int = MAX_AMBIENT_DIM) -> LatticePolytope:
     verts = data.get("vertices") if isinstance(data, dict) else None
     if not isinstance(verts, list) or not verts:

@@ -208,12 +208,13 @@ def evaluate(t: SymTensor, vectors: Sequence[Vector]) -> Fraction:
 def _pull_back_rows(matrix: Sequence[Vector], betas: list[MultiIndex]) -> dict[MultiIndex, dict[MultiIndex, int]]:
     """Non-zero coefficients of prod_j (M_j . z)^beta_j, M_j row j of M, for each beta of one rank.
 
-    beta is spelled as a word of row indices, j repeated beta_j times.  The
-    row of a word is the row of its prefix times (M_j . z) for its last
-    letter j, built once per distinct prefix, one length at a time; an
-    integer matrix gives integer rows.
+    M may have any number of rows, and z has one entry per column.  beta is
+    spelled as a word of row indices, j repeated beta_j times.  The row of
+    a word is the row of its prefix times (M_j . z) for its last letter j,
+    built once per distinct prefix, one length at a time; an integer matrix
+    gives integer rows.
     """
-    n = len(matrix)
+    n = len(matrix[0])
     words = [sum(((j,) * b for j, b in enumerate(beta)), ()) for beta in betas]
     rows = {(): {(0,) * n: 1}}
     for d in range(1, max(map(len, words), default=0) + 1):

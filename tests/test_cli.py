@@ -226,6 +226,10 @@ def test_too_many_steps_exit_two():
     assert "steps" in refused_at_once(["equivariance", "-r", "1", "--steps", "100000000"])
 
 
+def test_too_many_independence_trials_exit_two():
+    assert "independence" in refused_at_once(["nval", "--check-independence", "100000000"])
+
+
 def test_hull_subset_cap_exits_two():
     cube = json.dumps({"vertices": [list(v) for v in itertools.product((0, 1), repeat=6)]})
     assert "subsets" in refused_at_once(["count"], stdin=cube)

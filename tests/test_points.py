@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import random_polytope
 from lattens.ehrhart import discrete_moment, discrete_moment_relint
-from lattens.points import count, count_relint, lattice_points, relint_lattice_points
+from lattens.points import count, count_relint, fibers, lattice_points, lattice_rows, relint_lattice_points
 from lattens.polytope import (
     LatticePolytope,
     UnimodularMap,
@@ -184,6 +184,15 @@ def point_sums(pts, n, r):
     }
 
 
+def lifted_runs(p, rows, runs):
+    """The points head + (s,) of runs, mapped to x = sum_i y_i A_i unless rows is None."""
+    ys = [head + (s,) for head, lo, hi in runs for s in range(lo, hi + 1)]
+    if rows is None:
+        return ys
+    assert all(len(y) == len(rows) for y in ys)
+    return [tuple(sum(c * a[i] for c, a in zip(y, rows)) for i in range(p.ambient_dim)) for y in ys]
+
+
 def moment_coords(t, n, r):
     return {a: t.coord(a) for a in multi_indices(n, r)}
 
@@ -196,6 +205,12 @@ def test_enumeration_matches_box_scan(p):
     assert lattice_points(p) == closed  # the box scan runs in lex order
     assert relint_lattice_points(p) == interior
     assert (count(p), count_relint(p)) == (len(closed), len(interior))
+    # the runs, lifted from lattice coordinates by hand, give the same points
+    rows = lattice_rows(p)
+    assert (rows is None) == (p.dim == p.ambient_dim)
+    assert lifted_runs(p, rows, fibers(p)) == closed
+    assert lifted_runs(p, rows, fibers(p, relint=True)) == interior
+    assert lifted_runs(p, rows, fibers(p, scale=2)) == lattice_points(dilate(p, 2))
 
 
 @settings(max_examples=80, deadline=None)
@@ -209,7 +224,7 @@ def test_moments_match_point_sums(p, r):
 
 
 def test_moments_of_long_runs_in_lower_dimensions():
-    # runs along non-axis directions, long enough to be summed in closed form
+    # long runs in lattice coordinates of lower-dimensional polytopes, pushed to x at high rank
     u, w, o = (1, 0, 2, -1), (0, 1, 1, 1), (-3, 2, -5, 1)
     triangle = from_points([o, tuple(a + 12 * b for a, b in zip(o, u)), tuple(a + 12 * b for a, b in zip(o, w))])
     cases = [

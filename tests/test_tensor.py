@@ -216,17 +216,20 @@ def reference_apply_linear(t, matrix):
 
 
 @st.composite
-def integer_matrices(draw):
+def integer_matrices(draw, square=True):
+    """n x n integer matrices, or k x n with 1 <= k <= n + 1 unless square."""
     n = draw(st.integers(min_value=1, max_value=4))
+    k = n if square else draw(st.integers(min_value=1, max_value=n + 1))
     entry = st.integers(min_value=-3, max_value=3)
-    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+    return [[draw(entry) for _ in range(n)] for _ in range(k)]
 
 
-@settings(max_examples=60, deadline=None)
-@given(integer_matrices(), st.integers(min_value=0, max_value=6))
+@settings(max_examples=100, deadline=None)
+@given(integer_matrices(square=False), st.integers(min_value=0, max_value=6))
 def test_pull_back_rows_match_coordinate_rows(matrix, rank):
-    n = len(matrix)
-    betas = multi_indices(n, rank)
+    # k = n + 1 rows is the shape of points.lattice_rows
+    n = len(matrix[0])
+    betas = multi_indices(len(matrix), rank)
     rows = _pull_back_rows(matrix, betas)
     assert list(rows) == betas
     assert _pull_back_rows(matrix, betas[-1:]) == {betas[-1]: rows[betas[-1]]}
