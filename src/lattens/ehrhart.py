@@ -14,7 +14,8 @@ Power sums are taken over the runs of points.fibers, stretches of the last
 of P's lattice coordinates y, in closed form by Faulhaber's polynomials
 (Beck and Robins, Computing the Continuous Discretely).  For a
 lower-dimensional P, one integer plan per polytope and rank pushes the
-sums of monomials in y to the sums of monomials in x.
+sums of monomials in y to the sums of monomials in x, unless the points
+are fewer than the plan's entries; then they are summed one by one in x.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from operator import add, mul
 
 from .arith import multinomial, power_sum_polynomial
 from .linalg import det, invert_matrix
-from .points import fibers, lattice_rows
+from .points import _expand, fibers, lattice_rows
 from .polytope import LatticePolytope, UnimodularMap, faces, negate, transform, translate
 from .tensor import MultiIndex, SymTensor, _poly_mul_linear, _pull_back_rows, apply_linear, multi_indices
 
@@ -137,17 +138,27 @@ def _summer(p: LatticePolytope, rank: int):
     multinomial(rank, alpha) times the sum of x^alpha is the sum over beta
     of multinomial(rank, beta) times the sum of y^beta times the coefficient
     of z^alpha in prod_i (A_i . z)^beta_i, given by tensor's pull-back kernel.
+    That plan has up to |betas| |alphas| entries, so it is built, once per
+    map, only for runs with at least as many points: fewer points are
+    mapped to x and summed one by one, and the plan never outgrows them.
     """
     n, rows = p.ambient_dim, lattice_rows(p)
     if rows is None:
         return lambda runs: _tensor_sum(runs, n, rank)
     betas, alphas = multi_indices(len(rows), rank), multi_indices(n, rank)
-    index = {alpha: i for i, alpha in enumerate(alphas)}
-    pulled = _pull_back_rows(rows, betas)
-    terms = [[(index[a], multinomial(rank, beta) * c) for a, c in pulled[beta].items()] for beta in betas]
-    divisors = [multinomial(rank, alpha) for alpha in alphas]
+
+    @lru_cache(maxsize=1)
+    def plan():
+        index = {alpha: i for i, alpha in enumerate(alphas)}
+        pulled = _pull_back_rows(rows, betas)
+        terms = [[(index[a], multinomial(rank, beta) * c) for a, c in pulled[beta].items()] for beta in betas]
+        return terms, [multinomial(rank, alpha) for alpha in alphas]
 
     def push(runs):
+        runs = list(runs)
+        if sum(hi - lo + 1 for _, lo, hi in runs) < len(betas) * len(alphas):
+            return _tensor_sum(((x[:-1], x[-1], x[-1]) for x in _expand(p, runs)), n, rank)
+        terms, divisors = plan()
         out = [0] * len(alphas)
         for s, row in zip(_tensor_sum(runs, len(rows), rank), terms):
             for i, c in row:

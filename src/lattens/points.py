@@ -255,23 +255,24 @@ def _walk(frame: _Frame, levels, k: int):
         fix(j)
 
 
-def _expand(p: LatticePolytope, runs) -> list[tuple[int, ...]]:
-    ys = [head + (s,) for head, lo, hi in runs for s in range(lo, hi + 1)]
+def _expand(p: LatticePolytope, runs):
+    """The points x of runs of p, one at a time."""
+    ys = (head + (s,) for head, lo, hi in runs for s in range(lo, hi + 1))
     rows = lattice_rows(p)
     if rows is None:
         return ys
     cols = list(zip(*rows))
-    return [tuple(sum(map(mul, y, col)) for col in cols) for y in ys]
+    return (tuple(sum(map(mul, y, col)) for col in cols) for y in ys)
 
 
 def lattice_points(p: LatticePolytope) -> list[tuple[int, ...]]:
     """All integer points of p, in lex order."""
-    return _expand(p, fibers(p))
+    return list(_expand(p, fibers(p)))
 
 
 def relint_lattice_points(p: LatticePolytope) -> list[tuple[int, ...]]:
     """Integer points of the relative interior of p (facets strict, hull equalities kept)."""
-    return _expand(p, fibers(p, relint=True))
+    return list(_expand(p, fibers(p, relint=True)))
 
 
 def count(p: LatticePolytope) -> int:

@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,7 @@ import pytest
 from lattens import cli
 from lattens.ehrhart import CheckReport, EhrhartTensorExpansion, discrete_moment
 from lattens.polytope import dilate, from_points
-from lattens.tensor import SymTensor
+from lattens.tensor import SymTensor, sym_power
 
 T2_JSON = '{"vertices": [[0,0],[1,0],[0,1]]}'
 
@@ -212,12 +214,17 @@ def test_negative_steps_exit_two(monkeypatch, capsys):
     assert "steps" in cli_error(monkeypatch, capsys, ["equivariance", "-r", "2", "--steps", "-1"])
 
 
-def refused_at_once(argv, stdin=T2_JSON) -> str:
-    """Like cli_error, in a child process that must finish within seconds, so a missing cap fails, not hangs."""
+def in_child(argv, stdin=T2_JSON) -> subprocess.CompletedProcess:
+    """The CLI in a child process that must finish within seconds, so a blow-up fails, not hangs."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "lattens.cli", *argv], input=stdin, capture_output=True, text=True, env=env, timeout=10
     )
+
+
+def refused_at_once(argv, stdin=T2_JSON) -> str:
+    """Like cli_error, in a child process (see in_child)."""
+    done = in_child(argv, stdin)
     assert done.returncode == 2 and done.stdout == ""
     return json.loads(done.stderr)["error"]
 
@@ -228,6 +235,20 @@ def test_too_many_steps_exit_two():
 
 def test_too_many_independence_trials_exit_two():
     assert "independence" in refused_at_once(["nval", "--check-independence", "100000000"])
+
+
+def test_high_rank_moment_of_few_points_in_a_dense_lattice():
+    # a unimodular 5-simplex in Z^6 off the origin: its 6 points are summed one by one,
+    # where a plan from its dense lattice rows would have up to 6188 x 6188 entries at rank 12
+    o = (1, -2, 0, 3, 1, -1)
+    edges = [(1, 0, 0, 0, 0, 2), (3, 1, 0, 0, 0, -1), (-2, 1, 1, 0, 0, 4), (1, -3, 2, 1, 0, 1), (2, 2, -1, 3, 1, -2)]
+    vertices = [o] + [tuple(a + b for a, b in zip(o, e)) for e in edges]
+    done = in_child(["tensor", "-r", "12"], stdin=json.dumps({"vertices": vertices}))
+    assert done.returncode == 0, done.stderr
+    expected = SymTensor.zero(6, 12)
+    for v in vertices:
+        expected = expected + sym_power(v, 12)
+    assert SymTensor.from_json_dict(json.loads(done.stdout)) == expected * Fraction(1, factorial(12))
 
 
 def test_hull_subset_cap_exits_two():

@@ -227,7 +227,8 @@ def integer_matrices(draw, square=True):
 @settings(max_examples=100, deadline=None)
 @given(integer_matrices(square=False), st.integers(min_value=0, max_value=6))
 def test_pull_back_rows_match_coordinate_rows(matrix, rank):
-    # k = n + 1 rows is the shape of points.lattice_rows
+    # points.lattice_rows gives k = m + 1 <= n rows for an m-dimensional polytope in Z^n
+    # (and None when m = n); k = n + 1 is drawn only to cover wider non-square shapes
     n = len(matrix[0])
     betas = multi_indices(len(matrix), rank)
     rows = _pull_back_rows(matrix, betas)
