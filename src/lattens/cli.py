@@ -1,11 +1,12 @@
 """Command-line interface with machine-readable JSON and CSV output.
 
-Every subcommand reads a polytope as {"vertices": [[int, ...], ...]} from
---input or stdin where one is needed, validates it, and prints JSON to
-stdout.  Exit status: 0 on success or a passing verification, 1 when a
-verification fails (a structured counterexample report is still printed),
-2 on malformed input or out-of-range parameters.  All randomness is
-seeded, so identical invocations produce identical bytes.
+Every subcommand but rank reads a polytope as {"vertices": [[int, ...], ...]}
+from --input or stdin; main reads and validates it once and hands it to the
+subcommand's handler, which prints JSON to stdout.  Exit status: 0 on
+success or a passing verification, 1 when a verification fails (a
+structured counterexample report is still printed), 2 on malformed input
+or out-of-range parameters.  All randomness is seeded, so identical
+invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -33,6 +34,12 @@ PRISM_MAX_DIM = 7
 PRISM_MAX_RANK = 8
 EQUIVARIANCE_MAX_STEPS = 1000
 NVAL_MAX_TRIALS = 1000
+# nval on a polygon of T unimodular triangles took up to 6 s at T = 1000 (a
+# fan with every lattice point on the boundary); its flip walks re-test every
+# interior edge at each of 2T flips and took up to 7 s at trials * T^2 =
+# 400,000 (2-vCPU machine, Python 3.11)
+NVAL_MAX_TRIANGLES = 1000
+NVAL_MAX_WORK = 400_000
 
 
 class InputError(ValueError):
@@ -40,10 +47,9 @@ class InputError(ValueError):
 
 
 def _read_polytope(args) -> LatticePolytope:
-    path = getattr(args, "input", None)
     try:
-        if path:
-            with open(path, "r", encoding="utf-8") as fh:
+        if args.input:
+            with open(args.input, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
         else:
             data = json.load(sys.stdin)
@@ -78,14 +84,12 @@ def _emit(payload) -> None:
 # -- subcommand handlers ------------------------------------------------------------
 
 
-def _cmd_count(args) -> int:
-    p = _read_polytope(args)
+def _cmd_count(p: LatticePolytope, args) -> int:
     _emit({"closed": points.count(p), "relint": points.count_relint(p)})
     return 0
 
 
-def _cmd_tensor(args) -> int:
-    p = _read_polytope(args)
+def _cmd_tensor(p: LatticePolytope, args) -> int:
     r = _check_rank(args.rank)
     if args.moment and args.relint:
         raise InputError("choose at most one of --moment and --relint")
@@ -102,8 +106,7 @@ def _cmd_tensor(args) -> int:
     return 0
 
 
-def _cmd_ehrhart(args) -> int:
-    p = _read_polytope(args)
+def _cmd_ehrhart(p: LatticePolytope, args) -> int:
     r = _check_rank(args.rank)
     expansion = ehrhart.ehrhart_tensors(p, r)
     if r == 0:
@@ -118,19 +121,16 @@ def _report_exit(report: ehrhart.CheckReport) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_reciprocity(args) -> int:
-    p = _read_polytope(args)
+def _cmd_reciprocity(p: LatticePolytope, args) -> int:
     return _report_exit(ehrhart.check_reciprocity(p, _check_rank(args.rank)))
 
 
-def _cmd_covariance(args) -> int:
-    p = _read_polytope(args)
+def _cmd_covariance(p: LatticePolytope, args) -> int:
     y = _parse_vector(args.translation, p.ambient_dim)
     return _report_exit(ehrhart.check_translation_covariance(p, _check_rank(args.rank), y))
 
 
-def _cmd_equivariance(args) -> int:
-    p = _read_polytope(args)
+def _cmd_equivariance(p: LatticePolytope, args) -> int:
     if args.matrix:
         try:
             rows = json.loads(args.matrix)
@@ -146,17 +146,26 @@ def _cmd_equivariance(args) -> int:
     return _report_exit(ehrhart.check_equivariance(p, _check_rank(args.rank), phi))
 
 
-def _cmd_nval(args) -> int:
-    p = _read_polytope(args)
+def _cmd_nval(p: LatticePolytope, args) -> int:
     if p.ambient_dim != 2:
         raise InputError("nval needs a polygon in ambient dimension 2")
-    if not 0 <= args.check_independence <= NVAL_MAX_TRIALS:
+    trials = args.check_independence
+    if not 0 <= trials <= NVAL_MAX_TRIALS:
         raise InputError(f"--check-independence must be between 0 and {NVAL_MAX_TRIALS}")
+    # a unimodular triangle has doubled area 1, so every unimodular
+    # triangulation of p has this many triangles
+    size = tri2d._hull_doubled_area(p.vertices)
+    if size > NVAL_MAX_TRIANGLES:
+        raise InputError(f"the polygon has {size} unimodular triangles, capped at {NVAL_MAX_TRIANGLES}")
+    if trials * size * size > NVAL_MAX_WORK:
+        raise InputError(
+            f"--check-independence {trials} on {size} triangles needs {trials} x {size}^2 edge tests, "
+            f"capped at {NVAL_MAX_WORK}"
+        )
     value = tri2d.valuation_n(p)
-    if args.check_independence == 0:
+    if trials == 0:
         _emit(value.to_json_dict())
         return 0
-    trials = args.check_independence
     all_equal = True
     if p.dim == 2:
         base = tri2d.unimodular_triangulation(p)
@@ -299,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
+_POLYTOPE_HANDLERS = {
     "count": _cmd_count,
     "tensor": _cmd_tensor,
     "ehrhart": _cmd_ehrhart,
@@ -307,7 +316,6 @@ _HANDLERS = {
     "covariance": _cmd_covariance,
     "equivariance": _cmd_equivariance,
     "nval": _cmd_nval,
-    "rank": _cmd_rank,
 }
 
 
@@ -315,7 +323,9 @@ def main(argv=None) -> int:
     """Parse arguments and dispatch; returns the process exit status."""
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.subcommand](args)
+        if args.subcommand == "rank":
+            return _cmd_rank(args)
+        return _POLYTOPE_HANDLERS[args.subcommand](_read_polytope(args), args)
     except (InputError, points.ScanTooLarge) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2

@@ -8,8 +8,9 @@ runs Bareiss's fraction-free elimination (Bareiss 1968, Math. Comp. 22):
 every entry is a minor of the scaled matrix, every division is an exact
 integer division, and the forward pass stops once no rows remain below the
 pivots.  det takes square integer matrices only (int entries, or Fractions
-with denominator 1).  integer_kernel is unimodular lattice reduction and
-does not use the elimination kernel.
+with denominator 1).  integer_kernel, the one integer lattice reduction,
+does not use the elimination kernel: it runs unimodular row operations and
+returns the row Hermite normal form of an integer kernel.
 """
 
 from __future__ import annotations
@@ -139,40 +140,38 @@ def invert_matrix(m) -> list[list[Fraction]]:
     return [[Fraction(x, d) for x in row[n:]] for row in red]
 
 
-def integer_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Basis of the saturated lattice {z in Z^ncols : rows . z = 0}.
+def integer_kernel(rows, ncols: int) -> list[list[int]]:
+    """Row Hermite normal form of the saturated lattice {z in Z^ncols : rows . z = 0}.
 
-    Runs unimodular row reduction on the transpose augmented with the
-    identity; the identity rows paired with zero rows of the reduced
-    transpose form a lattice basis of the kernel.
+    The rows of [rows^T | I] span the lattice of (rows . z, z) for integer z.
+    A Euclid sweep over its columns brings them to echelon form by unimodular
+    row operations; the echelon rows that vanish on the rows^T block span the
+    kernel.  Reducing the entries above each of their pivots into
+    [0, pivot) gives the unique row Hermite normal form (Cohen, A Course in
+    Computational Algebraic Number Theory, section 2.4): echelon, pivots
+    positive, pivot columns increasing.
     """
     nrows = len(rows)
-    # work matrix: columns of the input become rows; augment with identity
-    work = [[rows[i][v] for i in range(nrows)] + [int(i == v) for i in range(ncols)] for v in range(ncols)]
-
-    row = 0
-    for col in range(nrows):
-        while True:
-            nonzero = [i for i in range(row, ncols) if work[i][col] != 0]
-            if not nonzero:
-                break
-            piv = min(nonzero, key=lambda i: abs(work[i][col]))
-            work[row], work[piv] = work[piv], work[row]
-            done = True
-            for i in range(row + 1, ncols):
-                if work[i][col] != 0:
-                    q = work[i][col] // work[row][col]
-                    work[i] = [a - q * b for a, b in zip(work[i], work[row])]
-                    if work[i][col] != 0:
-                        done = False
-            if done:
-                row += 1
-                break
-
-    basis = []
-    for i in range(row, ncols):
-        if all(work[i][c] == 0 for c in range(nrows)):
-            basis.append(work[i][nrows:])
+    work = [[row[v] for row in rows] + [int(i == v) for i in range(ncols)] for v in range(ncols)]
+    basis: list[list[int]] = []
+    col = 0
+    # the work rows are independent, so each one ends as the pivot of a column
+    while work:
+        live = [r for r in work if r[col]]
+        work = [r for r in work if not r[col]]
+        # Euclid on the column: reduce by the row with the smallest entry
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[col]))
+            pivot = live[0]
+            reduced = [[a - (r[col] // pivot[col]) * b for a, b in zip(r, pivot)] for r in live[1:]]
+            live = [pivot] + [r for r in reduced if r[col]]
+            work += [r for r in reduced if not r[col]]
+        if live and col >= nrows:
+            row = live[0][nrows:] if live[0][col] > 0 else [-a for a in live[0][nrows:]]
+            c = col - nrows
+            # later pivots lie to the right, so they leave reduced entries alone
+            basis = [[a - (r[c] // row[c]) * b for a, b in zip(r, row)] for r in basis] + [row]
+        col += 1
     return basis
 
 

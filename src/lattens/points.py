@@ -1,11 +1,15 @@
 """Exact lattice-point enumeration for polytopes and their relative interiors.
 
 Points are enumerated fiber by fiber in the polytope's own affine lattice.
-With an origin o and a row-echelon lattice basis E_1..E_m of aff(P) (pivot
-columns increasing, pivots positive), each lattice point of aff(P) is
-x = o + sum_j t_j E_j for one integer vector t, and lex order in t is lex
-order in x.  A facet a . x <= b becomes (a E) . t <= b - a . o; the relative
-interior uses b - 1, which is exact because both sides are integers.
+Its frame is worked out here, from the vertices and hull equalities alone.
+A full-dimensional P takes the origin o = 0 and the unit vectors.  A
+lower-dimensional P takes its first vertex as o, and as E_1..E_m the row
+Hermite normal form of the integer kernel of its hull equality normals
+(linalg.integer_kernel): echelon, pivot columns increasing, pivots
+positive.  Each lattice point of aff(P) is x = o + sum_j t_j E_j for one
+integer vector t, and lex order in t is lex order in x.  A facet
+a . x <= b becomes (a E) . t <= b - a . o; the relative interior uses
+b - 1, which is exact because both sides are integers.
 
 The bounds on t_j for a fixed prefix t_1..t_(j-1) come from Fourier-Motzkin
 projections of those rows onto the first j coordinates, computed once per
@@ -26,36 +30,14 @@ from functools import lru_cache
 from math import ceil, gcd
 from operator import mul
 
-from .polytope import LatticePolytope, _dot
+from .linalg import integer_kernel
+from .polytope import LatticePolytope, _dot, _identity
 
 _MAX_SCAN_CELLS = 50_000_000
 
 
 class ScanTooLarge(ValueError):
     """The bounding box in lattice coordinates holds more cells than the cap allows."""
-
-
-def _echelon(rows) -> list[tuple[int, ...]]:
-    """Row-echelon basis with positive pivots of the lattice spanned by independent rows."""
-    rows = [list(r) for r in rows]
-    out = []
-    col = 0
-    while rows:
-        live = [r for r in rows if r[col]]
-        rest = [r for r in rows if not r[col]]
-        # Euclid on the column: reduce by the row with the smallest entry
-        while len(live) > 1:
-            live.sort(key=lambda r: abs(r[col]))
-            pivot = live[0]
-            reduced = [[a - (r[col] // pivot[col]) * b for a, b in zip(r, pivot)] for r in live[1:]]
-            live = [pivot] + [r for r in reduced if r[col]]
-            rest += [r for r in reduced if not r[col]]
-        if live:
-            pivot = live[0]
-            out.append(tuple(pivot) if pivot[col] > 0 else tuple(-a for a in pivot))
-        rows = rest
-        col += 1
-    return out
 
 
 def _primitive(c, d, s):
@@ -81,10 +63,10 @@ class _Frame:
         self.full = m == n
         if self.full:
             self.origin = (0,) * n
-            self.basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+            self.basis = list(_identity(n))
         else:
-            self.origin = p._origin
-            self.basis = _echelon(p._basis)
+            self.origin = p.vertices[0]
+            self.basis = [tuple(e) for e in integer_kernel([a for a, _ in p.hull_equalities], n)]
         self.rows = None if self.full else (self.origin, *self.basis)
         verts = [self._coordinates(v) for v in p.vertices]
         self.extents = [max(t[j] for t in verts) - min(t[j] for t in verts) for j in range(m)]

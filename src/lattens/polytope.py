@@ -1,23 +1,22 @@
 """Exact lattice polytope geometry in low dimensions.
 
-Polytopes are stored by their integer vertex lists and are worked with in
-ambient integer coordinates throughout.  Each polytope keeps exact
-affine-hull data: integer equalities cutting out the affine hull, an
-origin with a saturated lattice basis of the direction space (every
-lattice point of the affine hull is the origin plus an integer combination
-of the basis), and primitive integer facet inequalities that are valid
-relative to the affine hull.  This keeps face and relative-interior
-computations exact in any dimension.
+A polytope is its sorted integer vertices and its half-spaces, all in
+ambient integer coordinates: integer equalities cutting out the affine
+hull, and primitive integer facet inequalities that are valid relative to
+the affine hull.  This keeps face and relative-interior computations exact
+in any dimension.  Nothing else is stored; the lattice frame in which the
+points of a lower-dimensional polytope are enumerated is derived from
+these fields in points.
 
 Only from_points (and so minkowski_sum, prism and each new face) runs the
 convex hull.  It tests the hyperplanes of the affine hull through
 affinely independent subsets of the points; a candidate's normal is the
 primitive integer solution of its difference rows together with the hull
-equalities, so it lies in the direction space.  Images under
-dilation, translation, negation and unimodular maps carry mapped
-half-space data instead: an exact map x -> k M x + t with M in GL_n(Z)
-sends a . x <= b to (a M^-1) . x <= k b + (a M^-1) . t, and primitive
-normals stay primitive because M^-1 is an integer matrix.
+equalities, so it lies in the direction space.  Images under dilation,
+translation, negation and unimodular maps map the vertices and half-spaces
+instead, through one code path: an exact map x -> k M x + t with M in
+GL_n(Z) sends a . x <= b to (a M^-1) . x <= k b + (a M^-1) . t, and
+primitive normals stay primitive because M^-1 is an integer matrix.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from itertools import combinations
 from math import comb
 from numbers import Integral
 
-from .linalg import det, integer_kernel, invert_matrix, rank_bareiss, rational_row_space_equations
+from .linalg import det, invert_matrix, rank_bareiss, rational_row_space_equations
 
 Point = tuple[int, ...]
 
@@ -70,27 +69,14 @@ class LatticePolytope:
             self.dim = -1
             self.hull_equalities: tuple[tuple[Point, int], ...] = ()
             self.facet_inequalities: tuple[tuple[Point, int], ...] = ()
-            self._basis: tuple[Point, ...] = ()
             return
 
         origin = pts[0]
-        directions = [tuple(x - y for x, y in zip(p, origin)) for p in pts[1:]]
-        directions = [d for d in directions if any(d)]
-        if directions:
-            eq_rows = rational_row_space_equations(directions, n)
-            basis = integer_kernel(eq_rows, n) if eq_rows else [
-                tuple(int(i == j) for j in range(n)) for i in range(n)
-            ]
-        else:
-            eq_rows = [[int(i == j) for j in range(n)] for i in range(n)]
-            basis = []
-        m = len(basis)
+        # a single point has no directions, and its equations are the n unit rows
+        eq_rows = rational_row_space_equations([[x - y for x, y in zip(p, origin)] for p in pts[1:]], n)
+        m = n - len(eq_rows)
         self.dim = m
-        self._origin = origin
-        self._basis = tuple(tuple(b) for b in basis)
-        self.hull_equalities = tuple(
-            (tuple(row), _dot(row, origin)) for row in eq_rows
-        )
+        self.hull_equalities = tuple((tuple(row), _dot(row, origin)) for row in eq_rows)
 
         facets = _facets_of_point_set(pts, m, eq_rows)
         # a point is extreme iff its tight facet normals span the direction space
@@ -218,33 +204,17 @@ def _identity(n: int) -> tuple[Point, ...]:
 def _image(p: LatticePolytope, m, m_inv, t, k: int) -> LatticePolytope:
     """Image of a non-empty p under x -> k m x + t, for k >= 1 and m, m_inv inverse integer matrices.
 
-    Vertices, hull equalities, facet inequalities, the origin and the
-    direction basis are mapped; no hull is computed.  With x' = k m x + t,
-    a . x <= b becomes (a m_inv) . x' <= k b + (a m_inv) . t, and the
-    direction basis B becomes m B.  m = m_inv = None stands for the
-    identity, which leaves B as it is.
+    Vertices, hull equalities and facet inequalities are mapped; no hull is
+    computed.  With x' = k m x + t, a . x <= b becomes
+    (a m_inv) . x' <= k b + (a m_inv) . t.
     """
-    if m is None:
-        def point(x) -> Point:
-            return tuple(k * c + ti for c, ti in zip(x, t))
+    cols = tuple(zip(*m_inv))
 
-        def normal(a) -> Point:
-            return a
-
-        basis = p._basis
-    else:
-        cols = tuple(zip(*m_inv))
-
-        def point(x) -> Point:
-            return tuple(k * _dot(row, x) + ti for row, ti in zip(m, t))
-
-        def normal(a) -> Point:
-            return tuple(_dot(a, col) for col in cols)
-
-        basis = tuple(tuple(_dot(row, b) for row in m) for b in p._basis)
+    def point(x) -> Point:
+        return tuple(k * _dot(row, x) + ti for row, ti in zip(m, t))
 
     def half_space(a, b) -> tuple[Point, int]:
-        c = normal(a)
+        c = tuple(_dot(a, col) for col in cols)
         return c, k * b + _dot(c, t)
 
     q = LatticePolytope.__new__(LatticePolytope)
@@ -253,8 +223,6 @@ def _image(p: LatticePolytope, m, m_inv, t, k: int) -> LatticePolytope:
     q.vertices = tuple(sorted(point(v) for v in p.vertices))
     q.hull_equalities = tuple(half_space(a, b) for a, b in p.hull_equalities)
     q.facet_inequalities = tuple(sorted(half_space(a, b) for a, b in p.facet_inequalities))
-    q._origin = point(p._origin)
-    q._basis = basis
     return q
 
 
@@ -265,7 +233,8 @@ def dilate(p: LatticePolytope, k: int) -> LatticePolytope:
         return p
     if k == 0:
         return LatticePolytope([(0,) * p.ambient_dim])
-    return _image(p, None, None, (0,) * p.ambient_dim, k)
+    identity = _identity(p.ambient_dim)
+    return _image(p, identity, identity, (0,) * p.ambient_dim, k)
 
 
 def translate(p: LatticePolytope, y) -> LatticePolytope:
@@ -274,7 +243,8 @@ def translate(p: LatticePolytope, y) -> LatticePolytope:
     y = tuple(int(c) for c in y)
     if len(y) != p.ambient_dim:
         raise ValueError("translation dimension mismatch")
-    return _image(p, None, None, y, 1)
+    identity = _identity(p.ambient_dim)
+    return _image(p, identity, identity, y, 1)
 
 
 def negate(p: LatticePolytope) -> LatticePolytope:

@@ -237,6 +237,29 @@ def test_too_many_independence_trials_exit_two():
     assert "independence" in refused_at_once(["nval", "--check-independence", "100000000"])
 
 
+def test_nval_refuses_too_many_triangles_before_triangulating():
+    # 4 million unimodular triangles; a tenth of this took over a minute without the cap
+    big = json.dumps({"vertices": [[0, 0], [2000, 0], [0, 2000]]})
+    assert "triangles" in refused_at_once(["nval"], stdin=big)
+
+
+def test_nval_refuses_too_much_flip_walk_work_before_walking():
+    # 1000 walks of 800 flips on 400 triangles would take the better part of an hour
+    argv = ["nval", "--check-independence", "1000"]
+    assert "check-independence" in refused_at_once(argv, stdin=json.dumps({"vertices": [[0, 0], [20, 0], [0, 20]]}))
+
+
+def test_nval_caps_are_inclusive(monkeypatch, capsys):
+    # NINE_TRIANGLES has T = 9: 2 trials need 2 * 9^2 = 162 edge tests
+    monkeypatch.setattr(cli, "NVAL_MAX_TRIANGLES", 9)
+    monkeypatch.setattr(cli, "NVAL_MAX_WORK", 162)
+    code, _, _ = run_cli(monkeypatch, capsys, ["nval", "--check-independence", "2"], stdin=NINE_TRIANGLES)
+    assert code == 0
+    assert "162" in cli_error(monkeypatch, capsys, ["nval", "--check-independence", "3"], stdin=NINE_TRIANGLES)
+    monkeypatch.setattr(cli, "NVAL_MAX_TRIANGLES", 8)
+    assert "9 unimodular triangles" in cli_error(monkeypatch, capsys, ["nval"], stdin=NINE_TRIANGLES)
+
+
 def test_high_rank_moment_of_few_points_in_a_dense_lattice():
     # a unimodular 5-simplex in Z^6 off the origin: its 6 points are summed one by one,
     # where a plan from its dense lattice rows would have up to 6188 x 6188 entries at rank 12

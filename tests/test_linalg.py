@@ -2,7 +2,9 @@
 
 The reference is a plain Fraction Gauss-Jordan elimination, kept here as a
 test-only implementation; sympy's exact matrices are a second, optional
-oracle.
+oracle.  The integer kernel is checked against a second unimodular
+reduction, also kept here, that returns a kernel lattice basis in no
+normal form.
 """
 
 from fractions import Fraction
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from lattens.linalg import (
     det,
+    integer_kernel,
     invert_matrix,
     kernel_basis,
     rank_bareiss,
@@ -55,6 +58,48 @@ def reference_det(matrix):
         for j in range(len(matrix))
         if matrix[0][j]
     )
+
+
+def reference_integer_kernel(rows, ncols):
+    """A basis, in no normal form, of the lattice {z in Z^ncols : rows . z = 0}.
+
+    Unimodular row reduction of the transpose augmented with the identity;
+    the identity rows paired with zero rows of the reduced transpose span
+    the kernel lattice.
+    """
+    nrows = len(rows)
+    work = [[rows[i][v] for i in range(nrows)] + [int(i == v) for i in range(ncols)] for v in range(ncols)]
+    row = 0
+    for col in range(nrows):
+        while True:
+            nonzero = [i for i in range(row, ncols) if work[i][col] != 0]
+            if not nonzero:
+                break
+            piv = min(nonzero, key=lambda i: abs(work[i][col]))
+            work[row], work[piv] = work[piv], work[row]
+            done = True
+            for i in range(row + 1, ncols):
+                if work[i][col] != 0:
+                    q = work[i][col] // work[row][col]
+                    work[i] = [a - q * b for a, b in zip(work[i], work[row])]
+                    if work[i][col] != 0:
+                        done = False
+            if done:
+                row += 1
+                break
+    return [work[i][nrows:] for i in range(row, ncols) if not any(work[i][:nrows])]
+
+
+def coordinates(basis, vec):
+    """The rational c with sum_i c_i basis_i = vec, or None off their span."""
+    k = len(basis)
+    red, pivots = reference_rref([[b[j] for b in basis] + [vec[j]] for j in range(len(vec))])
+    if k in pivots:
+        return None
+    c = [Fraction(0)] * k
+    for row, p in zip(red, pivots):
+        c[p] = row[k]
+    return c
 
 
 entries = st.one_of(
@@ -162,12 +207,40 @@ def test_invert_matrix_matches_reference(case):
     assert inv == [row[n:] for row in red]
 
 
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_integer_kernel_is_hermite_normal_form_of_reference_lattice(case):
+    rows, ncols = case
+    rows = integer_matrix(rows)
+    basis = integer_kernel(rows, ncols)
+    assert all(isinstance(x, int) for vec in basis for x in vec)
+    assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows for vec in basis)
+    assert len(basis) == ncols - rank_bareiss(rows)
+    # echelon with positive pivots, and each pivot's column reduced into [0, pivot) above it
+    pivots = [next(j for j, x in enumerate(vec) if x) for vec in basis]
+    assert pivots == sorted(set(pivots))
+    for i, (vec, p) in enumerate(zip(basis, pivots)):
+        assert vec[p] > 0
+        assert all(0 <= above[p] < vec[p] for above in basis[:i])
+    # the same lattice: each basis has integer coordinates in the other
+    reference = reference_integer_kernel(rows, ncols)
+    for one, other in ((basis, reference), (reference, basis)):
+        for vec in one:
+            c = coordinates(other, vec)
+            assert c is not None and all(x.denominator == 1 for x in c)
+
+
 def test_small_cases():
     assert rref([]) == ([], [])
     assert rref([[0, 0], [0, 0]]) == ([], [])
     assert rank_bareiss([]) == 0
     assert rank_bareiss([(0, 0, 0)]) == 0
     assert kernel_basis([], 2) == [[1, 0], [0, 1]]
+    assert integer_kernel([], 2) == [[1, 0], [0, 1]]
+    assert integer_kernel([[2, 4]], 2) == [[2, -1]]
+    # (1, -1, 0) and (0, 1, -1) span this lattice; the normal form reduces the first
+    assert integer_kernel([[1, 1, 1]], 3) == [[1, 0, -1], [0, 1, -1]]
+    assert integer_kernel([[1, 0], [0, 1]], 2) == []
     assert rational_row_space_equations([[2, 4]], 2) == [[-2, 1]]
     assert rational_row_space_equations([[-2, 4]], 2) == [[2, 1]]
     assert det([]) == 1

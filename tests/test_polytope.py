@@ -354,9 +354,10 @@ def assert_same_polytope(q, ref):
     assert all(_dot(a, v) == b for a, b in q.hull_equalities for v in ref.vertices)
     if q.dim == q.ambient_dim:
         assert set(q.facet_inequalities) == set(ref.facet_inequalities)
-    # the reference's lattice points have integer coordinates in q's frame
-    # (built from q._origin and q._basis when lower dimensional) and lift back
-    frame = points._Frame(q)
+    # the lattice frame depends on the polytope alone, not on how it was built
+    frame, ref_frame = points._Frame(q), points._Frame(ref)
+    assert (frame.basis, frame.rows, frame.extents) == (ref_frame.basis, ref_frame.rows, ref_frame.extents)
+    # the reference's lattice points have integer coordinates in that frame and lift back
     for x in points.lattice_points(ref):
         t = frame._coordinates(x)
         assert x == tuple(o + sum(tj * e[j] for tj, e in zip(t, frame.basis)) for j, o in enumerate(frame.origin))
