@@ -34,10 +34,10 @@ PRISM_MAX_DIM = 7
 PRISM_MAX_RANK = 8
 EQUIVARIANCE_MAX_STEPS = 1000
 NVAL_MAX_TRIALS = 1000
-# nval on a polygon of T unimodular triangles took up to 6 s at T = 1000 (a
-# fan with every lattice point on the boundary); its flip walks re-test every
-# interior edge at each of 2T flips and took up to 7 s at trials * T^2 =
-# 400,000 (2-vCPU machine, Python 3.11)
+# nval on a polygon of T unimodular triangles took under 2 s at T = 1000 (fans
+# with every lattice point on the boundary, triangles up to 1000 wide); its
+# flip walks re-test every interior edge at each of 2T flips and took up to
+# 8 s at trials * T^2 = 400,000 (2-vCPU machine, Python 3.11)
 NVAL_MAX_TRIANGLES = 1000
 NVAL_MAX_WORK = 400_000
 

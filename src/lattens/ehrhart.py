@@ -253,20 +253,11 @@ def ehrhart_tensors(p: LatticePolytope, r: int) -> EhrhartTensorExpansion:
 
 
 def _simplicial_pieces(p: LatticePolytope) -> list[tuple[tuple[int, ...], ...]]:
-    """Vertex tuples of simplices with disjoint interiors covering p."""
-    if p.dim <= 0:
-        return [p.vertices]
-    if len(p.vertices) == p.dim + 1:
+    """Vertex tuples of simplices covering p with disjoint interiors, pulling its first vertex over p._facets."""
+    if p.dim <= 0 or len(p.vertices) == p.dim + 1:
         return [p.vertices]
     apex = p.vertices[0]
-    pieces = []
-    for a, b in p.facet_inequalities:
-        if sum(x * y for x, y in zip(a, apex)) == b:
-            continue
-        tight = [v for v in p.vertices if sum(x * y for x, y in zip(a, v)) == b]
-        for simplex in _simplicial_pieces(LatticePolytope(tight)):
-            pieces.append((apex,) + simplex)
-    return pieces
+    return [(apex,) + s for f in p._facets if apex not in f.vertices for s in _simplicial_pieces(f)]
 
 
 def _complete_homogeneous(vectors, dim: int, rank: int) -> dict[MultiIndex, int]:

@@ -8,15 +8,16 @@ in any dimension.  Nothing else is stored; the lattice frame in which the
 points of a lower-dimensional polytope are enumerated is derived from
 these fields in points.
 
-Only from_points (and so minkowski_sum, prism and each new face) runs the
-convex hull.  It tests the hyperplanes of the affine hull through
-affinely independent subsets of the points; a candidate's normal is the
-primitive integer solution of its difference rows together with the hull
-equalities, so it lies in the direction space.  Images under dilation,
-translation, negation and unimodular maps map the vertices and half-spaces
-instead, through one code path: an exact map x -> k M x + t with M in
-GL_n(Z) sends a . x <= b to (a M^-1) . x <= k b + (a M^-1) . t, and
-primitive normals stay primitive because M^-1 is an integer matrix.
+Only the constructor, on point sets, runs the convex hull.  It tests the
+hyperplanes of the affine hull through affinely independent subsets of
+the points; a candidate's normal is the primitive integer solution of
+its difference rows together with the hull equalities, so it lies in the
+direction space.  Faces are read off the vertex-facet incidences and
+keep their parent's normals.  Images under dilation, translation,
+negation and unimodular maps map the vertices and half-spaces through
+one code path: x -> k M x + t with M in GL_n(Z) sends a . x <= b to
+(a M^-1) . x <= k b + (a M^-1) . t, and primitive normals stay
+primitive because M^-1 is an integer matrix.
 """
 
 from __future__ import annotations
@@ -117,22 +118,20 @@ class LatticePolytope:
     # -- faces ----------------------------------------------------------------
 
     @cached_property
-    def _face_list(self) -> tuple[LatticePolytope, ...]:
-        if self.is_empty:
-            return ()
-        found: dict[tuple[Point, ...], LatticePolytope] = {self.vertices: self}
-        stack = [self]
-        while stack:
-            poly = stack.pop()
-            for a, b in poly.facet_inequalities:
-                # every vertex of poly on the facet is a vertex of the face, so
-                # the tight vertices already are the face's canonical key
-                tight = tuple(v for v in poly.vertices if _dot(a, v) == b)
-                if tight not in found:
-                    face = LatticePolytope(tight)
-                    found[tight] = face
-                    stack.append(face)
-        return tuple(sorted(found.values(), key=lambda f: (f.dim, f.vertices)))
+    def _facets(self) -> tuple[LatticePolytope, ...]:
+        """The facet on a . x = b of each facet inequality a . x <= b, in order, with no hull.
+
+        Its inequalities are the other facets of self whose tight vertex sets
+        on it are maximal among the non-empty proper subsets.
+        """
+        out = []
+        for a, b in self.facet_inequalities:
+            verts = tuple(v for v in self.vertices if _dot(a, v) == b)
+            tight = {g: {v for v in verts if _dot(g[0], v) == g[1]} for g in self.facet_inequalities}
+            proper = [(g, t) for g, t in tight.items() if t and len(t) < len(verts)]
+            kept = tuple(g for g, t in proper if not any(t < u for _, u in proper))
+            out.append(_polytope(self.ambient_dim, self.dim - 1, verts, self.hull_equalities + ((a, b),), kept))
+        return tuple(out)
 
     # -- dunder protocol -------------------------------------------------------
 
@@ -201,6 +200,13 @@ def _identity(n: int) -> tuple[Point, ...]:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
+def _polytope(n: int, dim: int, vertices, equalities, facets) -> LatticePolytope:
+    """A polytope set from its fields, with no hull."""
+    q = LatticePolytope.__new__(LatticePolytope)
+    q.ambient_dim, q.dim, q.vertices, q.hull_equalities, q.facet_inequalities = n, dim, vertices, equalities, facets
+    return q
+
+
 def _image(p: LatticePolytope, m, m_inv, t, k: int) -> LatticePolytope:
     """Image of a non-empty p under x -> k m x + t, for k >= 1 and m, m_inv inverse integer matrices.
 
@@ -217,13 +223,9 @@ def _image(p: LatticePolytope, m, m_inv, t, k: int) -> LatticePolytope:
         c = tuple(_dot(a, col) for col in cols)
         return c, k * b + _dot(c, t)
 
-    q = LatticePolytope.__new__(LatticePolytope)
-    q.ambient_dim = p.ambient_dim
-    q.dim = p.dim
-    q.vertices = tuple(sorted(point(v) for v in p.vertices))
-    q.hull_equalities = tuple(half_space(a, b) for a, b in p.hull_equalities)
-    q.facet_inequalities = tuple(sorted(half_space(a, b) for a, b in p.facet_inequalities))
-    return q
+    verts = tuple(sorted(point(v) for v in p.vertices))
+    facets = tuple(sorted(half_space(a, b) for a, b in p.facet_inequalities))
+    return _polytope(p.ambient_dim, p.dim, verts, tuple(half_space(a, b) for a, b in p.hull_equalities), facets)
 
 
 def dilate(p: LatticePolytope, k: int) -> LatticePolytope:
@@ -345,8 +347,15 @@ def dissect_prism(n: int) -> list[LatticePolytope]:
 
 
 def faces(p: LatticePolytope) -> list[LatticePolytope]:
-    """All non-empty faces of p, including p itself, sorted by dimension."""
-    return list(p._face_list)
+    """All non-empty faces of p, including p itself, sorted by dimension: _facets walked depth-first."""
+    found = {p.vertices: p} if p.vertices else {}
+    stack = list(found.values())
+    while stack:
+        for face in stack.pop()._facets:
+            if face.vertices not in found:
+                found[face.vertices] = face
+                stack.append(face)
+    return sorted(found.values(), key=lambda f: (f.dim, f.vertices))
 
 
 def random_unimodular(n: int, seed: int, steps: int) -> UnimodularMap:

@@ -16,8 +16,8 @@ from functools import lru_cache
 
 from .ehrhart import ehrhart_tensors
 from .points import lattice_points
-from .polytope import LatticePolytope
-from .tensor import SymTensor, sym_product
+from .polytope import LatticePolytope, standard_simplex
+from .tensor import SymTensor, apply_linear, sym_product
 
 Point = tuple[int, int]
 Triangle = tuple[int, int, int]
@@ -196,10 +196,24 @@ def flip_walk(tri: Triangulation2D, seed: int, steps: int) -> Triangulation2D:
 
 
 @lru_cache(maxsize=None)
-def _degree_one_cubic_tensor(anchored: tuple[Point, Point, Point]) -> SymTensor:
-    """Cube of the degree-1 coefficient of the rank-3 expansion of a triangle anchored at the origin."""
-    linear = ehrhart_tensors(LatticePolytope(anchored), 3).coefficient(1)
+def _standard_cube() -> SymTensor:
+    """Cube of the degree-1 coefficient of the rank-3 expansion of T_2, the one triangle enumerated."""
+    linear = ehrhart_tensors(standard_simplex(2, 2), 3).coefficient(1)
     return sym_product(sym_product(linear, linear), linear)
+
+
+@lru_cache(maxsize=None)
+def _degree_one_cubic_tensor(anchored: tuple[Point, Point, Point]) -> SymTensor:
+    """Cube of the degree-1 coefficient of the rank-3 expansion of a unimodular triangle (0, u, v).
+
+    The lattice map e_1 -> u, e_2 -> v carries T_2 onto it, and the
+    expansion commutes with lattice maps, so its cube is T_2's mapped; no
+    triangle is enumerated.
+    """
+    _, u, v = anchored
+    if abs(u[0] * v[1] - u[1] * v[0]) != 1:
+        raise ValueError(f"triangle {anchored} is not unimodular")
+    return apply_linear(_standard_cube(), ((u[0], v[0]), (u[1], v[1])))
 
 
 def _triangle_cube(points: tuple[Point, Point, Point]) -> SymTensor:

@@ -1,5 +1,7 @@
 import random
 
+from hypothesis import strategies as st
+
 from lattens import polytope
 
 
@@ -38,3 +40,31 @@ def random_polytope(rng: random.Random, ambient: int, coord_bound: int = 4, dim:
 
 def random_point(rng: random.Random, ambient: int, bound: int = 3):
     return tuple(rng.randint(-bound, bound) for _ in range(ambient))
+
+
+@st.composite
+def polytopes(draw):
+    """Lattice polytopes in Z^1..Z^4; one in three spans a lower-dimensional
+    affine subspace along drawn directions, not necessarily axis-parallel."""
+    n = draw(st.integers(1, 4))
+    if draw(st.integers(0, 2)):
+        grid = st.tuples(*[st.integers(0, 2)] * n)
+        full = st.lists(grid, min_size=n + 1, max_size=n + 5).map(polytope.from_points)
+        return draw(full.filter(lambda p: p.dim == n))
+    d = draw(st.integers(0, n - 1))
+    origin = draw(st.tuples(*[st.integers(-2, 2)] * n))
+    directions = [draw(st.tuples(*[st.integers(-1, 1)] * n)) for _ in range(d)]
+    corners = [tuple(int(i == j) for j in range(d)) for i in range(-1, d)]
+    steps = corners + draw(st.lists(st.tuples(*[st.integers(0, 1)] * d), max_size=3))
+    return polytope.from_points(
+        [tuple(o + sum(c * u[j] for c, u in zip(cs, directions)) for j, o in enumerate(origin))
+         for cs in steps]
+    )
+
+
+def sample_polytopes():
+    """The 3-cube, the 3-cross-polytope and a prism over a pentagon."""
+    cube = polytope.from_points([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+    cross = polytope.from_points([tuple(s * int(i == j) for j in range(3)) for i in range(3) for s in (1, -1)])
+    pentagon = polytope.from_points([(0, 0, 0), (2, 0, 0), (3, 2, 0), (1, 3, 0), (-1, 1, 0)])
+    return {"cube": cube, "cross-polytope": cross, "pentagon prism": polytope.prism(pentagon)}

@@ -260,6 +260,16 @@ def test_nval_caps_are_inclusive(monkeypatch, capsys):
     assert "9 unimodular triangles" in cli_error(monkeypatch, capsys, ["nval"], stdin=NINE_TRIANGLES)
 
 
+def test_nval_time_does_not_grow_with_triangle_width():
+    # T = 1000 triangles up to 1000 wide, inside the cap; it took 10-15 s while each new
+    # triangle shape was enumerated, and the digest is that code's output
+    done = in_child(["nval"], stdin=json.dumps({"vertices": [[0, 0], [2000, 1], [1000, 1]]}))
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == (
+        "29fe0e81be9d81fb41f5701872dd2822887eed921553bdbdb785c01a81dc0dbe"
+    )
+
+
 def test_high_rank_moment_of_few_points_in_a_dense_lattice():
     # a unimodular 5-simplex in Z^6 off the origin: its 6 points are summed one by one,
     # where a plan from its dense lattice rows would have up to 6188 x 6188 entries at rank 12

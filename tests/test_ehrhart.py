@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -6,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_point, random_polytope
+from conftest import polytopes, random_point, random_polytope, sample_polytopes
 from lattens import ehrhart
 from lattens.cli import EHRHART_MAX_DIM, EHRHART_MAX_RANK
 from lattens.ehrhart import (
     CheckReport,
     _complete_homogeneous,
     _range_power_sums,
+    _simplicial_pieces,
     _vandermonde_inverse,
     check_equivariance,
     check_reciprocity,
@@ -335,3 +337,27 @@ def test_complete_homogeneous_matches_brute_force(case, rank):
     h = _complete_homogeneous(vectors, n, rank)
     assert all(isinstance(c, int) for c in h.values())
     assert {mono: c for mono, c in h.items() if c} == brute_complete_homogeneous(vectors, n, rank)
+
+
+def reference_simplicial_pieces(p):
+    """The pulling triangulation moment_tensor used to run, re-hulling each facet."""
+    if p.dim <= 0 or len(p.vertices) == p.dim + 1:
+        return [p.vertices]
+    apex = p.vertices[0]
+    pieces = []
+    for a, b in p.facet_inequalities:
+        if sum(x * y for x, y in zip(a, apex)) != b:
+            tight = [v for v in p.vertices if sum(x * y for x, y in zip(a, v)) == b]
+            pieces += [(apex,) + simplex for simplex in reference_simplicial_pieces(LatticePolytope(tight))]
+    return pieces
+
+
+@settings(max_examples=100, deadline=None)
+@given(polytopes())
+def test_simplicial_pieces_match_rehull(p):
+    assert Counter(_simplicial_pieces(p)) == Counter(reference_simplicial_pieces(p))
+
+
+def test_simplicial_pieces_of_sample_polytopes_match_rehull():
+    for p in sample_polytopes().values():
+        assert Counter(_simplicial_pieces(p)) == Counter(reference_simplicial_pieces(p))

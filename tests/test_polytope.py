@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_polytope
+from conftest import polytopes, random_polytope, sample_polytopes
 from lattens import points
 from lattens.ehrhart import moment_tensor
 from lattens.linalg import (
@@ -316,26 +316,6 @@ def test_ambient_hull_matches_reduced_coordinate_hull(case):
 # -- mapped half-space data against the re-hull ------------------------------------
 
 
-@st.composite
-def polytopes(draw):
-    """Lattice polytopes in Z^1..Z^4; one in three spans a lower-dimensional
-    affine subspace along drawn directions, not necessarily axis-parallel."""
-    n = draw(st.integers(1, 4))
-    if draw(st.integers(0, 2)):
-        grid = st.tuples(*[st.integers(0, 2)] * n)
-        full = st.lists(grid, min_size=n + 1, max_size=n + 5).map(from_points)
-        return draw(full.filter(lambda p: p.dim == n))
-    d = draw(st.integers(0, n - 1))
-    origin = draw(st.tuples(*[st.integers(-2, 2)] * n))
-    directions = [draw(st.tuples(*[st.integers(-1, 1)] * n)) for _ in range(d)]
-    corners = [tuple(int(i == j) for j in range(d)) for i in range(-1, d)]
-    steps = corners + draw(st.lists(st.tuples(*[st.integers(0, 1)] * d), max_size=3))
-    return from_points(
-        [tuple(o + sum(c * u[j] for c, u in zip(cs, directions)) for j, o in enumerate(origin))
-         for cs in steps]
-    )
-
-
 def reference_image(p, f):
     """The re-hull the constructions used to run: the hull of the mapped vertices."""
     return LatticePolytope([f(v) for v in p.vertices], ambient_dim=p.ambient_dim)
@@ -392,3 +372,59 @@ def test_transform_matches_rehull(p, seed, steps, t):
 def test_transform_refuses_map_of_wrong_size():
     with pytest.raises(ValueError, match="3 x 3"):
         transform(standard_simplex(3, 3), UnimodularMap.identity(2))
+
+
+# -- faces read off the incidences against the re-hull ------------------------------
+
+
+def reference_faces(p):
+    """The face walk faces used to run: every facet's tight vertices re-hulled."""
+    if p.is_empty:
+        return []
+    found = {p.vertices: p}
+    stack = [p]
+    while stack:
+        poly = stack.pop()
+        for a, b in poly.facet_inequalities:
+            tight = tuple(v for v in poly.vertices if _dot(a, v) == b)
+            if tight not in found:
+                found[tight] = LatticePolytope(tight)
+                stack.append(found[tight])
+    return sorted(found.values(), key=lambda f: (f.dim, f.vertices))
+
+
+def assert_faces_match_rehull(p):
+    fs, refs = faces(p), reference_faces(p)
+    assert [f.vertices for f in fs] == [f.vertices for f in refs]
+    for face, ref in zip(fs, refs):
+        assert_same_polytope(face, ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polytopes())
+def test_faces_match_rehull(p):
+    assert_faces_match_rehull(p)
+
+
+@pytest.mark.parametrize("name", sorted(sample_polytopes()))
+def test_faces_of_sample_polytopes_match_rehull(name):
+    p = sample_polytopes()[name]
+    assert p.dim == 3 and len(p.vertices) == {"cube": 8, "cross-polytope": 6, "pentagon prism": 10}[name]
+    assert_faces_match_rehull(p)
+
+
+def test_faces_and_moment_tensor_run_no_hull(monkeypatch):
+    cube, other = sample_polytopes()["cube"], sample_polytopes()["cube"]
+    hulls = []
+    init = LatticePolytope.__init__
+
+    def counted(self, *args, **kwargs):
+        hulls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LatticePolytope, "__init__", counted)
+    assert len(faces(cube)) == 27
+    # a fresh cube, so the pulling triangulation finds no facets cached by faces
+    half = Fraction(1, 2)
+    assert moment_tensor(other, 1).coords == {(1, 0, 0): half, (0, 1, 0): half, (0, 0, 1): half}
+    assert hulls == []

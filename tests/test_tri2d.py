@@ -10,6 +10,8 @@ from lattens.tensor import apply_linear, sym_product
 from lattens.tri2d import (
     FlipError,
     Triangulation2D,
+    _cross,
+    _triangle_cube,
     admissible_flips,
     flip,
     flip_walk,
@@ -154,3 +156,31 @@ def test_triangulation_dataclass_canonicalization():
     tri = Triangulation2D(((0, 0), (1, 0), (0, 1)), ((2, 1, 0),))
     assert tri.triangles == ((0, 1, 2),)
     validate_triangulation(tri)
+
+
+def reference_cube(points):
+    """The per-shape value nval used to compute: the triangle's own expansion, cubed."""
+    linear = ehrhart_tensors(from_points(points), 3).coefficient(1)
+    return sym_product(sym_product(linear, linear), linear)
+
+
+def test_triangle_cubes_match_enumerated_triangles():
+    rng = random.Random(53)
+    polygons = [random_polytope(rng, ambient=2, coord_bound=8, dim=2) for _ in range(6)]
+    polygons.append(from_points([(0, 0), (21, 1), (1, 1)]))  # a fan of thin triangles up to 21 wide
+    triangles = set()
+    for p in polygons:
+        base = unimodular_triangulation(p)
+        for seed in range(3):
+            walked = flip_walk(base, seed=seed, steps=2 * len(base.triangles))
+            triangles.update(tuple(sorted(walked.triangle_points(t))) for t in walked.triangles)
+    # both orientations of the map e_1 -> u, e_2 -> v from T_2 occur
+    assert {_cross(*t) for t in triangles} == {1, -1}
+    for t in triangles:
+        assert _triangle_cube(t) == reference_cube(t), t
+
+
+def test_valuation_refuses_non_unimodular_triangle():
+    wedge = ((0, 0), (2, 0), (0, 1))
+    with pytest.raises(ValueError, match="not unimodular"):
+        valuation_n(from_points(wedge), Triangulation2D(wedge, ((0, 1, 2),)))
