@@ -28,7 +28,6 @@ from .polytope import (
 from .tensor import SymTensor
 
 EHRHART_MAX_RANK = 12
-EHRHART_MAX_DIM = 6
 PLANAR_MAX_RANK = 20
 PRISM_MAX_DIM = 7
 PRISM_MAX_RANK = 8
@@ -56,7 +55,7 @@ def _read_polytope(args) -> LatticePolytope:
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read polytope JSON: {exc}") from exc
     try:
-        return polytope_from_json_dict(data, max_dim=EHRHART_MAX_DIM)
+        return polytope_from_json_dict(data)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 

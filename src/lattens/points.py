@@ -31,7 +31,7 @@ from math import ceil, gcd
 from operator import mul
 
 from .linalg import integer_kernel
-from .polytope import LatticePolytope, _dot, _identity
+from .polytope import LatticePolytope, _dot, _identity, _maximal_tight
 
 _MAX_SCAN_CELLS = 50_000_000
 
@@ -108,21 +108,10 @@ def _project(rows, j, verts):
             if any(c):
                 keep.append(_primitive(c, u * du + w * dd, u * su + w * sd))
     # a row is a facet of the projection iff its set of tight projected
-    # vertices is maximal; of equal facets keep the one with the largest s
-    best = {}
-    for c, d, s in keep:
-        mask = 0
-        for i, v in enumerate(verts):
-            if _dot(c, v) == d:
-                mask |= 1 << i
-        if mask and (mask not in best or s > best[mask][2]):
-            best[mask] = (c, int(d), s)
-    masks = sorted(best, key=lambda x: -bin(x).count("1"))
-    facets = []
-    for mask in masks:
-        if all(mask & other != mask for other, _ in facets):
-            facets.append((mask, best[mask]))
-    return [row for _, row in facets]
+    # vertices is maximal; of equal facets _maximal_tight keeps the first,
+    # here the one with the largest s
+    keep.sort(key=lambda row: row[2], reverse=True)
+    return [(c, int(d), s) for c, d, s in _maximal_tight(keep, verts)]
 
 
 @lru_cache(maxsize=8)

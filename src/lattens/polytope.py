@@ -8,33 +8,36 @@ in any dimension.  Nothing else is stored; the lattice frame in which the
 points of a lower-dimensional polytope are enumerated is derived from
 these fields in points.
 
-Only the constructor, on point sets, runs the convex hull.  It tests the
-hyperplanes of the affine hull through affinely independent subsets of
-the points; a candidate's normal is the primitive integer solution of
-its difference rows together with the hull equalities, so it lies in the
-direction space.  Faces are read off the vertex-facet incidences and
-keep their parent's normals.  Images under dilation, translation,
-negation and unimodular maps map the vertices and half-spaces through
-one code path: x -> k M x + t with M in GL_n(Z) sends a . x <= b to
-(a M^-1) . x <= k b + (a M^-1) . t, and primitive normals stay
-primitive because M^-1 is an integer matrix.
+Only the constructor, on point sets, runs the convex hull: double
+description in integers (Motzkin, Raiffa, Thompson and Thrall 1953;
+Fukuda and Prodon 1996) from the first m-simplex among the sorted
+points, adding the others in lex order.  Normals lie in the direction
+space, so each facet has one row.  A facet is a row whose set of tight
+points is maximal (_maximal_tight), the rule that also gives a face's
+facets and the fiber bounds in points.  Faces are read off the
+vertex-facet incidences and keep their parent's normals.  Images under
+dilation, translation, negation and unimodular maps map the vertices and
+half-spaces through one code path: x -> k M x + t with M in GL_n(Z)
+sends a . x <= b to (a M^-1) . x <= k b + (a M^-1) . t, and primitive
+normals stay primitive because M^-1 is an integer matrix.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
-from math import comb
+from functools import cached_property, reduce
+from math import comb, gcd
 from numbers import Integral
+from operator import or_
 
 from .linalg import det, invert_matrix, rank_bareiss, rational_row_space_equations
 
 Point = tuple[int, ...]
 
 MAX_AMBIENT_DIM = 6
-# the hull tests up to C(N, m) subsets of N points, about 0.1 ms each
+# bounds the input size only, as the hull tests no subsets: 100,000 collinear points, the
+# slowest accepted input measured, took 3.6 s in `lattens count` (2-vCPU machine, Python 3.11)
 MAX_HULL_SUBSETS = 100_000
 
 
@@ -79,7 +82,7 @@ class LatticePolytope:
         self.dim = m
         self.hull_equalities = tuple((tuple(row), _dot(row, origin)) for row in eq_rows)
 
-        facets = _facets_of_point_set(pts, m, eq_rows)
+        facets = _facets_of_point_set(pts, m, eq_rows) if m else []
         # a point is extreme iff its tight facet normals span the direction space
         self.vertices = tuple(
             p for p in pts if m == 0 or rank_bareiss([a for a, b in facets if _dot(a, p) == b]) == m
@@ -127,9 +130,7 @@ class LatticePolytope:
         out = []
         for a, b in self.facet_inequalities:
             verts = tuple(v for v in self.vertices if _dot(a, v) == b)
-            tight = {g: {v for v in verts if _dot(g[0], v) == g[1]} for g in self.facet_inequalities}
-            proper = [(g, t) for g, t in tight.items() if t and len(t) < len(verts)]
-            kept = tuple(g for g, t in proper if not any(t < u for _, u in proper))
+            kept = tuple(_maximal_tight(self.facet_inequalities, verts))
             out.append(_polytope(self.ambient_dim, self.dim - 1, verts, self.hull_equalities + ((a, b),), kept))
         return tuple(out)
 
@@ -149,33 +150,61 @@ class LatticePolytope:
         return f"LatticePolytope({list(map(list, self.vertices))})"
 
 
-def _facets_of_point_set(points: list[Point], m: int, eq_rows) -> list[tuple[Point, int]]:
-    """Facet inequalities of conv(points), an m-polytope with hull equations eq_rows . x = const.
+def _maximal_tight(rows, points) -> list:
+    """The rows (a, b, ...), in order, whose tight points, a . x = b, form maximal non-empty proper sets.
 
-    Candidates are the hyperplanes of the affine hull through affinely
-    independent m-subsets.  The normals c with c . (p - base) = 0 for the
-    subset and eq_rows . c = 0 form one line of the direction space, and its
-    primitive integer generator is the candidate's normal.  Those valid for
-    the whole point set are kept, deduplicated and sorted, as pairs
-    (primitive integer normal a, offset b) with a . x <= b.
+    Of rows with equal sets, the first is kept.
     """
-    if m == 0:
-        return []
-    facets = set()
-    for subset in combinations(points, m):
-        base = subset[0]
-        diffs = [[x - y for x, y in zip(p, base)] for p in subset[1:]]
-        normals = rational_row_space_equations(diffs + eq_rows, len(base))
-        if len(normals) != 1:
-            continue
-        g = tuple(normals[0])
-        h = _dot(g, base)
-        values = [_dot(g, p) for p in points]
-        if all(v <= h for v in values):
-            facets.add((g, h))
-        elif all(v >= h for v in values):
-            facets.add((tuple(-x for x in g), -h))
-    return sorted(facets)
+    full = (1 << len(points)) - 1
+    first = {}  # each set, a bitmask over the points, and its first row
+    for i, (a, b, *_) in enumerate(rows):
+        s = sum(1 << k for k, x in enumerate(points) if _dot(a, x) == b)
+        if s and s != full:
+            first.setdefault(s, i)
+    kept = []
+    for s in sorted(first, key=int.bit_count, reverse=True):
+        if all(s & t != s for t in kept):
+            kept.append(s)
+    return [rows[i] for i in sorted(first[s] for s in kept)]
+
+
+def _facets_of_point_set(points: list[Point], m: int, eq_rows) -> list[tuple[Point, int]]:
+    """Sorted facet inequalities (a, b), a . x <= b with a primitive, of conv(points), an m-polytope, m > 0.
+
+    The first simplex's facet normals solve their difference rows with the
+    hull equations eq_rows; each further point joins each facet it violates
+    to each it satisfies strictly and shares a ridge's m - 1 points with.
+    """
+    simplex = points[:1]
+    for p in points:
+        if len(simplex) <= m and rank_bareiss([[x - y for x, y in zip(q, p)] for q in simplex]) == len(simplex):
+            simplex.append(p)
+    # facets are rows (a, b, t), t the points with a . x = b as bits, in the order added (the simplex first)
+    facets = []
+    for k, apex in enumerate(simplex):
+        base, *rest = (q for q in simplex if q is not apex)
+        (g,) = rational_row_space_equations([[x - y for x, y in zip(q, base)] for q in rest] + eq_rows, len(base))
+        h, t = _dot(g, base), (1 << m + 1) - 1 - (1 << k)
+        facets.append((tuple(g), h, t) if _dot(g, apex) < h else (tuple(-x for x in g), -h, t))
+    # the points on the boundary of the hull so far, by bit; a point inside it stays inside
+    live = dict(enumerate(simplex))
+    for i, p in enumerate((q for q in points if q not in simplex), m + 1):
+        live[i] = p
+        slacks = [(f, f[1] - _dot(f[0], p)) for f in facets]
+        outs = [(f, s) for f, s in slacks if s < 0]
+        ins = [(f, s) for f, s in slacks if s > 0]
+        through = [(a, b, t | 1 << i) for (a, b, t), s in slacks if s == 0]
+        for (a, b, t), s in outs:
+            for (c, d, w), u in ins:
+                if (t & w).bit_count() >= m - 1:
+                    normal = [u * x - s * y for x, y in zip(a, c)]
+                    g = gcd(*normal)
+                    through.append((tuple(x // g for x in normal), (u * b - s * d) // g, t & w | 1 << i))
+        # the facets p satisfies strictly stay; of the rows through p, those with maximal tight sets are facets
+        facets = [f for f, _ in ins] + _maximal_tight(through, list(live.values()))
+        boundary = reduce(or_, (t for _, _, t in facets))
+        live = {k: x for k, x in live.items() if boundary >> k & 1}
+    return sorted((a, b) for a, b, _ in facets)
 
 
 # -- constructions -------------------------------------------------------------
@@ -389,7 +418,7 @@ def random_unimodular(n: int, seed: int, steps: int) -> UnimodularMap:
 # -- JSON ----------------------------------------------------------------------
 
 
-def polytope_from_json_dict(data: dict, max_dim: int = MAX_AMBIENT_DIM) -> LatticePolytope:
+def polytope_from_json_dict(data: dict) -> LatticePolytope:
     verts = data.get("vertices") if isinstance(data, dict) else None
     if not isinstance(verts, list) or not verts:
         raise ValueError("polytope JSON needs a non-empty \"vertices\" list")
@@ -398,8 +427,8 @@ def polytope_from_json_dict(data: dict, max_dim: int = MAX_AMBIENT_DIM) -> Latti
         if not isinstance(v, list) or not all(isinstance(c, int) and not isinstance(c, bool) for c in v):
             raise ValueError("vertices must be lists of integers")
     n = len(verts[0])
-    if n > max_dim:
-        raise ValueError(f"ambient dimension capped at {max_dim}")
+    if n > MAX_AMBIENT_DIM:
+        raise ValueError(f"ambient dimension capped at {MAX_AMBIENT_DIM}")
     distinct = len({tuple(v) for v in verts})
     subsets = max(comb(distinct, m) for m in range(n + 1))
     if subsets > MAX_HULL_SUBSETS:

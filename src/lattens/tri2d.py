@@ -72,7 +72,7 @@ def validate_triangulation(tri: Triangulation2D) -> None:
     used = {i for t in tri.triangles for i in t}
     if used != set(range(len(tri.points))):
         raise ValueError("every lattice point must be a triangulation vertex")
-    if sum(tri.doubled_area(t) for t in tri.triangles) != _hull_doubled_area(tri.points):
+    if len(tri.triangles) != _hull_doubled_area(tri.points):
         raise ValueError("triangle areas do not add up to the polygon area")
     for e, ts in tri._edge_index.items():
         if len(ts) > 2:
@@ -211,8 +211,6 @@ def _degree_one_cubic_tensor(anchored: tuple[Point, Point, Point]) -> SymTensor:
     triangle is enumerated.
     """
     _, u, v = anchored
-    if abs(u[0] * v[1] - u[1] * v[0]) != 1:
-        raise ValueError(f"triangle {anchored} is not unimodular")
     return apply_linear(_standard_cube(), ((u[0], v[0]), (u[1], v[1])))
 
 
@@ -227,11 +225,16 @@ def valuation_n(p: LatticePolytope, triangulation: Triangulation2D | None = None
     degree-1 rank-3 expansion coefficients of the triangles.
 
     Vanishes on polygons of dimension at most one; the value is independent
-    of the chosen triangulation.
+    of the chosen triangulation, which must be a unimodular triangulation
+    on the lattice points of p.
     """
     if p.ambient_dim != 2:
         raise ValueError("the rank-9 valuation lives on lattice polygons")
     if p.is_empty or p.dim <= 1:
         return SymTensor.zero(2, 9)
+    if triangulation is not None:
+        validate_triangulation(triangulation)
+        if sorted(triangulation.points) != lattice_points(p):
+            raise ValueError("the triangulation's points are not the polygon's lattice points")
     tri = triangulation if triangulation is not None else unimodular_triangulation(p)
     return sum((_triangle_cube(tri.triangle_points(t)) for t in tri.triangles), SymTensor.zero(2, 9))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import polytopes, random_point, random_polytope, sample_polytopes
 from lattens import ehrhart
-from lattens.cli import EHRHART_MAX_DIM, EHRHART_MAX_RANK
+from lattens.cli import EHRHART_MAX_RANK
 from lattens.ehrhart import (
     CheckReport,
     _complete_homogeneous,
@@ -26,6 +26,7 @@ from lattens.ehrhart import (
 )
 from lattens.points import count, fibers
 from lattens.polytope import (
+    MAX_AMBIENT_DIM,
     LatticePolytope,
     UnimodularMap,
     dilate,
@@ -274,7 +275,7 @@ def test_check_equivariance_refuses_non_integer_matrix():
 
 
 def test_vandermonde_inverse_up_to_cli_caps():
-    for degree in range(EHRHART_MAX_RANK + EHRHART_MAX_DIM + 1):
+    for degree in range(EHRHART_MAX_RANK + MAX_AMBIENT_DIM + 1):
         weights, d = _vandermonde_inverse(degree)
         nodes = range(degree + 1)
         product = [[sum(k**j * weights[j][i] for j in nodes) for i in nodes] for k in nodes]

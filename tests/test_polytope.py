@@ -1,14 +1,18 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import polytopes, random_polytope, sample_polytopes
-from lattens import points
+from lattens import points, polytope
 from lattens.ehrhart import moment_tensor
 from lattens.linalg import (
     det,
@@ -22,6 +26,7 @@ from lattens.polytope import (
     LatticePolytope,
     UnimodularMap,
     _dot,
+    _maximal_tight,
     dilate,
     dissect_prism,
     faces,
@@ -311,6 +316,104 @@ def test_ambient_hull_matches_reduced_coordinate_hull(case):
     dim, vertices, equalities, facets = reference_hull(pts, n)
     assert (p.dim, p.vertices, p.hull_equalities) == (dim, vertices, equalities)
     assert p.facet_inequalities == tuple(sorted(facets))
+
+
+# -- double description against the subset hull ------------------------------------
+
+
+def reference_subset_facets(points, m, eq_rows):
+    """The hull the constructor used to run: every affinely independent m-subset of the points.
+
+    The normals c with c . (p - base) = 0 for the subset and eq_rows . c = 0
+    form one line of the direction space, and its primitive integer
+    generator is the candidate's normal.  Those valid for the whole point set
+    are kept, deduplicated and sorted.
+    """
+    if m == 0:
+        return []
+    facets = set()
+    for subset in combinations(points, m):
+        base = subset[0]
+        diffs = [[x - y for x, y in zip(p, base)] for p in subset[1:]]
+        normals = rational_row_space_equations(diffs + eq_rows, len(base))
+        if len(normals) != 1:
+            continue
+        g = tuple(normals[0])
+        h = _dot(g, base)
+        values = [_dot(g, p) for p in points]
+        if all(v <= h for v in values):
+            facets.add((g, h))
+        elif all(v >= h for v in values):
+            facets.add((tuple(-x for x in g), -h))
+    return sorted(facets)
+
+
+def assert_hull_matches_subset_reference(pts):
+    p = LatticePolytope(pts)
+    eq_rows = [list(a) for a, _ in p.hull_equalities]
+    assert p.facet_inequalities == tuple(reference_subset_facets(sorted(set(pts)), p.dim, eq_rows))
+
+
+@st.composite
+def redundant_point_sets(draw):
+    """Up to 20 points in Z^1..Z^6 on a grid of 1..n drawn directions (possibly
+    dependent), many of them repeated or not extreme.  With 4 or more directions
+    the points are fewer, so the subset reference tests at most 1,820 subsets."""
+    n = draw(st.integers(1, 6))
+    d = n - draw(st.integers(0, n - 1))
+    origin = draw(st.tuples(*[st.integers(-3, 3)] * n))
+    directions = [draw(st.tuples(*[st.integers(-2, 2)] * n)) for _ in range(d)]
+    size = draw(st.integers(d + 1, {4: 16, 5: 13, 6: 12}.get(d, 20)))
+    steps = draw(st.lists(st.tuples(*[st.integers(0, 2)] * d), min_size=size, max_size=size))
+    return [tuple(o + sum(c * u[j] for c, u in zip(cs, directions)) for j, o in enumerate(origin)) for cs in steps]
+
+
+@settings(max_examples=200, deadline=None)
+@given(redundant_point_sets())
+def test_hull_matches_subset_reference(pts):
+    assert_hull_matches_subset_reference(pts)
+
+
+@pytest.mark.parametrize("n, ts", [(4, range(-4, 6)), (5, range(11)), (6, range(-5, 7))])
+def test_hull_of_cyclic_polytope_matches_subset_reference(n, ts):
+    # every point of the moment curve is a vertex, and the facets are many
+    assert_hull_matches_subset_reference([tuple(t**k for k in range(1, n + 1)) for t in ts])
+
+
+def test_hull_of_4_cube_solves_one_system_per_simplex_facet(monkeypatch):
+    solves = []
+    solve = polytope.rational_row_space_equations
+
+    def counted(rows, ncols):
+        solves.append(rows)
+        return solve(rows, ncols)
+
+    monkeypatch.setattr(polytope, "rational_row_space_equations", counted)
+    cube = list(product((0, 1), repeat=4))
+    # the hull equations, then one solve per facet of the first 4-simplex; the subset hull made 1,821
+    assert len(LatticePolytope(cube).facet_inequalities) == 8
+    assert len(solves) <= 4 + 2
+    monkeypatch.undo()
+    assert_hull_matches_subset_reference(cube)
+    # the doubled cube with its centre and the centres of four facets inside the point set
+    doubled = [tuple(2 * x for x in v) for v in cube]
+    assert_hull_matches_subset_reference(doubled + [(1, 1, 1, 1), (0, 1, 1, 1), (1, 2, 1, 1), (1, 1, 0, 1), (1, 1, 1, 2)])
+
+
+def test_library_counts_the_6_cube_in_seconds():
+    # the subset hull tested C(64, 6) = 7.5e7 hyperplanes, an estimated 2 h; the CLI still refuses this input
+    script = "import itertools, lattens; print(lattens.count(lattens.from_points(itertools.product((0, 1), repeat=6))))"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "64\n"
+
+
+def test_maximal_tight_keeps_first_of_equal_sets_in_order():
+    square = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    rows = [((1, 0), 1, "right"), ((1, 1), 2, "corner"), ((2, 0), 2, "right again"), ((1, 0), 0, "left"),
+            ((0, 0), 0, "everywhere"), ((1, 1), 9, "nowhere"), ((0, 1), 1, "top")]
+    assert [row[2] for row in _maximal_tight(rows, square)] == ["right", "left", "top"]
 
 
 # -- mapped half-space data against the re-hull ------------------------------------

@@ -184,3 +184,15 @@ def test_valuation_refuses_non_unimodular_triangle():
     wedge = ((0, 0), (2, 0), (0, 1))
     with pytest.raises(ValueError, match="not unimodular"):
         valuation_n(from_points(wedge), Triangulation2D(wedge, ((0, 1, 2),)))
+
+
+def test_valuation_refuses_triangulation_of_another_polygon():
+    # T_2's one triangle is a unimodular triangulation, but not of the unit square, whose value is zero
+    with pytest.raises(ValueError, match="lattice points"):
+        valuation_n(unit_square(), unimodular_triangulation(standard_simplex(2, 2)))
+    # the square's points, but one of its two triangles
+    with pytest.raises(ValueError, match="vertex"):
+        valuation_n(unit_square(), Triangulation2D(((0, 0), (0, 1), (1, 0), (1, 1)), ((0, 1, 2),)))
+    # the square's points in another order, with the other diagonal, are accepted
+    square = unimodular_triangulation(unit_square())
+    assert valuation_n(unit_square(), Triangulation2D(square.points[::-1], square.triangles)).is_zero
