@@ -36,8 +36,8 @@ from .linalg import det, invert_matrix, rank_bareiss, rational_row_space_equatio
 Point = tuple[int, ...]
 
 MAX_AMBIENT_DIM = 6
-# bounds the input size only, as the hull tests no subsets: 100,000 collinear points, the
-# slowest accepted input measured, took 3.6 s in `lattens count` (2-vCPU machine, Python 3.11)
+# bounds the input size only, as the hull tests no subsets; the slowest hull of an accepted input
+# measured, 100,000 collinear points, took 3.0 s (2-vCPU machine, Python 3.11)
 MAX_HULL_SUBSETS = 100_000
 
 
