@@ -33,12 +33,12 @@ PRISM_MAX_DIM = 7
 PRISM_MAX_RANK = 8
 EQUIVARIANCE_MAX_STEPS = 1000
 NVAL_MAX_TRIALS = 1000
-# nval on a polygon of T unimodular triangles took under 2 s at T = 1000 (fans
-# with every lattice point on the boundary, triangles up to 1000 wide); its
-# flip walks re-test every interior edge at each of 2T flips and took up to
-# 8 s at trials * T^2 = 400,000 (2-vCPU machine, Python 3.11)
+# nval on T unimodular triangles took under 1 s at T = 1000 (fans with every
+# lattice point on the boundary, triangles up to 1000 wide); a trial of
+# --check-independence (a 2T-flip walk and a valuation) costs about 0.15 ms a
+# triangle, and trials * T = 50,000 took at most 8 s (2 vCPUs, Python 3.11)
 NVAL_MAX_TRIANGLES = 1000
-NVAL_MAX_WORK = 400_000
+NVAL_MAX_WORK = 50_000
 
 
 class InputError(ValueError):
@@ -156,9 +156,9 @@ def _cmd_nval(p: LatticePolytope, args) -> int:
     size = tri2d._hull_doubled_area(p.vertices)
     if size > NVAL_MAX_TRIANGLES:
         raise InputError(f"the polygon has {size} unimodular triangles, capped at {NVAL_MAX_TRIANGLES}")
-    if trials * size * size > NVAL_MAX_WORK:
+    if trials * size > NVAL_MAX_WORK:
         raise InputError(
-            f"--check-independence {trials} on {size} triangles needs {trials} x {size}^2 edge tests, "
+            f"--check-independence {trials} on {size} triangles needs {trials} x {size} trial triangles, "
             f"capped at {NVAL_MAX_WORK}"
         )
     value = tri2d.valuation_n(p)

@@ -2,25 +2,32 @@
 
 A triangulation here always uses every lattice point of the polygon as a
 vertex; by Pick's theorem each triangle then has lattice area 1/2, so the
-triangulation is automatically unimodular.  Construction is by incremental
-lex-order insertion, attaching fans to the visible part of the hull
-boundary while keeping collinear boundary points on the chain.
+triangulation is automatically unimodular.  Construction places the points
+in lex order; the hull edges each one sees strictly end the lower and upper
+monotone chains (Andrew), kept as stacks with collinear boundary points on
+them, and are popped and fanned to it: amortised O(1) a point.  A flip walk
+flips a working copy of the edge index and keeps the admissible edges sorted;
+a flip changes only its quadrilateral, so each step tests six edges.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
+from math import lcm
 
 from .ehrhart import ehrhart_tensors
 from .points import lattice_points
 from .polytope import LatticePolytope, standard_simplex
-from .tensor import SymTensor, apply_linear, sym_product
+from .tensor import SymTensor, _pull_back_rows, multi_indices, sym_product
 
 Point = tuple[int, int]
 Triangle = tuple[int, int, int]
+RANK9 = multi_indices(2, 9)
 
 
 class FlipError(ValueError):
@@ -55,8 +62,7 @@ class Triangulation2D:
         """Map from sorted vertex-index edge to the triangles containing it."""
         out: dict[tuple[int, int], list[Triangle]] = {}
         for t in self.triangles:
-            i, j, k = t
-            for e in ((i, j), (i, k), (j, k)):
+            for e in combinations(t, 2):
                 out.setdefault(e, []).append(t)
         return out
 
@@ -100,121 +106,113 @@ def unimodular_triangulation(p: LatticePolytope) -> Triangulation2D:
     if p.dim != 2:
         raise ValueError("triangulation needs a two-dimensional polygon")
     pts = lattice_points(p)
-    index = {q: i for i, q in enumerate(pts)}
     triangles: list[Triangle] = []
-
-    path: list[Point] = []
-    boundary: list[Point] = []
-    for q in pts:
-        if boundary:
-            _insert_into_cycle(boundary, q, triangles, index)
-        else:
-            if len(path) < 2 or _cross(path[0], path[1], q) == 0:
-                path.append(q)
-                continue
-            for a, b in zip(path, path[1:]):
-                triangles.append((index[a], index[b], index[q]))
-            if _cross(path[0], path[-1], q) > 0:
-                boundary = path + [q]
-            else:
-                boundary = list(reversed(path)) + [q]
-            path = []
-
+    lower, upper = [], []  # vertex indices
+    for q, pq in enumerate(pts):
+        # q sees an edge of the lower chain from its right, one of the upper chain from its left
+        for chain, side in ((lower, 1), (upper, -1)):
+            while len(chain) >= 2 and side * _cross(pts[chain[-2]], pts[chain[-1]], pq) < 0:
+                seen = chain.pop()
+                triangles.append((chain[-1], seen, q))
+            chain.append(q)
     tri = Triangulation2D(tuple(pts), tuple(triangles))
     validate_triangulation(tri)
     return tri
 
 
-def _insert_into_cycle(boundary: list[Point], q: Point, triangles: list[Triangle], index) -> None:
-    size = len(boundary)
-    visible = [
-        i for i in range(size) if _cross(boundary[i], boundary[(i + 1) % size], q) < 0
-    ]
-    if not visible:
-        raise ValueError("insertion point is not outside the current hull")
-    for i in visible:
-        triangles.append((index[boundary[i]], index[boundary[(i + 1) % size]], index[q]))
-    # visible edges form one contiguous cyclic run; splice q in its place
-    visible_set = set(visible)
-    start = next(i for i in visible if (i - 1) % size not in visible_set)
-    run = len(visible)
-    if sorted((start + k) % size for k in range(run)) != sorted(visible):
-        raise AssertionError("visible edges are not contiguous")
-    kept = [boundary[(start + run + k) % size] for k in range(size - run + 1)]
-    boundary[:] = kept + [q]
-
-
-def _flip_targets(tri: Triangulation2D, edge: tuple[int, int]):
-    """Opposite vertices (k, l) and owner triangles of an admissibly flippable edge."""
+def _flip_targets(points, edges: dict, edge: tuple[int, int]):
+    """Opposite vertices (k, l) and owner triangles of an admissibly flippable edge, else None."""
     i, j = sorted(edge)
-    owners = tri._edge_index.get((i, j), [])
-    if len(owners) < 2:
-        raise FlipError(f"edge {(i, j)} is not an interior edge")
-    k = next(v for v in owners[0] if v not in (i, j))
-    l = next(v for v in owners[1] if v not in (i, j))
-    pi, pj, pk, pl = (tri.points[v] for v in (i, j, k, l))
-    if _cross(pi, pj, pk) * _cross(pi, pj, pl) >= 0 or _cross(pk, pl, pi) * _cross(pk, pl, pj) >= 0:
-        raise FlipError("adjacent triangles do not form a strictly convex quadrilateral")
-    return k, l, owners
+    owners = edges.get((i, j), [])
+    if len(owners) == 2:
+        k, l = (sum(t) - i - j for t in owners)
+        pi, pj, pk, pl = (points[v] for v in (i, j, k, l))
+        if _cross(pi, pj, pk) * _cross(pi, pj, pl) < 0 and _cross(pk, pl, pi) * _cross(pk, pl, pj) < 0:
+            return k, l, owners
+    return None
+
+
+def _flip_in_place(points, edges: dict, edge: tuple[int, int]) -> tuple[int, int, int, int]:
+    """Flip edge (i, j) into (k, l) in a working edge index; returns (i, j, k, l)."""
+    i, j = sorted(edge)
+    targets = _flip_targets(points, edges, (i, j))
+    if targets is None:
+        raise FlipError(f"edge {(i, j)} is not the diagonal of a strictly convex quadrilateral")
+    k, l, owners = targets
+    new = (tuple(sorted((k, l, i))), tuple(sorted((k, l, j))))
+    if any(abs(_cross(*(points[v] for v in t))) != 1 for t in new):
+        raise FlipError("flip would break unimodularity")
+    for t in owners:
+        for e in combinations(t, 2):
+            edges[e] = [s for s in edges[e] if s != t]
+    del edges[(i, j)]
+    for t in new:
+        for e in combinations(t, 2):
+            edges.setdefault(e, []).append(t)
+    return i, j, k, l
 
 
 def flip(tri: Triangulation2D, edge: tuple[int, int]) -> Triangulation2D:
     """Replace the diagonal of the strictly convex quadrilateral around an interior edge."""
-    i, j = sorted(edge)
-    k, l, owners = _flip_targets(tri, (i, j))
-    new = [t for t in tri.triangles if t not in owners]
-    new.append(tuple(sorted((k, l, i))))
-    new.append(tuple(sorted((k, l, j))))
-    out = Triangulation2D(tri.points, tuple(new))
-    if out.doubled_area(tuple(sorted((k, l, i)))) != 1 or out.doubled_area(tuple(sorted((k, l, j)))) != 1:
-        raise FlipError("flip would break unimodularity")
-    return out
+    edges = {e: list(ts) for e, ts in tri._edge_index.items()}
+    _flip_in_place(tri.points, edges, edge)
+    return Triangulation2D(tri.points, tuple({t for ts in edges.values() for t in ts}))
 
 
 def admissible_flips(tri: Triangulation2D) -> list[tuple[int, int]]:
     """Interior edges whose flip is admissible, in canonical order."""
-    out = []
-    for e in tri.interior_edges():
-        try:
-            _flip_targets(tri, e)
-        except FlipError:
-            continue
-        out.append(e)
-    return out
+    return [e for e in tri.interior_edges() if _flip_targets(tri.points, tri._edge_index, e)]
 
 
 def flip_walk(tri: Triangulation2D, seed: int, steps: int) -> Triangulation2D:
-    """Apply a deterministic pseudo-random sequence of admissible flips."""
+    """Apply a deterministic pseudo-random sequence of admissible flips.
+
+    Each step draws from the admissible edges in canonical order, as
+    admissible_flips lists them, so a seed fixes the walk.
+    """
     rng = random.Random(seed)
-    current = tri
+    points, edges = tri.points, {e: list(ts) for e, ts in tri._edge_index.items()}
+    options = admissible_flips(tri)
     for _ in range(steps):
-        options = admissible_flips(current)
         if not options:
             break
-        current = flip(current, rng.choice(options))
-    return current
+        i, j, k, l = _flip_in_place(points, edges, rng.choice(options))
+        del options[bisect_left(options, (i, j))]
+        for e in ((k, l), (i, k), (i, l), (j, k), (j, l)):
+            e = tuple(sorted(e))
+            at = bisect_left(options, e)
+            listed = options[at : at + 1] == [e]
+            if (_flip_targets(points, edges, e) is not None) != listed:
+                options[at : at + listed] = [] if listed else [e]  # delete, or insert in order
+    return Triangulation2D(points, tuple({t for ts in edges.values() for t in ts}))
 
 
 @lru_cache(maxsize=None)
-def _standard_cube() -> SymTensor:
-    """Cube of the degree-1 coefficient of the rank-3 expansion of T_2, the one triangle enumerated."""
+def _standard_cube() -> tuple[int, dict[tuple[int, int], int]]:
+    """T_2's cube, the one triangle enumerated: the lcm D of its denominators, and D * T_alpha."""
     linear = ehrhart_tensors(standard_simplex(2, 2), 3).coefficient(1)
-    return sym_product(sym_product(linear, linear), linear)
+    cube = sym_product(sym_product(linear, linear), linear)
+    d = lcm(*(c.denominator for c in cube.coords.values()))
+    return d, {a: cube.coord(a).numerator * (d // cube.coord(a).denominator) for a in RANK9}
 
 
 @lru_cache(maxsize=None)
-def _degree_one_cubic_tensor(anchored: tuple[Point, Point, Point]) -> SymTensor:
-    """Cube of the degree-1 coefficient of the rank-3 expansion of a unimodular triangle (0, u, v).
+def _degree_one_cubic_tensor(anchored: tuple[Point, Point, Point]) -> tuple[int, ...]:
+    """D times the cube of the degree-1 coefficient of the rank-3 expansion of a
+    unimodular triangle (0, u, v), in the order of RANK9.
 
     The lattice map e_1 -> u, e_2 -> v carries T_2 onto it, and the
-    expansion commutes with lattice maps, so its cube is T_2's mapped; no
-    triangle is enumerated.
+    expansion commutes with lattice maps, so its cube is apply_linear of
+    T_2's by that integer matrix: integer combinations of T_2's D-scaled
+    integer coordinates.  No triangle is enumerated.
     """
     _, u, v = anchored
-    return apply_linear(_standard_cube(), ((u[0], v[0]), (u[1], v[1])))
+    _, cube = _standard_cube()
+    rows = _pull_back_rows(((u[0], v[0]), (u[1], v[1])), RANK9)
+    return tuple(sum(c * cube[a] for a, c in rows[beta].items()) for beta in RANK9)
 
 
-def _triangle_cube(points: tuple[Point, Point, Point]) -> SymTensor:
+def _triangle_cube(points: tuple[Point, Point, Point]) -> tuple[int, ...]:
     base = min(points)
     anchored = tuple(sorted((x - base[0], y - base[1]) for x, y in points))
     return _degree_one_cubic_tensor(anchored)
@@ -226,7 +224,7 @@ def valuation_n(p: LatticePolytope, triangulation: Triangulation2D | None = None
 
     Vanishes on polygons of dimension at most one; the value is independent
     of the chosen triangulation, which must be a unimodular triangulation
-    on the lattice points of p.
+    on the lattice points of p.  Cubes are summed in integers over D.
     """
     if p.ambient_dim != 2:
         raise ValueError("the rank-9 valuation lives on lattice polygons")
@@ -237,4 +235,6 @@ def valuation_n(p: LatticePolytope, triangulation: Triangulation2D | None = None
         if sorted(triangulation.points) != lattice_points(p):
             raise ValueError("the triangulation's points are not the polygon's lattice points")
     tri = triangulation if triangulation is not None else unimodular_triangulation(p)
-    return sum((_triangle_cube(tri.triangle_points(t)) for t in tri.triangles), SymTensor.zero(2, 9))
+    d, _ = _standard_cube()
+    sums = map(sum, zip(*(_triangle_cube(tri.triangle_points(t)) for t in tri.triangles)))
+    return SymTensor(2, 9, {a: Fraction(s, d) for a, s in zip(RANK9, sums) if s})

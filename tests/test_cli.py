@@ -244,18 +244,19 @@ def test_nval_refuses_too_many_triangles_before_triangulating():
 
 
 def test_nval_refuses_too_much_flip_walk_work_before_walking():
-    # 1000 walks of 800 flips on 400 triangles would take the better part of an hour
+    # 1000 walks of 800 flips on 400 triangles, trials * T = 400,000, would take about a minute
     argv = ["nval", "--check-independence", "1000"]
     assert "check-independence" in refused_at_once(argv, stdin=json.dumps({"vertices": [[0, 0], [20, 0], [0, 20]]}))
 
 
 def test_nval_caps_are_inclusive(monkeypatch, capsys):
-    # NINE_TRIANGLES has T = 9: 2 trials need 2 * 9^2 = 162 edge tests
+    # NINE_TRIANGLES has T = 9: 2 trials need 2 * 9 = 18 trial triangles
     monkeypatch.setattr(cli, "NVAL_MAX_TRIANGLES", 9)
-    monkeypatch.setattr(cli, "NVAL_MAX_WORK", 162)
+    monkeypatch.setattr(cli, "NVAL_MAX_WORK", 18)
     code, _, _ = run_cli(monkeypatch, capsys, ["nval", "--check-independence", "2"], stdin=NINE_TRIANGLES)
     assert code == 0
-    assert "162" in cli_error(monkeypatch, capsys, ["nval", "--check-independence", "3"], stdin=NINE_TRIANGLES)
+    error = cli_error(monkeypatch, capsys, ["nval", "--check-independence", "3"], stdin=NINE_TRIANGLES)
+    assert "3 x 9 trial triangles, capped at 18" in error
     monkeypatch.setattr(cli, "NVAL_MAX_TRIANGLES", 8)
     assert "9 unimodular triangles" in cli_error(monkeypatch, capsys, ["nval"], stdin=NINE_TRIANGLES)
 

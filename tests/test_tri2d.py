@@ -1,13 +1,23 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import lcm
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_polytope
+from lattens import tri2d
 from lattens.ehrhart import ehrhart_tensors
+from lattens.points import lattice_points
 from lattens.polytope import dilate, from_points, random_unimodular, standard_simplex, transform, translate
-from lattens.tensor import apply_linear, sym_product
+from lattens.tensor import SymTensor, apply_linear, sym_product
 from lattens.tri2d import (
+    RANK9,
     FlipError,
     Triangulation2D,
     _cross,
@@ -164,6 +174,23 @@ def reference_cube(points):
     return sym_product(sym_product(linear, linear), linear)
 
 
+T2_CUBE = reference_cube(standard_simplex(2, 2).vertices)
+T2_DENOMINATOR = lcm(*(c.denominator for c in T2_CUBE.coords.values()))
+
+
+def cube_tensor(points):
+    """The integer cube the library keeps for a triangle, read as a tensor over T_2's denominator."""
+    return SymTensor(2, 9, {a: Fraction(n, T2_DENOMINATOR) for a, n in zip(RANK9, _triangle_cube(points))})
+
+
+def mapped_cube(points, swap=False):
+    """T_2's cube under the map e_1 -> b - a, e_2 -> c - a (or c - a, b - a), in Fractions,
+    as valuation_n summed it before."""
+    a, b, c = sorted(points)
+    u, v = (c, b) if swap else (b, c)
+    return apply_linear(T2_CUBE, ((u[0] - a[0], v[0] - a[0]), (u[1] - a[1], v[1] - a[1])))
+
+
 def test_triangle_cubes_match_enumerated_triangles():
     rng = random.Random(53)
     polygons = [random_polytope(rng, ambient=2, coord_bound=8, dim=2) for _ in range(6)]
@@ -177,7 +204,7 @@ def test_triangle_cubes_match_enumerated_triangles():
     # both orientations of the map e_1 -> u, e_2 -> v from T_2 occur
     assert {_cross(*t) for t in triangles} == {1, -1}
     for t in triangles:
-        assert _triangle_cube(t) == reference_cube(t), t
+        assert cube_tensor(t) == reference_cube(t), t
 
 
 def test_valuation_refuses_non_unimodular_triangle():
@@ -196,3 +223,133 @@ def test_valuation_refuses_triangulation_of_another_polygon():
     # the square's points in another order, with the other diagonal, are accepted
     square = unimodular_triangulation(unit_square())
     assert valuation_n(unit_square(), Triangulation2D(square.points[::-1], square.triangles)).is_zero
+
+
+def test_scaled_cubes_are_integral_on_the_thin_fan():
+    fan = unimodular_triangulation(from_points([(0, 0), (21, 1), (1, 1)]))
+    for t in map(fan.triangle_points, fan.triangles):
+        for swap in (False, True):  # maps of determinant -1 and +1; T_2 is symmetric, so both give the cube
+            scaled = mapped_cube(t, swap) * T2_DENOMINATOR
+            assert all(c.denominator == 1 for c in scaled.coords.values()), t
+            assert _triangle_cube(t) == tuple(scaled.coord(a).numerator for a in RANK9), t
+
+
+def reference_valuation(tri):
+    """The per-triangle Fraction sum valuation_n used to compute."""
+    return sum((mapped_cube(tri.triangle_points(t)) for t in tri.triangles), SymTensor.zero(2, 9))
+
+
+def test_valuation_matches_fraction_sum_on_seeded_polygons_and_walks():
+    rng = random.Random(67)
+    polygons = [random_polytope(rng, ambient=2, coord_bound=8, dim=2) for _ in range(8)]
+    polygons.append(from_points([(0, 0), (21, 1), (1, 1)]))
+    for p in polygons:
+        base = unimodular_triangulation(p)
+        reference = reference_valuation(base)
+        assert valuation_n(p) == reference
+        for seed in range(2):
+            walked = flip_walk(base, seed=seed, steps=2 * len(base.triangles))
+            assert reference_valuation(walked) == reference
+            assert valuation_n(p, walked) == reference
+
+
+def reference_triangulation(p):
+    """Lex-order insertion into a boundary cycle, testing every boundary edge for each new point."""
+    pts = lattice_points(p)
+    index = {q: i for i, q in enumerate(pts)}
+    triangles, path, boundary = [], [], []
+    for q in pts:
+        if boundary:
+            size = len(boundary)
+            visible = [i for i in range(size) if _cross(boundary[i], boundary[(i + 1) % size], q) < 0]
+            triangles += [(index[boundary[i]], index[boundary[(i + 1) % size]], index[q]) for i in visible]
+            start = next(i for i in visible if (i - 1) % size not in visible)
+            boundary[:] = [boundary[(start + len(visible) + k) % size] for k in range(size - len(visible) + 1)] + [q]
+        elif len(path) < 2 or _cross(path[0], path[1], q) == 0:
+            path.append(q)
+        else:
+            triangles += [(index[a], index[b], index[q]) for a, b in zip(path, path[1:])]
+            boundary = (path if _cross(path[0], path[-1], q) > 0 else path[::-1]) + [q]
+    return Triangulation2D(tuple(pts), tuple(triangles))
+
+
+def reference_flip_targets(tri, index, edge):
+    """Opposite vertices of an admissibly flippable edge of a frozen triangulation, else None."""
+    owners = index.get(edge, [])
+    if len(owners) != 2:
+        return None
+    i, j = edge
+    k, l = (next(v for v in t if v not in edge) for t in owners)
+    pi, pj, pk, pl = (tri.points[v] for v in (i, j, k, l))
+    if _cross(pi, pj, pk) * _cross(pi, pj, pl) < 0 and _cross(pk, pl, pi) * _cross(pk, pl, pj) < 0:
+        return k, l
+    return None
+
+
+def reference_flip_walk(tri, seed, steps):
+    """Every step re-tests every interior edge, and each flip rebuilds the frozen triangulation."""
+    rng = random.Random(seed)
+    for _ in range(steps):
+        index = tri.edge_triangles()
+        options = [e for e in tri.interior_edges() if reference_flip_targets(tri, index, e)]
+        if not options:
+            break
+        edge = rng.choice(options)
+        (i, j), (k, l) = edge, reference_flip_targets(tri, index, edge)
+        kept = [t for t in tri.triangles if not {i, j} <= set(t)]
+        tri = Triangulation2D(tri.points, tuple(kept) + ((k, l, i), (k, l, j)))
+    return tri
+
+
+small_polygons = st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8)), min_size=3, max_size=6).map(
+    from_points
+).filter(lambda p: p.dim == 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polygons)
+def test_triangulation_matches_cycle_insertion_reference(p):
+    assert unimodular_triangulation(p).triangles == reference_triangulation(p).triangles
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_polygons.filter(lambda p: tri2d._hull_doubled_area(p.vertices) <= 120), st.integers(0, 10**6))
+def test_flip_walk_matches_full_retest_reference(p, seed):
+    base = unimodular_triangulation(p)
+    steps = 2 * len(base.triangles)
+    walked = flip_walk(base, seed, steps)
+    assert walked.triangles == reference_flip_walk(base, seed, steps).triangles
+    validate_triangulation(walked)
+
+
+def test_flip_walk_retests_only_the_flipped_quadrilateral(monkeypatch):
+    base = unimodular_triangulation(from_points([(0, 0), (5, 0), (5, 2), (0, 2)]))
+    assert len(base.triangles) == 20
+    steps = 2 * len(base.triangles)
+    tests = []
+    original = tri2d._flip_targets
+
+    def counted(*args):
+        tests.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(tri2d, "_flip_targets", counted)
+    walked = flip_walk(base, seed=5, steps=steps)
+    assert len(tests) <= len(base.interior_edges()) + 6 * steps
+    monkeypatch.undo()
+    assert walked.triangles == reference_flip_walk(base, 5, steps).triangles
+
+
+def test_long_strip_triangulates_in_a_second():
+    # the boundary-cycle insertion tested every boundary edge for each point: 10-15 s on 2 vCPUs, Python 3.11
+    script = (
+        "import time; from lattens.polytope import from_points; from lattens.tri2d import unimodular_triangulation\n"
+        "p = from_points([(0, 0), (4000, 0), (0, 1), (4000, 1)]); start = time.perf_counter()\n"
+        "tri = unimodular_triangulation(p); print(len(tri.triangles), time.perf_counter() - start)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=30)
+    assert done.returncode == 0, done.stderr
+    count, seconds = done.stdout.split()
+    assert count == "8000"
+    assert float(seconds) <= 1.0
