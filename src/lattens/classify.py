@@ -7,12 +7,19 @@ of T_2 together with coordinate-swap parity.  The prism family constrains
 the coordinates of Z(T_n) through the dissection of the prism over T_{n-1}
 into n unimodular simplices, together with even-permutation symmetry of
 T_n.  Ranks and kernels are computed exactly over the rationals.
+
+Rank folds a stream of rows (a prism system builds each when asked),
+eliminates the folded rows at width, 2 width, 4 width, ... rows, and stops
+once they reach full rank, the width, the number of orbit columns.  That
+proves a zero kernel exactly: no set of rows has higher rank than the whole
+system, whose rank is at most its width.  Kernels, and rows, build every row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 from .linalg import kernel_basis as _rational_kernel, rank_bareiss
@@ -40,10 +47,7 @@ class ConstraintSystem:
 
     @staticmethod
     def build(labels, tagged_rows, symmetry_generators=()) -> ConstraintSystem:
-        packed = tuple(
-            (tag, tuple(sorted((tuple(a), v) for a, v in row.items() if v != 0)))
-            for tag, row in tagged_rows
-        )
+        packed = tuple((tag, _pack(row)) for tag, row in tagged_rows)
         return ConstraintSystem(tuple(map(tuple, labels)), packed, tuple(symmetry_generators))
 
     @property
@@ -62,7 +66,7 @@ class ConstraintSystem:
             while stack:
                 cur = stack.pop()
                 for g in self.symmetry_generators:
-                    nxt = tuple(cur[g[i]] for i in range(len(g)))
+                    nxt = tuple(map(cur.__getitem__, g))
                     if nxt not in orbit:
                         orbit.add(nxt)
                         stack.append(nxt)
@@ -72,31 +76,49 @@ class ConstraintSystem:
                 rep_of[member] = rep
         return reps, rep_of
 
+    def _stream(self):
+        """The (label, value) pairs of each row, in the order rank folds them."""
+        return (row for _, row in self.rows)
 
-def _fold_rows(system: ConstraintSystem):
-    """(orbit count, orbit column of each label, rows summed onto the orbit columns)."""
+
+def _pack(row: Row) -> tuple[tuple[MultiIndex, int], ...]:
+    return tuple(sorted((tuple(a), v) for a, v in row.items() if v != 0))
+
+
+def _columns(system: ConstraintSystem) -> tuple[int, dict[MultiIndex, int]]:
+    """(orbit count, orbit column of each label)."""
     reps, rep_of = system.orbits()
     pos = {rep: i for i, rep in enumerate(reps)}
-    column = {label: pos[rep_of[label]] for label in system.labels}
-    folded = []
-    for _, row in system.rows:
-        vec = [0] * len(reps)
-        for label, value in row:
+    return len(reps), {label: pos[rep_of[label]] for label in system.labels}
+
+
+def _folded(rows, column: dict[MultiIndex, int], width: int):
+    """The rows, each a sequence of (label, value) pairs, summed onto the orbit columns; zero sums dropped."""
+    for pairs in rows:
+        vec = [0] * width
+        for label, value in pairs:
             vec[column[label]] += value
         if any(vec):
-            folded.append(vec)
-    return len(reps), column, folded
+            yield vec
 
 
 def rank(system: ConstraintSystem) -> int:
-    """Exact rank of the system, symmetry rows included."""
-    width, _, folded = _fold_rows(system)
+    """Exact rank of the system, symmetry rows included; stops once the folded rows reach full width."""
+    width, column = _columns(system)
+    folded, check = [], width
+    for vec in _folded(system._stream(), column, width):
+        folded.append(vec)
+        if len(folded) == check:
+            if rank_bareiss(folded) == width:
+                return system.unknowns
+            check *= 2
     return system.unknowns - width + rank_bareiss(folded)
 
 
 def kernel_basis(system: ConstraintSystem) -> list[list[Fraction]]:
     """Canonical rational basis of the solution space, ordered like the labels."""
-    width, column, folded = _fold_rows(system)
+    width, column = _columns(system)
+    folded = list(_folded((row for _, row in system.rows), column, width))
     return [[vec[column[label]] for label in system.labels] for vec in _rational_kernel(folded, width)]
 
 
@@ -236,12 +258,30 @@ def _alternating_generators(n: int) -> tuple[tuple[int, ...], ...]:
 PRISM_FILTERS = ("all", "en-odd", "en-even")
 
 
+class _PrismSystem(ConstraintSystem):
+    """A prism system that builds a dissection row, one per kept coordinate, only when it is asked for."""
+
+    def __init__(self, labels, kept, maps, generators):
+        self.__dict__.update(labels=labels, kept=kept, maps=maps, symmetry_generators=generators)
+
+    @cached_property
+    def rows(self):
+        """Every non-zero row, as ConstraintSystem.build packs it, in the order of the kept coordinates."""
+        rows = _pull_back_sums([(matrix, 1) for matrix in self.maps], self.kept)
+        return tuple(("dissection", _pack(row)) for row in rows.values() if any(row.values()))
+
+    def _stream(self):
+        for alpha in sorted(self.kept, key=lambda a: (-a[-1], a)):
+            yield _pull_back_sums([(matrix, 1) for matrix in self.maps], [alpha])[alpha].items()
+
+
 def prism_system(n: int, r: int, coordinate_filter: str = "all") -> ConstraintSystem:
     """Dissection constraints on the C(n+r-1, r) coordinates of a T_n tensor value.
 
     The filter selects which coordinates contribute a dissection row based
     on the parity of the final exponent; even-permutation symmetry of T_n
     is carried as generator metadata and enters rank and kernel exactly.
+    No row is built here.
     """
     if n < 3:
         raise ValueError("prism systems are built for dimension at least 3")
@@ -252,9 +292,7 @@ def prism_system(n: int, r: int, coordinate_filter: str = "all") -> ConstraintSy
     labels = multi_indices(n, r)
     parities = {"all": (0, 1), "en-odd": (1,), "en-even": (0,)}[coordinate_filter]
     kept = [alpha for alpha in labels if alpha[-1] % 2 in parities]
-    rows = _pull_back_sums([(matrix, 1) for matrix in prism_maps(n)], kept)
-    tagged = [("dissection", row) for row in rows.values() if any(row.values())]
-    return ConstraintSystem.build(labels, tagged, _alternating_generators(n))
+    return _PrismSystem(tuple(labels), kept, prism_maps(n), _alternating_generators(n))
 
 
 # -- high-rank survey -----------------------------------------------------------------

@@ -171,7 +171,7 @@ def _summer(p: LatticePolytope, rank: int):
 def _moment(p: LatticePolytope, relint: bool, rank: int) -> SymTensor:
     n, rfact = p.ambient_dim, factorial(rank)
     sums = _summer(p, rank)(fibers(p, relint=relint))
-    return SymTensor(n, rank, {a: Fraction(s, rfact) for a, s in zip(multi_indices(n, rank), sums) if s})
+    return SymTensor._trusted(n, rank, {a: Fraction(s, rfact) for a, s in zip(multi_indices(n, rank), sums) if s})
 
 
 def discrete_moment(p: LatticePolytope, r: int) -> SymTensor:
@@ -239,7 +239,7 @@ def _expansions(p: LatticePolytope, ranks) -> list[EhrhartTensorExpansion]:
                 c = sum([w * s for w, s in zip(row, values)])
                 if c:
                     coords[alpha] = Fraction(c, denom)
-            coeffs.append(SymTensor(n, r, coords))
+            coeffs.append(SymTensor._trusted(n, r, coords))
         out.append(EhrhartTensorExpansion(rank=r, coefficients=tuple(coeffs)))
     return out
 

@@ -26,7 +26,7 @@ the number of runs and points, not with the bounding box.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import ceil, gcd
 from operator import mul
 
@@ -54,7 +54,8 @@ class _Frame:
     nonzero in its last entry.  Each row is a nonnegative combination of
     facet rows with weights summing to s, so c . t <= k d holds on kP and,
     as each facet row loses 1 on the relative interior, c . t <= k d - s
-    holds there.
+    holds there.  The levels are built on first use, so that fibers checks
+    the scan cap, from the extents alone, before paying for them.
     """
 
     def __init__(self, p: LatticePolytope):
@@ -68,21 +69,24 @@ class _Frame:
             self.origin = p.vertices[0]
             self.basis = [tuple(e) for e in integer_kernel([a for a, _ in p.hull_equalities], n)]
         self.rows = None if self.full else (self.origin, *self.basis)
-        verts = [self._coordinates(v) for v in p.vertices]
-        self.extents = [max(t[j] for t in verts) - min(t[j] for t in verts) for j in range(m)]
+        self.verts = [self._coordinates(v) for v in p.vertices]
+        self.extents = [max(t[j] for t in self.verts) - min(t[j] for t in self.verts) for j in range(m)]
+        self.facets = p.facet_inequalities
 
+    @cached_property
+    def levels(self):
         # facet rows in t; each is tight at a vertex, so its offset is an integer
         levels = []
-        if m:
+        if self.basis:
             rows = []
-            for a, b in p.facet_inequalities:
+            for a, b in self.facets:
                 c, d, s = _primitive([_dot(a, e) for e in self.basis], b - _dot(a, self.origin), 1)
                 rows.append((c, int(d), s))
             levels.append(rows)
-        for j in range(m - 1, 0, -1):
-            levels.append(_project(levels[-1], j, verts))
+        for j in range(len(self.basis) - 1, 0, -1):
+            levels.append(_project(levels[-1], j, self.verts))
         levels.reverse()
-        self.levels = [[row for row in level if row[0][-1]] for level in levels]
+        return [[row for row in level if row[0][-1]] for level in levels]
 
     def _coordinates(self, x) -> tuple[int, ...]:
         # forward substitution on the pivot columns of the echelon basis

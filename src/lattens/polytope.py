@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import comb, gcd
 from numbers import Integral
-from operator import or_
+from operator import and_, or_
 
 from .linalg import det, invert_matrix, rank_bareiss, rational_row_space_equations
 
@@ -82,11 +82,7 @@ class LatticePolytope:
         self.dim = m
         self.hull_equalities = tuple((tuple(row), _dot(row, origin)) for row in eq_rows)
 
-        facets = _facets_of_point_set(pts, m, eq_rows) if m else []
-        # a point is extreme iff its tight facet normals span the direction space
-        self.vertices = tuple(
-            p for p in pts if m == 0 or rank_bareiss([a for a, b in facets if _dot(a, p) == b]) == m
-        )
+        facets, self.vertices = _facets_of_point_set(pts, m, eq_rows) if m else ([], tuple(pts))
         self.facet_inequalities = tuple(facets)
 
     # -- construction helpers ------------------------------------------------
@@ -168,8 +164,9 @@ def _maximal_tight(rows, points) -> list:
     return [rows[i] for i in sorted(first[s] for s in kept)]
 
 
-def _facets_of_point_set(points: list[Point], m: int, eq_rows) -> list[tuple[Point, int]]:
-    """Sorted facet inequalities (a, b), a . x <= b with a primitive, of conv(points), an m-polytope, m > 0.
+def _facets_of_point_set(points: list[Point], m: int, eq_rows) -> tuple[list[tuple[Point, int]], tuple[Point, ...]]:
+    """Sorted facet inequalities (a, b), a . x <= b with a primitive, of conv(points), an m-polytope, m > 0,
+    and its sorted vertices.
 
     The first simplex's facet normals solve their difference rows with the
     hull equations eq_rows; each further point joins each facet it violates
@@ -204,7 +201,10 @@ def _facets_of_point_set(points: list[Point], m: int, eq_rows) -> list[tuple[Poi
         facets = [f for f, _ in ins] + _maximal_tight(through, list(live.values()))
         boundary = reduce(or_, (t for _, _, t in facets))
         live = {k: x for k, x in live.items() if boundary >> k & 1}
-    return sorted((a, b) for a, b, _ in facets)
+    # each t is exact, as a point the hull swallows is never on a facet again; so a point is a
+    # vertex iff it is the only point on every facet through it
+    vertices = [x for k, x in live.items() if reduce(and_, (t for _, _, t in facets if t >> k & 1)) == 1 << k]
+    return sorted((a, b) for a, b, _ in facets), tuple(sorted(vertices))
 
 
 # -- constructions -------------------------------------------------------------

@@ -62,6 +62,13 @@ class SymTensor:
         object.__setattr__(self, "coords", clean)
 
     @staticmethod
+    def _trusted(dim: int, rank: int, coords: dict[MultiIndex, Fraction]) -> SymTensor:
+        """A tensor on coords as given, unchecked: non-zero Fractions on multi-indices of dim and rank."""
+        t = object.__new__(SymTensor)
+        t.__dict__.update(dim=dim, rank=rank, coords=coords)
+        return t
+
+    @staticmethod
     def zero(dim: int, rank: int) -> SymTensor:
         return SymTensor(dim, rank, {})
 
@@ -85,18 +92,18 @@ class SymTensor:
         self._check_same_space(other)
         out = dict(self.coords)
         for alpha, value in other.coords.items():
-            out[alpha] = out.get(alpha, Fraction(0)) + value
-        return SymTensor(self.dim, self.rank, out)
+            out[alpha] = out.get(alpha, 0) + value
+        return SymTensor._trusted(self.dim, self.rank, {a: v for a, v in out.items() if v})
 
     def __sub__(self, other: SymTensor) -> SymTensor:
         return self + (-other)
 
     def __neg__(self) -> SymTensor:
-        return SymTensor(self.dim, self.rank, {a: -v for a, v in self.coords.items()})
+        return SymTensor._trusted(self.dim, self.rank, {a: -v for a, v in self.coords.items()})
 
     def __mul__(self, scalar) -> SymTensor:
         s = Fraction(scalar)
-        return SymTensor(self.dim, self.rank, {a: v * s for a, v in self.coords.items()})
+        return SymTensor._trusted(self.dim, self.rank, {a: v * s for a, v in self.coords.items() if s})
 
     __rmul__ = __mul__
 
@@ -178,8 +185,8 @@ def sym_product(a: SymTensor, b: SymTensor) -> SymTensor:
         raise ValueError("dimension mismatch in symmetric product")
     rank = a.rank + b.rank
     prod = _poly_mul(_diagonal_poly(a), _diagonal_poly(b))
-    coords = {alpha: c / multinomial(rank, alpha) for alpha, c in prod.items()}
-    return SymTensor(a.dim, rank, coords)
+    coords = {alpha: c / multinomial(rank, alpha) for alpha, c in prod.items() if c}
+    return SymTensor._trusted(a.dim, rank, coords)
 
 
 def coordinate_row(vectors: Sequence[Vector], dim: int) -> dict[MultiIndex, Fraction]:
@@ -236,4 +243,4 @@ def apply_linear(t: SymTensor, matrix: Sequence[Sequence[int]]) -> SymTensor:
     coords = {}
     for beta, row in _pull_back_rows(matrix, multi_indices(n, t.rank)).items():
         coords[beta] = sum((c * t.coord(alpha) for alpha, c in row.items()), Fraction(0))
-    return SymTensor(n, t.rank, coords)
+    return SymTensor._trusted(n, t.rank, {beta: v for beta, v in coords.items() if v})

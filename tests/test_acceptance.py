@@ -172,7 +172,7 @@ def test_criterion_6_valuation():
         assert valuation_n(transform(p, phi)) == apply_linear(value, phi.matrix)
 
 
-@criterion("7. classification system ranks", 20.0)
+@criterion("7. classification system ranks", 5.0)
 def test_criterion_7_classification_ranks():
     t2 = standard_simplex(2, 2)
     for r in (3, 5, 7):

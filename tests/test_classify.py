@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from lattens import classify
 from lattens.classify import (
     PLANAR_MAP,
     PRISM_FILTERS,
@@ -23,6 +25,7 @@ from lattens.classify import (
     rank,
 )
 from lattens.ehrhart import ehrhart_tensors
+from lattens.linalg import rank_bareiss
 from lattens.polytope import standard_simplex
 from lattens.tensor import coordinate_row, multi_indices
 from lattens.tri2d import valuation_n
@@ -309,3 +312,59 @@ def test_planar_system_matches_reference_rows(r):
         tagged += [("parity", row) for row in planar_parity_rows(r, parity)]
         assert system.rows == ConstraintSystem.build(planar_labels(r), tagged).rows
         assert_integer_rows(system)
+
+
+# -- streamed rank against the eager build -----------------------------------------
+
+# every prism system of n <= 7, r <= 8 with at most 252 unknowns, as the classify benchmark runs them
+PRISM_GRID = [
+    (n, r, f) for n in range(3, 8) for r in range(2, 9) if comb(n + r - 1, r) <= 252 for f in PRISM_FILTERS
+]
+
+
+def reference_prism_rank(n, r, coordinate_filter):
+    """The former rank: every dissection row built at once, then every folded row eliminated."""
+    labels = multi_indices(n, r)
+    parities = {"all": (0, 1), "en-odd": (1,), "en-even": (0,)}[coordinate_filter]
+    kept = [alpha for alpha in labels if alpha[-1] % 2 in parities]
+    reps, rep_of = prism_system(n, r, coordinate_filter).orbits()
+    folded = []
+    for row in _pull_back_sums([(matrix, 1) for matrix in prism_maps(n)], kept).values():
+        vec = [0] * len(reps)
+        for beta, c in row.items():
+            vec[reps.index(rep_of[beta])] += c
+        folded.append(vec)
+    return len(labels) - len(reps) + rank_bareiss(folded)
+
+
+def test_streamed_prism_rank_matches_eager_build():
+    rng = random.Random(12)
+    short = []
+    for n, r, coordinate_filter in PRISM_GRID:
+        expected = reference_prism_rank(n, r, coordinate_filter)
+        system = prism_system(n, r, coordinate_filter)
+        assert rank(system) == expected, (n, r, coordinate_filter)
+        assert "rows" not in vars(system), "rank built every row"
+        # the same rows stored and fed in a seeded shuffled order
+        tagged = [(tag, dict(row)) for tag, row in system.rows]
+        rng.shuffle(tagged)
+        shuffled = ConstraintSystem.build(system.labels, tagged, system.symmetry_generators)
+        assert rank(shuffled) == expected, (n, r, coordinate_filter)
+        if expected < system.unknowns:
+            short.append((n, r, coordinate_filter))
+    # the one grid system whose stream runs out before its folded rows reach full width
+    assert short == [(3, 4, "en-odd")]
+
+
+def test_full_rank_prism_stops_after_few_rows(monkeypatch):
+    built = []
+
+    def counting(terms, alphas):
+        built.extend(alphas)
+        return _pull_back_sums(terms, alphas)
+
+    monkeypatch.setattr(classify, "_pull_back_sums", counting)
+    system = prism_system(7, 8, "all")
+    assert rank(system) == system.unknowns == 3003
+    # 21 orbit columns: the check at 21 folded rows, then at 42
+    assert len(built) <= 42

@@ -341,6 +341,12 @@ GOLDEN = [
      "d1ee429236e3b52677e58d54ad0bea727bec67d34cdfcb91e922316255d86067"),
     (["nval", "--check-independence", "2", "--seed", "3"], NINE_TRIANGLES,
      "baf4a4965a35e8d92e480403f2ce5c7210a5aacdcd207734b277ed0a02215ca5"),
+    # recorded before the prism rank streamed its rows
+    (["rank", "-n", "7", "-r", "8"], "", "85efedc550eec3fe4d705974885b09abc0e37ceb5f764c82c1ca5d69341f34d2"),
+    (["rank", "-n", "4", "-r", "8", "--kernel"], "",
+     "847a673942e8d868688f0e898ceb6e2bd7a5f7f19afaf2f703016de3b98ef478"),
+    (["rank", "-n", "3", "-r", "4", "--filter", "en-odd", "--kernel"], "",
+     "fdbdc52342b568e6960ee6f210b4b1c40b435f246f8bb59ffe01aaba7862e0bb"),
 ]
 
 

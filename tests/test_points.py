@@ -1,15 +1,25 @@
 import random
+import time
 import tracemalloc
 from itertools import product
 from fractions import Fraction
 from math import factorial, prod
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_polytope
 from lattens.ehrhart import discrete_moment, discrete_moment_relint
-from lattens.points import count, count_relint, fibers, lattice_points, lattice_rows, relint_lattice_points
+from lattens.points import (
+    ScanTooLarge,
+    count,
+    count_relint,
+    fibers,
+    lattice_points,
+    lattice_rows,
+    relint_lattice_points,
+)
 from lattens.polytope import (
     LatticePolytope,
     UnimodularMap,
@@ -113,6 +123,15 @@ def test_counts_invariant_under_lattice_symmetries():
         q = translate(transform(p, phi), (1, -2, 3))
         assert count(p) == count(q)
         assert count_relint(p) == count_relint(q)
+
+
+def test_scan_cap_refuses_before_the_fourier_motzkin_levels():
+    # the moment curve t = 0..21 in Z^6: its box is far over the cap, and building its levels took 11 s
+    p = from_points([tuple(t**k for k in range(1, 7)) for t in range(22)])
+    start = time.perf_counter()
+    with pytest.raises(ScanTooLarge):
+        count(p)
+    assert time.perf_counter() - start < 2
 
 
 def test_lex_order_is_deterministic():

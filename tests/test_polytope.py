@@ -318,6 +318,30 @@ def test_ambient_hull_matches_reduced_coordinate_hull(case):
     assert p.facet_inequalities == tuple(sorted(facets))
 
 
+def reference_vertices(p, pts):
+    """The former vertex rule: a point is a vertex iff its tight facet normals span the direction space."""
+    tight = [[a for a, b in p.facet_inequalities if _dot(a, x) == b] for x in sorted(set(pts))]
+    return tuple(x for x, rows in zip(sorted(set(pts)), tight) if p.dim == 0 or rank_bareiss(rows) == p.dim)
+
+
+@st.composite
+def cube_point_sets(draw):
+    """Up to 12 points of [-3, 3]^3 on a drawn point, line, plane or space, many inside their hull."""
+    d = draw(st.integers(0, 3))
+    origin = draw(st.tuples(*[st.integers(-1, 1)] * 3))
+    directions = [draw(st.tuples(*[st.integers(-1, 1)] * 3).filter(any)) for _ in range(d)]
+    steps = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=12))
+    pts = [tuple(o + sum(c * u[j] for c, u in zip(cs, directions)) for j, o in enumerate(origin)) for cs in steps]
+    return [x for x in pts if max(map(abs, x)) <= 3] or [origin]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cube_point_sets())
+def test_vertices_match_tight_normal_rank_reference(pts):
+    p = LatticePolytope(pts)
+    assert p.vertices == reference_vertices(p, pts)
+
+
 # -- double description against the subset hull ------------------------------------
 
 

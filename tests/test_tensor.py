@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lattens.ehrhart import discrete_moment, ehrhart_tensors
+from lattens.polytope import from_points
 from lattens.tensor import (
     SymTensor,
     _pull_back_rows,
@@ -172,6 +174,26 @@ def test_tensor_arithmetic_and_validation():
         SymTensor(2, 2, {(1, 0): 1})
     with pytest.raises(ValueError):
         a + small_tensor(dim=2, rank=1, seed=1)
+
+
+def assert_canonical(t):
+    """t holds what the public constructor would store: exact non-zero Fractions on valid multi-indices."""
+    assert t.coords == SymTensor(t.dim, t.rank, t.coords).coords
+    assert all(type(v) is Fraction and v != 0 for v in t.coords.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(tensors(), tensors(), st.fractions(min_value=-2, max_value=2, max_denominator=3))
+def test_library_built_tensors_are_canonical(a, b, s):
+    # the library builds these without the constructor's checks, so each path drops its own zeros
+    built = [a - a, a + a * s, -a, a * s, a * 0, sym_product(a, b), apply_linear(a, ((1, -1), (-1, 1)))]
+    if a.rank == b.rank:
+        built.append(a + b)
+    for t in built:
+        assert_canonical(t)
+    square = from_points([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0)])
+    for t in (discrete_moment(square, 3), *ehrhart_tensors(square, 3).coefficients):
+        assert_canonical(t)
 
 
 def test_json_round_trip_and_key_order():
