@@ -23,7 +23,7 @@ from functools import cached_property
 from math import comb
 
 from .linalg import kernel_basis as _rational_kernel, rank_bareiss
-from .tensor import MultiIndex, _pull_back_rows, multi_indices
+from .tensor import MultiIndex, _poly_mul_linear, multi_indices
 
 Row = dict[MultiIndex, int]
 
@@ -133,24 +133,38 @@ def planar_labels(r: int) -> list[MultiIndex]:
     return [(j, r - j) for j in range(r + 1)]
 
 
-def _pull_back_sums(terms, alphas: list[MultiIndex]) -> dict[MultiIndex, Row]:
-    """Row sum of s * (pull-back of z^alpha through M) over (M, s) in terms, for each alpha.
+def _pull_back_sums(terms, alphas: list[MultiIndex]):
+    """Each alpha in order, with the row sum of s * (pull-back of z^alpha through M) over (M, s) in terms.
 
-    Entries that cancel stay in the row as zeros.
+    The pull-back of z^alpha is the product of (M_j . z)^alpha_j over the rows M_j of M, taken last
+    factor first.  Each M keeps the partial products of the previous alpha, so consecutive alphas
+    share the product of their common leading factors: with equal last exponents, at least its
+    power.  Entries that cancel stay in the row as zeros.
     """
-    rows: dict[MultiIndex, Row] = {alpha: {} for alpha in alphas}
-    for matrix, sign in terms:
-        pulled = _pull_back_rows(matrix, alphas)
-        for alpha, row in rows.items():
-            for beta, c in pulled[alpha].items():
-                row[beta] = row.get(beta, 0) + sign * c
-    return rows
+    chains = [[{(0,) * len(matrix[0]): 1}] for matrix, _ in terms]
+    previous: tuple[int, ...] = ()
+    for alpha in alphas:
+        word = sum(((j,) * alpha[j] for j in reversed(range(len(alpha)))), ())
+        shared = 0  # the length of the common leading factors
+        while shared < min(len(word), len(previous)) and word[shared] == previous[shared]:
+            shared += 1
+        row: Row = {}
+        for (matrix, sign), chain in zip(terms, chains):
+            # chain[d] is the product of the first d factors
+            del chain[shared + 1 :]
+            for letter in word[shared:]:
+                chain.append(_poly_mul_linear(chain[-1], matrix[letter]))
+            for beta, c in chain[-1].items():
+                if c:
+                    row[beta] = row.get(beta, 0) + sign * c
+        previous = word
+        yield alpha, row
 
 
 def _planar_rows(r: int, matrix, sign: int) -> list[Row]:
     """The non-zero rows x_a + sign * (x pulled back through matrix)_a, |a| = r."""
     rows = _pull_back_sums([(((1, 0), (0, 1)), 1), (matrix, sign)], planar_labels(r))
-    return [row for row in rows.values() if any(row.values())]
+    return [row for _, row in rows if any(row.values())]
 
 
 def planar_relation_rows(r: int) -> list[Row]:
@@ -259,20 +273,22 @@ PRISM_FILTERS = ("all", "en-odd", "en-even")
 
 
 class _PrismSystem(ConstraintSystem):
-    """A prism system that builds a dissection row, one per kept coordinate, only when it is asked for."""
+    """A prism system that builds its dissection rows, one per kept coordinate, only when they are asked for.
 
-    def __init__(self, labels, kept, maps, generators):
-        self.__dict__.update(labels=labels, kept=kept, maps=maps, symmetry_generators=generators)
+    The kept coordinates are in stream order, largest last exponent first.
+    """
+
+    def __init__(self, labels, terms, kept, generators):
+        self.__dict__.update(labels=labels, terms=terms, kept=kept, symmetry_generators=generators)
 
     @cached_property
     def rows(self):
-        """Every non-zero row, as ConstraintSystem.build packs it, in the order of the kept coordinates."""
-        rows = _pull_back_sums([(matrix, 1) for matrix in self.maps], self.kept)
-        return tuple(("dissection", _pack(row)) for row in rows.values() if any(row.values()))
+        """Every non-zero row, as ConstraintSystem.build packs it, in lex order of the kept coordinates."""
+        built = dict(_pull_back_sums(self.terms, self.kept))
+        return tuple(("dissection", _pack(built[alpha])) for alpha in sorted(built) if any(built[alpha].values()))
 
     def _stream(self):
-        for alpha in sorted(self.kept, key=lambda a: (-a[-1], a)):
-            yield _pull_back_sums([(matrix, 1) for matrix in self.maps], [alpha])[alpha].items()
+        return (row.items() for _, row in _pull_back_sums(self.terms, self.kept))
 
 
 def prism_system(n: int, r: int, coordinate_filter: str = "all") -> ConstraintSystem:
@@ -291,8 +307,9 @@ def prism_system(n: int, r: int, coordinate_filter: str = "all") -> ConstraintSy
         raise ValueError(f"filter must be one of {PRISM_FILTERS}")
     labels = multi_indices(n, r)
     parities = {"all": (0, 1), "en-odd": (1,), "en-even": (0,)}[coordinate_filter]
-    kept = [alpha for alpha in labels if alpha[-1] % 2 in parities]
-    return _PrismSystem(tuple(labels), kept, prism_maps(n), _alternating_generators(n))
+    kept = sorted((alpha for alpha in labels if alpha[-1] % 2 in parities), key=lambda alpha: (-alpha[-1], alpha))
+    terms = [(matrix, 1) for matrix in prism_maps(n)]
+    return _PrismSystem(tuple(labels), terms, kept, _alternating_generators(n))
 
 
 # -- high-rank survey -----------------------------------------------------------------

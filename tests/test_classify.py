@@ -27,7 +27,7 @@ from lattens.classify import (
 from lattens.ehrhart import ehrhart_tensors
 from lattens.linalg import rank_bareiss
 from lattens.polytope import standard_simplex
-from lattens.tensor import coordinate_row, multi_indices
+from lattens.tensor import _pull_back_rows, coordinate_row, multi_indices
 from lattens.tri2d import valuation_n
 
 
@@ -48,7 +48,7 @@ def planar_square_rows(r):
 def prism_relation_row(n, alpha):
     """Row asserting that the dissection pieces sum to zero at coordinate alpha."""
     alpha = tuple(alpha)
-    row = _pull_back_sums([(matrix, 1) for matrix in prism_maps(n)], [alpha])[alpha]
+    ((_, row),) = _pull_back_sums([(matrix, 1) for matrix in prism_maps(n)], [alpha])
     return {k: v for k, v in row.items() if v != 0}
 
 
@@ -322,29 +322,57 @@ PRISM_GRID = [
 ]
 
 
-def reference_prism_rank(n, r, coordinate_filter):
-    """The former rank: every dissection row built at once, then every folded row eliminated."""
+def eager_pull_back_sums(terms, alphas):
+    """The former _pull_back_sums: every alpha pulled back at once through each map, then summed."""
+    rows = {alpha: {} for alpha in alphas}
+    for matrix, sign in terms:
+        for alpha, row in _pull_back_rows(matrix, alphas).items():
+            for beta, c in row.items():
+                rows[alpha][beta] = rows[alpha].get(beta, 0) + sign * c
+    return rows
+
+
+def test_pull_back_sums_in_any_order_match_the_eager_sums():
+    rng = random.Random(3)
+    for n, r in ((2, 9), (3, 5), (4, 4), (5, 3)):
+        alphas = multi_indices(n, r)
+        terms = [(matrix, (-1) ** i) for i, matrix in enumerate(prism_maps(n))]
+        expected = eager_pull_back_sums(terms, alphas)
+        for _ in range(3):
+            rng.shuffle(alphas)
+            assert list(_pull_back_sums(terms, alphas)) == [(alpha, expected[alpha]) for alpha in alphas]
+
+
+def reference_prism_build(n, r, coordinate_filter):
+    """The former build and rank: every dissection row pulled back at once, then every folded row eliminated.
+
+    Returns the rows, packed as ConstraintSystem.build packs them, and the rank.
+    """
     labels = multi_indices(n, r)
     parities = {"all": (0, 1), "en-odd": (1,), "en-even": (0,)}[coordinate_filter]
     kept = [alpha for alpha in labels if alpha[-1] % 2 in parities]
+    pulled = eager_pull_back_sums([(matrix, 1) for matrix in prism_maps(n)], kept)
+    rows = [row for row in pulled.values() if any(row.values())]
     reps, rep_of = prism_system(n, r, coordinate_filter).orbits()
     folded = []
-    for row in _pull_back_sums([(matrix, 1) for matrix in prism_maps(n)], kept).values():
+    for row in rows:
         vec = [0] * len(reps)
         for beta, c in row.items():
             vec[reps.index(rep_of[beta])] += c
         folded.append(vec)
-    return len(labels) - len(reps) + rank_bareiss(folded)
+    packed = ConstraintSystem.build(labels, [("dissection", row) for row in rows]).rows
+    return packed, len(labels) - len(reps) + rank_bareiss(folded)
 
 
 def test_streamed_prism_rank_matches_eager_build():
     rng = random.Random(12)
     short = []
     for n, r, coordinate_filter in PRISM_GRID:
-        expected = reference_prism_rank(n, r, coordinate_filter)
+        rows, expected = reference_prism_build(n, r, coordinate_filter)
         system = prism_system(n, r, coordinate_filter)
         assert rank(system) == expected, (n, r, coordinate_filter)
         assert "rows" not in vars(system), "rank built every row"
+        assert system.rows == rows, (n, r, coordinate_filter)
         # the same rows stored and fed in a seeded shuffled order
         tagged = [(tag, dict(row)) for tag, row in system.rows]
         rng.shuffle(tagged)
@@ -360,8 +388,9 @@ def test_full_rank_prism_stops_after_few_rows(monkeypatch):
     built = []
 
     def counting(terms, alphas):
-        built.extend(alphas)
-        return _pull_back_sums(terms, alphas)
+        for alpha, row in _pull_back_sums(terms, alphas):
+            built.append(alpha)
+            yield alpha, row
 
     monkeypatch.setattr(classify, "_pull_back_sums", counting)
     system = prism_system(7, 8, "all")
