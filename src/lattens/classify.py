@@ -8,11 +8,10 @@ the coordinates of Z(T_n) through the dissection of the prism over T_{n-1}
 into n unimodular simplices, together with even-permutation symmetry of
 T_n.  Ranks and kernels are computed exactly over the rationals.
 
-Rank folds a stream of rows (a prism system builds each when asked),
-eliminates the folded rows at width, 2 width, 4 width, ... rows, and stops
-once they reach full rank, the width, the number of orbit columns.  That
-proves a zero kernel exactly: no set of rows has higher rank than the whole
-system, whose rank is at most its width.  Kernels, and rows, build every row.
+Rank folds a stream of rows, which a prism system builds as they are asked
+for, and stops once they reach full rank, the number of orbit columns: no
+set of rows has higher rank than the system, whose rank is at most that
+number, so this proves a zero kernel exactly.  Kernels build every row.
 """
 
 from __future__ import annotations
@@ -20,10 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from math import comb
 
 from .linalg import kernel_basis as _rational_kernel, rank_bareiss
-from .tensor import MultiIndex, _poly_mul_linear, multi_indices
+from .tensor import MultiIndex, _pull_back_rows, multi_indices
 
 Row = dict[MultiIndex, int]
 
@@ -47,7 +47,10 @@ class ConstraintSystem:
 
     @staticmethod
     def build(labels, tagged_rows, symmetry_generators=()) -> ConstraintSystem:
-        packed = tuple((tag, _pack(row)) for tag, row in tagged_rows)
+        packed = tuple(
+            (tag, tuple(sorted((tuple(a), v) for a, v in row.items() if v != 0)))
+            for tag, row in tagged_rows
+        )
         return ConstraintSystem(tuple(map(tuple, labels)), packed, tuple(symmetry_generators))
 
     @property
@@ -66,7 +69,7 @@ class ConstraintSystem:
             while stack:
                 cur = stack.pop()
                 for g in self.symmetry_generators:
-                    nxt = tuple(map(cur.__getitem__, g))
+                    nxt = tuple(cur[g[i]] for i in range(len(g)))
                     if nxt not in orbit:
                         orbit.add(nxt)
                         stack.append(nxt)
@@ -76,50 +79,39 @@ class ConstraintSystem:
                 rep_of[member] = rep
         return reps, rep_of
 
-    def _stream(self):
-        """The (label, value) pairs of each row, in the order rank folds them."""
-        return (row for _, row in self.rows)
 
-
-def _pack(row: Row) -> tuple[tuple[MultiIndex, int], ...]:
-    return tuple(sorted((tuple(a), v) for a, v in row.items() if v != 0))
-
-
-def _columns(system: ConstraintSystem) -> tuple[int, dict[MultiIndex, int]]:
-    """(orbit count, orbit column of each label)."""
+def _fold(system: ConstraintSystem):
+    """(orbit count, orbit column of each label, the rows summed onto the orbit columns, zero sums dropped)."""
+    if isinstance(system, _PrismSystem):  # build each row as it is folded, in stream order
+        rows = (row.items() for _, row in _pull_back_sums(system.terms, system.kept))
+    else:
+        rows = (row for _, row in system.rows)
     reps, rep_of = system.orbits()
     pos = {rep: i for i, rep in enumerate(reps)}
-    return len(reps), {label: pos[rep_of[label]] for label in system.labels}
+    column = {label: pos[rep_of[label]] for label in system.labels}
 
-
-def _folded(rows, column: dict[MultiIndex, int], width: int):
-    """The rows, each a sequence of (label, value) pairs, summed onto the orbit columns; zero sums dropped."""
-    for pairs in rows:
-        vec = [0] * width
+    def fold(pairs):
+        vec = [0] * len(reps)
         for label, value in pairs:
             vec[column[label]] += value
-        if any(vec):
-            yield vec
+        return vec
+
+    return len(reps), column, (vec for vec in map(fold, rows) if any(vec))
 
 
 def rank(system: ConstraintSystem) -> int:
-    """Exact rank of the system, symmetry rows included; stops once the folded rows reach full width."""
-    width, column = _columns(system)
-    folded, check = [], width
-    for vec in _folded(system._stream(), column, width):
-        folded.append(vec)
-        if len(folded) == check:
-            if rank_bareiss(folded) == width:
-                return system.unknowns
-            check *= 2
-    return system.unknowns - width + rank_bareiss(folded)
+    """Exact rank of the system, symmetry rows included, eliminating width, 2 width, 4 width, ... folded rows."""
+    width, _, stream = _fold(system)
+    folded = list(islice(stream, width))
+    while (found := rank_bareiss(folded)) < width and (more := list(islice(stream, len(folded)))):
+        folded += more
+    return system.unknowns - width + found
 
 
 def kernel_basis(system: ConstraintSystem) -> list[list[Fraction]]:
     """Canonical rational basis of the solution space, ordered like the labels."""
-    width, column = _columns(system)
-    folded = list(_folded((row for _, row in system.rows), column, width))
-    return [[vec[column[label]] for label in system.labels] for vec in _rational_kernel(folded, width)]
+    width, column, stream = _fold(system)
+    return [[vec[column[label]] for label in system.labels] for vec in _rational_kernel(list(stream), width)]
 
 
 def kernel_dim(system: ConstraintSystem) -> int:
@@ -136,28 +128,15 @@ def planar_labels(r: int) -> list[MultiIndex]:
 def _pull_back_sums(terms, alphas: list[MultiIndex]):
     """Each alpha in order, with the row sum of s * (pull-back of z^alpha through M) over (M, s) in terms.
 
-    The pull-back of z^alpha is the product of (M_j . z)^alpha_j over the rows M_j of M, taken last
-    factor first.  Each M keeps the partial products of the previous alpha, so consecutive alphas
-    share the product of their common leading factors: with equal last exponents, at least its
-    power.  Entries that cancel stay in the row as zeros.
+    M is pulled back with its rows, and alpha, reversed, the same product, so that consecutive alphas
+    share the power of M's last row and more.  Entries that cancel stay in the row as zeros.
     """
-    chains = [[{(0,) * len(matrix[0]): 1}] for matrix, _ in terms]
-    previous: tuple[int, ...] = ()
-    for alpha in alphas:
-        word = sum(((j,) * alpha[j] for j in reversed(range(len(alpha)))), ())
-        shared = 0  # the length of the common leading factors
-        while shared < min(len(word), len(previous)) and word[shared] == previous[shared]:
-            shared += 1
+    streams = [_pull_back_rows(matrix[::-1], [alpha[::-1] for alpha in alphas]) for matrix, _ in terms]
+    for alpha, pulled in zip(alphas, zip(*streams)):
         row: Row = {}
-        for (matrix, sign), chain in zip(terms, chains):
-            # chain[d] is the product of the first d factors
-            del chain[shared + 1 :]
-            for letter in word[shared:]:
-                chain.append(_poly_mul_linear(chain[-1], matrix[letter]))
-            for beta, c in chain[-1].items():
-                if c:
-                    row[beta] = row.get(beta, 0) + sign * c
-        previous = word
+        for (_, sign), (_, part) in zip(terms, pulled):
+            for beta, c in part.items():
+                row[beta] = row.get(beta, 0) + sign * c
         yield alpha, row
 
 
@@ -273,22 +252,17 @@ PRISM_FILTERS = ("all", "en-odd", "en-even")
 
 
 class _PrismSystem(ConstraintSystem):
-    """A prism system that builds its dissection rows, one per kept coordinate, only when they are asked for.
-
-    The kept coordinates are in stream order, largest last exponent first.
-    """
+    """A prism system that builds its dissection rows, one per kept coordinate in stream order, when asked;
+    comparing, hashing or printing it builds them all, as the dataclass methods read rows."""
 
     def __init__(self, labels, terms, kept, generators):
         self.__dict__.update(labels=labels, terms=terms, kept=kept, symmetry_generators=generators)
 
     @cached_property
     def rows(self):
-        """Every non-zero row, as ConstraintSystem.build packs it, in lex order of the kept coordinates."""
-        built = dict(_pull_back_sums(self.terms, self.kept))
-        return tuple(("dissection", _pack(built[alpha])) for alpha in sorted(built) if any(built[alpha].values()))
-
-    def _stream(self):
-        return (row.items() for _, row in _pull_back_sums(self.terms, self.kept))
+        """Every non-zero row, packed by ConstraintSystem.build, in lex order of the kept coordinates."""
+        rows = _pull_back_sums(self.terms, sorted(self.kept))
+        return ConstraintSystem.build(self.labels, [("dissection", row) for _, row in rows if any(row.values())]).rows
 
 
 def prism_system(n: int, r: int, coordinate_filter: str = "all") -> ConstraintSystem:
@@ -297,7 +271,6 @@ def prism_system(n: int, r: int, coordinate_filter: str = "all") -> ConstraintSy
     The filter selects which coordinates contribute a dissection row based
     on the parity of the final exponent; even-permutation symmetry of T_n
     is carried as generator metadata and enters rank and kernel exactly.
-    No row is built here.
     """
     if n < 3:
         raise ValueError("prism systems are built for dimension at least 3")
@@ -308,8 +281,7 @@ def prism_system(n: int, r: int, coordinate_filter: str = "all") -> ConstraintSy
     labels = multi_indices(n, r)
     parities = {"all": (0, 1), "en-odd": (1,), "en-even": (0,)}[coordinate_filter]
     kept = sorted((alpha for alpha in labels if alpha[-1] % 2 in parities), key=lambda alpha: (-alpha[-1], alpha))
-    terms = [(matrix, 1) for matrix in prism_maps(n)]
-    return _PrismSystem(tuple(labels), terms, kept, _alternating_generators(n))
+    return _PrismSystem(tuple(labels), [(matrix, 1) for matrix in prism_maps(n)], kept, _alternating_generators(n))
 
 
 # -- high-rank survey -----------------------------------------------------------------

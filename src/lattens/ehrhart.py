@@ -151,7 +151,7 @@ def _summer(p: LatticePolytope, rank: int):
     def plan():
         index = {alpha: i for i, alpha in enumerate(alphas)}
         pulled = _pull_back_rows(rows, betas)
-        terms = [[(index[a], multinomial(rank, beta) * c) for a, c in pulled[beta].items()] for beta in betas]
+        terms = [[(index[a], multinomial(rank, beta) * c) for a, c in row.items()] for beta, row in pulled]
         return terms, [multinomial(rank, alpha) for alpha in alphas]
 
     def push(runs):

@@ -54,8 +54,7 @@ class _Frame:
     nonzero in its last entry.  Each row is a nonnegative combination of
     facet rows with weights summing to s, so c . t <= k d holds on kP and,
     as each facet row loses 1 on the relative interior, c . t <= k d - s
-    holds there.  The levels are built on first use, so that fibers checks
-    the scan cap, from the extents alone, before paying for them.
+    holds there.  The levels are built on first use, after the scan cap check.
     """
 
     def __init__(self, p: LatticePolytope):

@@ -212,21 +212,23 @@ def evaluate(t: SymTensor, vectors: Sequence[Vector]) -> Fraction:
     return sum((c * t.coord(alpha) for alpha, c in row.items()), Fraction(0))
 
 
-def _pull_back_rows(matrix: Sequence[Vector], betas: list[MultiIndex]) -> dict[MultiIndex, dict[MultiIndex, int]]:
-    """Non-zero coefficients of prod_j (M_j . z)^beta_j, M_j row j of M, for each beta of one rank.
+def _pull_back_rows(matrix: Sequence[Vector], betas: list[MultiIndex]):
+    """Each beta in order, with the non-zero coefficients of prod_j (M_j . z)^beta_j, M_j row j of M.
 
     M may have any number of rows, and z has one entry per column.  beta is
     spelled as a word of row indices, j repeated beta_j times.  The row of
     a word is the row of its prefix times (M_j . z) for its last letter j,
-    built once per distinct prefix, one length at a time; an integer matrix
-    gives integer rows.
+    reusing the prefixes it shares with the previous word: betas of one rank
+    in lex order build each prefix once.  An integer matrix gives integer rows.
     """
-    n = len(matrix[0])
-    words = [sum(((j,) * b for j, b in enumerate(beta)), ()) for beta in betas]
-    rows = {(): {(0,) * n: 1}}
-    for d in range(1, max(map(len, words), default=0) + 1):
-        rows = {w: _poly_mul_linear(rows[w[:-1]], matrix[w[-1]]) for w in {word[:d] for word in words}}
-    return {beta: {k: c for k, c in rows[word].items() if c} for beta, word in zip(betas, words)}
+    stack = [((), {(0,) * len(matrix[0]): 1})]  # (prefix, its row) for the prefixes of the previous word
+    for beta in betas:
+        word = sum(((j,) * b for j, b in enumerate(beta)), ())
+        while word[: len(stack[-1][0])] != stack[-1][0]:
+            stack.pop()
+        for d in range(len(stack[-1][0]), len(word)):
+            stack.append((word[: d + 1], _poly_mul_linear(stack[-1][1], matrix[word[d]])))
+        yield beta, {k: c for k, c in stack[-1][1].items() if c}
 
 
 def apply_linear(t: SymTensor, matrix: Sequence[Sequence[int]]) -> SymTensor:
@@ -241,6 +243,6 @@ def apply_linear(t: SymTensor, matrix: Sequence[Sequence[int]]) -> SymTensor:
         raise ValueError("matrix dimension mismatch")
     # M^t e_j is row j of M
     coords = {}
-    for beta, row in _pull_back_rows(matrix, multi_indices(n, t.rank)).items():
+    for beta, row in _pull_back_rows(matrix, multi_indices(n, t.rank)):
         coords[beta] = sum((c * t.coord(alpha) for alpha, c in row.items()), Fraction(0))
     return SymTensor._trusted(n, t.rank, {beta: v for beta, v in coords.items() if v})

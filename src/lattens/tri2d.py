@@ -209,7 +209,7 @@ def _degree_one_cubic_tensor(anchored: tuple[Point, Point, Point]) -> tuple[int,
     _, u, v = anchored
     _, cube = _standard_cube()
     rows = _pull_back_rows(((u[0], v[0]), (u[1], v[1])), RANK9)
-    return tuple(sum(c * cube[a] for a, c in rows[beta].items()) for beta in RANK9)
+    return tuple(sum(c * cube[a] for a, c in row.items()) for _, row in rows)
 
 
 def _triangle_cube(points: tuple[Point, Point, Point]) -> tuple[int, ...]:

@@ -326,7 +326,7 @@ def eager_pull_back_sums(terms, alphas):
     """The former _pull_back_sums: every alpha pulled back at once through each map, then summed."""
     rows = {alpha: {} for alpha in alphas}
     for matrix, sign in terms:
-        for alpha, row in _pull_back_rows(matrix, alphas).items():
+        for alpha, row in _pull_back_rows(matrix, alphas):
             for beta, c in row.items():
                 rows[alpha][beta] = rows[alpha].get(beta, 0) + sign * c
     return rows
@@ -378,10 +378,18 @@ def test_streamed_prism_rank_matches_eager_build():
         rng.shuffle(tagged)
         shuffled = ConstraintSystem.build(system.labels, tagged, system.symmetry_generators)
         assert rank(shuffled) == expected, (n, r, coordinate_filter)
+        assert kernel_basis(system) == kernel_basis(shuffled), (n, r, coordinate_filter)
         if expected < system.unknowns:
             short.append((n, r, coordinate_filter))
     # the one grid system whose stream runs out before its folded rows reach full width
     assert short == [(3, 4, "en-odd")]
+
+
+def test_prism_systems_compare_by_value_through_their_rows():
+    a, b = prism_system(3, 4), prism_system(3, 4)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert "rows" in vars(a) and "rows" in vars(b), "comparing reads every row"
+    assert a != prism_system(3, 4, "en-odd")
 
 
 def test_full_rank_prism_stops_after_few_rows(monkeypatch):

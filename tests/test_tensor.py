@@ -247,15 +247,18 @@ def integer_matrices(draw, square=True):
 
 
 @settings(max_examples=100, deadline=None)
-@given(integer_matrices(square=False), st.integers(min_value=0, max_value=6))
-def test_pull_back_rows_match_coordinate_rows(matrix, rank):
+@given(integer_matrices(square=False), st.integers(min_value=0, max_value=6), st.randoms(use_true_random=False))
+def test_pull_back_rows_match_coordinate_rows(matrix, rank, rng):
     # points.lattice_rows gives k = m + 1 <= n rows for an m-dimensional polytope in Z^n
     # (and None when m = n); k = n + 1 is drawn only to cover wider non-square shapes
     n = len(matrix[0])
     betas = multi_indices(len(matrix), rank)
-    rows = _pull_back_rows(matrix, betas)
+    rows = dict(_pull_back_rows(matrix, betas))
     assert list(rows) == betas
-    assert _pull_back_rows(matrix, betas[-1:]) == {betas[-1]: rows[betas[-1]]}
+    assert dict(_pull_back_rows(matrix, betas[-1:])) == {betas[-1]: rows[betas[-1]]}
+    # in any order, each row reuses the prefix it shares with the row before
+    shuffled = rng.sample(betas, len(betas))
+    assert list(_pull_back_rows(matrix, shuffled)) == [(beta, rows[beta]) for beta in shuffled]
     for beta, row in rows.items():
         assert row == coordinate_row(coordinate_vectors(matrix, beta), n)
         assert all(type(c) is int and c != 0 for c in row.values())
