@@ -10,12 +10,16 @@ is cached per degree as W / D with W an integer matrix, the integer power
 sums of the dilates are combined with W, and each coefficient coordinate
 is one exact fraction with denominator D * r!.
 
-Power sums are taken over the runs of points.fibers, stretches of the last
-of P's lattice coordinates y, in closed form by Faulhaber's polynomials
-(Beck and Robins, Computing the Continuous Discretely).  For a
+Power sums are taken over the runs in the columns of points.fibers,
+stretches of the last of P's lattice coordinates y, in closed form by
+Faulhaber's polynomials (Beck and Robins, Computing the Continuous
+Discretely).  One call lays out the runs of a whole enumeration as
+parallel integer lists, and each power, Faulhaber sum and monomial sum is
+one pass over all of them, never a loop over runs.  For a
 lower-dimensional P, one integer plan per polytope and rank pushes the
 sums of monomials in y to the sums of monomials in x, unless the points
-are fewer than the plan's entries; then they are summed one by one in x.
+are fewer than the plan's entries; then they are mapped to x and summed
+as one-point runs.
 """
 
 from __future__ import annotations
@@ -23,13 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
+from itertools import repeat
 from math import factorial, lcm
-from operator import add, mul
+from operator import add, mul, sub
 
 from .arith import multinomial, power_sum_polynomial
 from .linalg import det, invert_matrix
-from .points import _expand, fibers, lattice_rows
+from .points import _count, _expand, fibers, lattice_rows
 from .polytope import LatticePolytope, UnimodularMap, faces, negate, transform, translate
 from .tensor import MultiIndex, SymTensor, _poly_mul_linear, _pull_back_rows, apply_linear, multi_indices
 
@@ -50,101 +54,81 @@ def _power_sum_table(rank: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(table)
 
 
-def _range_power_sums(lo: int, hi: int, rank: int) -> list[int]:
-    """[sum_(u=lo..hi) u^e for e = 0..rank], by Faulhaber's polynomials."""
-    if lo == hi:
-        pows = [1]
-        for _ in range(rank):
-            pows.append(pows[-1] * lo)
-        return pows
-    a, b = lo - 1, hi
-    pa, pb = [1], [1]
-    for _ in range(rank + 1):
-        pa.append(pa[-1] * a)
-        pb.append(pb[-1] * b)
-    diffs = [y - x for x, y in zip(pa, pb)]
-    return [
-        sum(c * dj for c, dj in zip(coeffs, diffs[1:])) // d
-        for coeffs, d in _power_sum_table(rank)
-    ]
+def _tensor_sum(columns, dim: int, rank: int) -> list[int]:
+    """Exact sums of y^beta over the points of columns, one per beta of multi_indices(dim, rank).
 
-
-@lru_cache(maxsize=None)
-def _sum_plan(dim: int, rank: int):
-    """How to combine per-run power sums into the sums of y^beta, |beta| = rank.
-
-    Write a point of a run as y = (h, v, u): h = y_1..y_(dim-2), then v,
-    and u, the run's coordinate.  Returns (pairs, layers, heads, slots).
-    pairs lists the exponents (a, e) with a + e <= rank, for the sums of
-    v^a u^e over runs that share h.  layers builds the monomials in h of
-    degree 1..rank, one layer per degree: monomial number len(built) + i is
-    monomial parents[i] times h[coords[i]].  Per beta of
-    multi_indices(dim, rank), heads and slots give the index of its
-    monomial in h and of its pair.
+    The runs of all columns are laid out as parallel integer lists, and
+    every step below is one pass over all runs at once.  Write a point of a
+    run as y = (h, v, u): h = y_1..y_(dim-2), then v, and u, the run's
+    coordinate, lo <= u <= hi.  By Faulhaber's polynomials the run's sum of
+    u^e is S_e / D_e with S_e = sum_j N_j (hi^j - (lo - 1)^j), an integer
+    multiple of D_e; the sum of y^beta for beta = (h, a, e) is then the sum
+    over runs of h^beta_h v^a S_e, divided by D_e once.
     """
-    pairs = [(a, e) for a in range(rank + 1) for e in range(rank + 1 - a)]
     width = max(dim - 2, 0)
-    zero = (0,) * width
-    index = {zero: 0}
-    layers = []
-    frontier = [(zero, 0)]
+    outer, vs, below, his = [[] for _ in range(width)], [], [], []
+    for head, v, lo, hi in columns:
+        for coords, x in zip(outer, head):
+            coords += repeat(x, len(hi))
+        if dim > 1:
+            vs += v
+        below += lo
+        his += hi
+    below = list(map(sub, below, repeat(1)))
+    pa, pb = [below], [his]
     for _ in range(rank):
-        parents, coords, grown = [], [], []
-        for mono, first in frontier:
-            for i in range(first, width):
-                new = mono[:i] + (mono[i] + 1,) + mono[i + 1 :]
-                index[new] = len(index)
-                parents.append(index[mono])
-                coords.append(i)
-                grown.append((new, i))
-        layers.append((tuple(parents), tuple(coords)))
-        frontier = grown
-    alphas = multi_indices(dim, rank)
-    heads = tuple(index[a[:width]] for a in alphas)
-    slots = tuple(pairs.index((a[-2] if dim > 1 else 0, a[-1])) for a in alphas)
-    return tuple(pairs), tuple(layers), heads, slots
+        pa.append(list(map(mul, pa[-1], below)))
+        pb.append(list(map(mul, pb[-1], his)))
+    diffs = [list(map(sub, b, a)) for a, b in zip(pa, pb)]
+    scaled = []
+    for coeffs, d in _power_sum_table(rank):
+        total = repeat(0)
+        for c, diff in zip(coeffs, diffs):
+            if c:
+                total = map(add, total, map(mul, diff, repeat(c)))
+        scaled.append((list(total), d))
+    vpows = [None]
+    for _ in range(rank if dim > 1 else 0):
+        vpows.append(vs if vpows[-1] is None else list(map(mul, vpows[-1], vs)))
+    monos = {(0,) * width: None}  # h^beta_h per run by exponent; None is all ones
 
+    def mono(h):
+        if h not in monos:
+            i = next(i for i, x in enumerate(h) if x)
+            parent = mono(h[:i] + (h[i] - 1,) + h[i + 1 :])
+            monos[h] = outer[i] if parent is None else list(map(mul, parent, outer[i]))
+        return monos[h]
 
-def _tensor_sum(runs, dim: int, rank: int) -> list[int]:
-    """Exact sums of y^beta over the points of runs, one per beta of multi_indices(dim, rank).
-
-    Along a run in the last coordinate u, u^e sums in closed form to a
-    difference of Faulhaber polynomials.  Consecutive runs that share
-    h = y_1..y_(dim-2) are gathered first, into sums of v^a u^e with
-    v = y_(dim-1), and each gathered group adds to every beta once.
-    """
-    if rank == 0:
-        return [sum(hi - lo + 1 for _, lo, hi in runs)]
-    pairs, layers, heads, slots = _sum_plan(dim, rank)
-    acc = [0] * len(heads)
-    for outer, group in groupby(runs, key=lambda run: run[0][:-1]):
-        gathered = [0] * len(pairs)
-        for head, lo, hi in group:
-            sums = _range_power_sums(lo, hi, rank)
-            vp = _range_power_sums(head[-1], head[-1], rank) if dim > 1 else [1] + [0] * rank
-            gathered = [g + vp[a] * sums[e] for g, (a, e) in zip(gathered, pairs)]
-        mono = [1]
-        for parents, coords in layers:
-            mono += map(mul, map(mono.__getitem__, parents), map(outer.__getitem__, coords))
-        acc = list(map(add, acc, map(mul, map(mono.__getitem__, heads), map(gathered.__getitem__, slots))))
-    return acc
+    weighted = {}  # (a, e) -> v^a S_e per run
+    out, h = [], None
+    for beta in multi_indices(dim, rank):
+        a, e = (beta[-2] if dim > 1 else 0), beta[-1]
+        if (a, e) not in weighted:
+            s = scaled[e][0]
+            weighted[a, e] = s if vpows[a] is None else list(map(mul, vpows[a], s))
+        if beta[:width] != h:  # lex order keeps the betas of one h together
+            h = beta[:width]
+            m = mono(h)
+        w = weighted[a, e]
+        out.append((sum(w) if m is None else sum(map(mul, m, w))) // scaled[e][1])
+    return out
 
 
 def _summer(p: LatticePolytope, rank: int):
-    """The map from runs of p to the exact sums of x^alpha over their points, |alpha| = rank.
+    """The map from columns of p to the exact sums of x^alpha over their points, |alpha| = rank.
 
-    Runs live in p's lattice coordinates y.  Unless y = x, x = sum_i y_i A_i
+    Columns live in p's lattice coordinates y.  Unless y = x, x = sum_i y_i A_i
     with A = lattice_rows(p), and expanding (x . z)^rank both ways,
     multinomial(rank, alpha) times the sum of x^alpha is the sum over beta
     of multinomial(rank, beta) times the sum of y^beta times the coefficient
     of z^alpha in prod_i (A_i . z)^beta_i, given by tensor's pull-back kernel.
     That plan has up to |betas| |alphas| entries, so it is built, once per
-    map, only for runs with at least as many points: fewer points are
-    mapped to x and summed one by one, and the plan never outgrows them.
+    map, only for columns with at least as many points: fewer points are
+    mapped to x and summed as one-point runs, and the plan never outgrows them.
     """
     n, rows = p.ambient_dim, lattice_rows(p)
     if rows is None:
-        return lambda runs: _tensor_sum(runs, n, rank)
+        return lambda columns: _tensor_sum(columns, n, rank)
     betas, alphas = multi_indices(len(rows), rank), multi_indices(n, rank)
 
     @lru_cache(maxsize=1)
@@ -154,13 +138,15 @@ def _summer(p: LatticePolytope, rank: int):
         terms = [[(index[a], multinomial(rank, beta) * c) for a, c in row.items()] for beta, row in pulled]
         return terms, [multinomial(rank, alpha) for alpha in alphas]
 
-    def push(runs):
-        runs = list(runs)
-        if sum(hi - lo + 1 for _, lo, hi in runs) < len(betas) * len(alphas):
-            return _tensor_sum(((x[:-1], x[-1], x[-1]) for x in _expand(p, runs)), n, rank)
+    def push(columns):
+        columns = list(columns)
+        if _count(columns) < len(betas) * len(alphas):
+            # one column per point: head x[:-2], v x[-2] (None when n = 1), lo = hi = x[-1]
+            points = ((x[:-2], x[-2:-1] or None, x[-1:], x[-1:]) for x in _expand(p, columns))
+            return _tensor_sum(points, n, rank)
         terms, divisors = plan()
         out = [0] * len(alphas)
-        for s, row in zip(_tensor_sum(runs, len(rows), rank), terms):
+        for s, row in zip(_tensor_sum(columns, len(rows), rank), terms):
             for i, c in row:
                 out[i] += c * s
         return [x // d for x, d in zip(out, divisors)]
@@ -221,24 +207,24 @@ def _expansions(p: LatticePolytope, ranks) -> list[EhrhartTensorExpansion]:
     # fibers checks the scan cap when called, so every dilate is checked first
     dilates = [fibers(p, scale=k) for k in range(n + max(ranks) + 1)]
     summers = {r: _summer(p, r) for r in ranks}
-    for k, dilate_runs in enumerate(dilates):
-        runs = list(dilate_runs)
+    for k, dilate_columns in enumerate(dilates):
+        columns = list(dilate_columns)
         for r in ranks:
             if k <= n + r:
-                sums[r].append(summers[r](runs))
+                sums[r].append(summers[r](columns))
     out = []
     for r in ranks:
         weights, d = _vandermonde_inverse(n + r)
         denom = d * factorial(r)
         alphas = multi_indices(n, r)
-        per_alpha = list(zip(*sums[r]))
         coeffs = []
         for row in weights:
-            coords = {}
-            for alpha, values in zip(alphas, per_alpha):
-                c = sum([w * s for w, s in zip(row, values)])
-                if c:
-                    coords[alpha] = Fraction(c, denom)
+            # one pass per node k over all coordinates of the k-th dilate's sums
+            total = repeat(0)
+            for w, values in zip(row, sums[r]):
+                if w:
+                    total = map(add, total, map(mul, values, repeat(w)))
+            coords = {alpha: Fraction(c, denom) for alpha, c in zip(alphas, total) if c}
             coeffs.append(SymTensor._trusted(n, r, coords))
         out.append(EhrhartTensorExpansion(rank=r, coefficients=tuple(coeffs)))
     return out

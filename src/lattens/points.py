@@ -16,19 +16,28 @@ projections of those rows onto the first j coordinates, computed once per
 polytope and pruned to the facets of each projection.  Every projected row
 is a nonnegative combination of facet rows, and integer points satisfy it
 with a primitive normal and a floored offset.  The last level uses the
-facet rows themselves, so each run (head, lo, hi), meaning the points
-y = head + (s,) for lo <= s <= hi, is exact, and runs come in lex order.
+facet rows themselves, so the runs are exact.
 On kP the lattice coordinates are y = x for a full-dimensional P, else
-y = (k, t) with x = sum_i y_i A_i and A = (o, E_1..E_m).  Cost grows with
-the number of runs and points, not with the bounding box.
+y = (k, t) with x = sum_i y_i A_i and A = (o, E_1..E_m).
+
+fibers yields a column (head, vs, los, his) for each value head of all but
+the last two coordinates of y: integer sequences vs, los, his of one
+length, holding the runs of points y = head + (v, s) with lo <= s <= hi
+for v, lo, hi in zip(vs, los, his).  Every run holds at least
+one point, and columns and their runs come in lex order of y.  When y has
+one coordinate, vs is None and the column's single run holds y = (s,).
+The walk scans every value of the second-to-last coordinate between the
+projected bounds, so a thin polytope can cost a pass over many empty runs;
+they are dropped in bulk, not one by one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import compress
 from math import ceil, gcd
-from operator import mul
+from operator import le, mul, neg
 
 from .linalg import integer_kernel
 from .polytope import LatticePolytope, _dot, _identity, _maximal_tight
@@ -124,16 +133,17 @@ def _frame(p: LatticePolytope) -> _Frame:
 
 
 def lattice_rows(p: LatticePolytope) -> tuple[tuple[int, ...], ...] | None:
-    """Rows A with x = sum_i y_i A_i for the coordinates y of fibers' runs, or None when y = x."""
+    """Rows A with x = sum_i y_i A_i for the coordinates y of fibers' columns, or None when y = x."""
     return None if p.is_empty else _frame(p).rows
 
 
 def fibers(p: LatticePolytope, relint: bool = False, scale: int = 1):
-    """Runs (head, lo, hi) covering the lattice points y of scale * p in lex order.
+    """Columns (head, vs, los, his) covering the lattice points y of scale * p in lex order.
 
-    y is in p's lattice coordinates (see lattice_rows).
+    y is in p's lattice coordinates (see lattice_rows); the module docstring
+    gives the column contract.
 
-    With relint, the runs cover the relative interior instead (a point's
+    With relint, the columns cover the relative interior instead (a point's
     relative interior is the point, and 0 * p is a point).  Raises
     ScanTooLarge, before any enumeration, when the box of the vertices in
     lattice coordinates has more than the cap's cells.
@@ -171,17 +181,17 @@ def _bounds(level, res) -> tuple[int, int]:
 
 
 def _walk(frame: _Frame, levels, k: int):
-    """Odometer over t_1..t_(m-2); each t_(m-1) interval is expanded into runs in one batch."""
+    """Odometer over t_1..t_(m-2); each t_(m-1) interval is expanded into one column."""
     m = len(levels)
     prefix = () if frame.full else (k,)
     if m == 0:
         # p is a point o, so y = (k,) and x = k o
-        yield (), k, k
+        yield (), None, (k,), (k,)
         return
     if m == 1:
         lo, hi = _bounds(levels[0], levels[0][3])
         if lo <= hi:
-            yield prefix, lo, hi
+            yield (), prefix or None, (lo,), (hi,)
         return
     last_cols, ups, lows, _ = levels[-1]
     nup = len(ups)
@@ -208,16 +218,21 @@ def _walk(frame: _Frame, levels, k: int):
                 j += 1
                 fix(j)
                 continue
-            # last level for every t_(m-1) in [lo, hi]: one column of floors per row
+            # last level for every t_(m-1) in [lo, hi]: one list of floors per row
             base, col = res[j][m - 1], last_cols[m - 2]
             span = range(lo, hi + 1)
-            floors = [[(b - c * v) // a for v in span] for b, c, a in zip(base, col, ups + lows)]
-            his = floors[0] if nup == 1 else map(min, *floors[:nup])
-            los = floors[nup] if len(lows) == 1 else map(min, *floors[nup:])
-            head = prefix + tuple(t[: m - 2])
-            for v, h, l in zip(span, his, los):
-                if -l <= h:
-                    yield head + (v,), -l, h
+            floors = [
+                [(b - c * v) // a for v in span] if c else [b // a] * len(span)
+                for b, c, a in zip(base, col, ups + lows)
+            ]
+            his = floors[0] if nup == 1 else list(map(min, *floors[:nup]))
+            los = list(map(neg, floors[nup] if len(lows) == 1 else map(min, *floors[nup:])))
+            if not all(map(le, los, his)):
+                # empty runs are dropped in bulk, one byte each: a thin P can have millions
+                keep = bytes(map(le, los, his))
+                span, los, his = list(compress(span, keep)), list(compress(los, keep)), list(compress(his, keep))
+            if span:
+                yield prefix + tuple(t[: m - 2]), span, los, his
         # advance the deepest prefix coordinate that has room
         j -= 1
         while j >= 0 and t[j] == top[j]:
@@ -229,9 +244,15 @@ def _walk(frame: _Frame, levels, k: int):
         fix(j)
 
 
-def _expand(p: LatticePolytope, runs):
-    """The points x of runs of p, one at a time."""
-    ys = (head + (s,) for head, lo, hi in runs for s in range(lo, hi + 1))
+def _expand(p: LatticePolytope, columns):
+    """The points x of columns of p, one at a time."""
+    # a column of one coordinate has vs None: los stands in for it, and y = (s,)
+    ys = (
+        head + (v, s) if vs else (s,)
+        for head, vs, los, his in columns
+        for v, lo, hi in zip(vs or los, los, his)
+        for s in range(lo, hi + 1)
+    )
     rows = lattice_rows(p)
     if rows is None:
         return ys
@@ -249,10 +270,14 @@ def relint_lattice_points(p: LatticePolytope) -> list[tuple[int, ...]]:
     return list(_expand(p, fibers(p, relint=True)))
 
 
+def _count(columns) -> int:
+    return sum(len(his) + sum(his) - sum(los) for _, _, los, his in columns)
+
+
 def count(p: LatticePolytope) -> int:
     """Number of lattice points in p; zero for the empty polytope."""
-    return sum(hi - lo + 1 for _, lo, hi in fibers(p))
+    return _count(fibers(p))
 
 
 def count_relint(p: LatticePolytope) -> int:
-    return sum(hi - lo + 1 for _, lo, hi in fibers(p, relint=True))
+    return _count(fibers(p, relint=True))

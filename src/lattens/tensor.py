@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .arith import multinomial
@@ -26,20 +27,16 @@ Vector = Sequence
 
 def multi_indices(dim: int, rank: int) -> list[MultiIndex]:
     """All exponent vectors of length dim summing to rank, in lex order."""
+    return list(_multi_indices(dim, rank))
+
+
+@lru_cache(maxsize=None)
+def _multi_indices(dim: int, rank: int) -> tuple[MultiIndex, ...]:
     if dim == 0:
-        return [()] if rank == 0 else []
-    out: list[MultiIndex] = []
-
-    def rec(prefix: list[int], remaining: int) -> None:
-        if len(prefix) == dim - 1:
-            out.append(tuple(prefix) + (remaining,))
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v)
-
-    rec([], rank)
-    out.sort()
-    return out
+        return ((),) if rank == 0 else ()
+    if dim == 1:
+        return ((rank,),)
+    return tuple((v,) + rest for v in range(rank + 1) for rest in _multi_indices(dim - 1, rank - v))
 
 
 @dataclass(frozen=True)

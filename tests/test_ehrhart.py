@@ -1,7 +1,10 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from itertools import groupby
+from math import comb, prod
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +16,9 @@ from lattens.cli import EHRHART_MAX_RANK
 from lattens.ehrhart import (
     CheckReport,
     _complete_homogeneous,
-    _range_power_sums,
+    _power_sum_table,
     _simplicial_pieces,
+    _tensor_sum,
     _vandermonde_inverse,
     check_equivariance,
     check_reciprocity,
@@ -24,7 +28,7 @@ from lattens.ehrhart import (
     ehrhart_tensors,
     moment_tensor,
 )
-from lattens.points import count, fibers
+from lattens.points import count, fibers, lattice_rows
 from lattens.polytope import (
     MAX_AMBIENT_DIM,
     LatticePolytope,
@@ -245,11 +249,109 @@ def test_translation_covariance_enumerates_each_dilate_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 2 * (p.ambient_dim + r + 1)
 
 
+# -- the run-by-run power sums, kept as the reference for the list-wide kernel --
+
+
+def reference_range_power_sums(lo, hi, rank):
+    """[sum_(u=lo..hi) u^e for e = 0..rank], by Faulhaber's polynomials."""
+    if lo == hi:
+        pows = [1]
+        for _ in range(rank):
+            pows.append(pows[-1] * lo)
+        return pows
+    a, b = lo - 1, hi
+    pa, pb = [1], [1]
+    for _ in range(rank + 1):
+        pa.append(pa[-1] * a)
+        pb.append(pb[-1] * b)
+    diffs = [y - x for x, y in zip(pa, pb)]
+    return [
+        sum(c * dj for c, dj in zip(coeffs, diffs[1:])) // d
+        for coeffs, d in _power_sum_table(rank)
+    ]
+
+
+@lru_cache(maxsize=None)
+def reference_sum_plan(dim, rank):
+    """(pairs, layers, heads, slots): how per-run power sums combine into the sums of y^beta.
+
+    pairs lists the exponents (a, e), a + e <= rank, of v^a u^e for a run
+    y = (h, v, u); layers builds the monomials in h one degree at a time;
+    heads and slots give, per beta, the index of its monomial in h and of
+    its pair.
+    """
+    pairs = [(a, e) for a in range(rank + 1) for e in range(rank + 1 - a)]
+    width = max(dim - 2, 0)
+    zero = (0,) * width
+    index = {zero: 0}
+    layers = []
+    frontier = [(zero, 0)]
+    for _ in range(rank):
+        parents, coords, grown = [], [], []
+        for mono, first in frontier:
+            for i in range(first, width):
+                new = mono[:i] + (mono[i] + 1,) + mono[i + 1 :]
+                index[new] = len(index)
+                parents.append(index[mono])
+                coords.append(i)
+                grown.append((new, i))
+        layers.append((tuple(parents), tuple(coords)))
+        frontier = grown
+    alphas = multi_indices(dim, rank)
+    heads = tuple(index[a[:width]] for a in alphas)
+    slots = tuple(pairs.index((a[-2] if dim > 1 else 0, a[-1])) for a in alphas)
+    return tuple(pairs), tuple(layers), heads, slots
+
+
+def reference_tensor_sum(runs, dim, rank):
+    """Sums of y^beta over runs (head, lo, hi), one run at a time, gathering runs that share h."""
+    if rank == 0:
+        return [sum(hi - lo + 1 for _, lo, hi in runs)]
+    pairs, layers, heads, slots = reference_sum_plan(dim, rank)
+    acc = [0] * len(heads)
+    for outer, group in groupby(runs, key=lambda run: run[0][:-1]):
+        gathered = [0] * len(pairs)
+        for head, lo, hi in group:
+            sums = reference_range_power_sums(lo, hi, rank)
+            vp = reference_range_power_sums(head[-1], head[-1], rank) if dim > 1 else [1] + [0] * rank
+            gathered = [g + vp[a] * sums[e] for g, (a, e) in zip(gathered, pairs)]
+        mono = [1]
+        for parents, coords in layers:
+            mono += map(mul, map(mono.__getitem__, parents), map(outer.__getitem__, coords))
+        acc = list(map(add, acc, map(mul, map(mono.__getitem__, heads), map(gathered.__getitem__, slots))))
+    return acc
+
+
+def column_runs(columns):
+    """The runs (head, lo, hi) of columns, head holding every coordinate but the last."""
+    return [
+        (head + ((v,) if vs is not None else ()), lo, hi)
+        for head, vs, los, his in columns
+        for v, lo, hi in zip(vs if vs is not None else los, los, his)
+    ]
+
+
 def test_range_power_sums_match_direct_sums():
+    # one-run columns in one coordinate; (5, 4) and (-2, -3) are empty ranges
     for lo, hi in [(0, 0), (-1, -1), (1, 5), (-4, 3), (-7, -2), (-3, 0), (0, 6), (5, 4), (-2, -3)]:
         for rank in range(19):
             direct = [sum(u**e for u in range(lo, hi + 1)) for e in range(rank + 1)]
-            assert _range_power_sums(lo, hi, rank) == direct, (lo, hi, rank)
+            assert reference_range_power_sums(lo, hi, rank) == direct, (lo, hi, rank)
+            assert _tensor_sum([((), None, (lo,), (hi,))], 1, rank) == direct[-1:], (lo, hi, rank)
+
+
+@settings(max_examples=120, deadline=None)
+@given(polytopes(), st.integers(0, 6), st.booleans(), st.integers(0, 3))
+def test_tensor_sum_matches_run_by_run_reference_and_point_sums(p, rank, relint, scale):
+    columns = list(fibers(p, relint=relint, scale=scale))
+    rows = lattice_rows(p)
+    dim = p.ambient_dim if rows is None else len(rows)
+    runs = column_runs(columns)
+    sums = _tensor_sum(columns, dim, rank)
+    assert sums == reference_tensor_sum(runs, dim, rank)
+    ys = [head + (s,) for head, lo, hi in runs for s in range(lo, hi + 1)]
+    brute = [sum(prod(c**e for c, e in zip(y, beta)) for y in ys) for beta in multi_indices(dim, rank)]
+    assert sums == brute
 
 
 def test_check_equivariance_examples():

@@ -154,6 +154,16 @@ def test_thin_simplex_enumerates_without_allocating_its_box():
     assert peak < 5 * 2**20
 
 
+def test_thin_triangle_drops_its_empty_runs():
+    # a million values of the first coordinate, and all but three of their runs are empty
+    p = from_points([(0, 0), (10**6, 1), (10**6 + 1, 1)])
+    points = [(0, 0), (10**6, 1), (10**6 + 1, 1)]
+    columns = list(fibers(p))
+    assert sum(len(his) for _, _, _, his in columns) <= 3
+    assert lattice_points(p) == points and count(p) == 3
+    assert moment_coords(discrete_moment(p, 2), 2, 2) == point_sums(points, 2, 2)
+
+
 # -- fiber enumeration against the box scan -------------------------------------------
 
 # boxes the reference scan can afford per example
@@ -203,12 +213,24 @@ def point_sums(pts, n, r):
     }
 
 
-def lifted_runs(p, rows, runs):
-    """The points head + (s,) of runs, mapped to x = sum_i y_i A_i unless rows is None."""
-    ys = [head + (s,) for head, lo, hi in runs for s in range(lo, hi + 1)]
+def lifted_runs(p, rows, columns):
+    """The points of columns, mapped to x = sum_i y_i A_i unless rows is None.
+
+    Checks the column contract on the way: sequences of one length, no
+    empty run, and vs is None exactly when y has one coordinate.
+    """
+    ys = []
+    for head, vs, los, his in columns:
+        assert len(los) == len(his) and all(lo <= hi for lo, hi in zip(los, his))
+        if vs is None:
+            assert head == () and len(los) == 1
+            ys += [(s,) for s in range(los[0], his[0] + 1)]
+        else:
+            assert len(vs) == len(los)
+            ys += [head + (v, s) for v, lo, hi in zip(vs, los, his) for s in range(lo, hi + 1)]
+    assert all(len(y) == (p.ambient_dim if rows is None else len(rows)) for y in ys)
     if rows is None:
         return ys
-    assert all(len(y) == len(rows) for y in ys)
     return [tuple(sum(c * a[i] for c, a in zip(y, rows)) for i in range(p.ambient_dim)) for y in ys]
 
 
