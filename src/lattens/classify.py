@@ -100,9 +100,9 @@ def _fold(system: ConstraintSystem):
 
 
 def rank(system: ConstraintSystem) -> int:
-    """Exact rank of the system, symmetry rows included, eliminating width, 2 width, 4 width, ... folded rows."""
+    """Exact rank, symmetry rows included: prism rows are eliminated width, 2 width, ... at a time, others at once."""
     width, _, stream = _fold(system)
-    folded = list(islice(stream, width))
+    folded = list(islice(stream, width if isinstance(system, _PrismSystem) else None))
     while (found := rank_bareiss(folded)) < width and (more := list(islice(stream, len(folded)))):
         folded += more
     return system.unknowns - width + found

@@ -5,9 +5,11 @@ vertex; by Pick's theorem each triangle then has lattice area 1/2, so the
 triangulation is automatically unimodular.  Construction places the points
 in lex order; the hull edges each one sees strictly end the lower and upper
 monotone chains (Andrew), kept as stacks with collinear boundary points on
-them, and are popped and fanned to it: amortised O(1) a point.  A flip walk
-flips a working copy of the edge index and keeps the admissible edges sorted;
-a flip changes only its quadrilateral, so each step tests six edges.
+them, and are popped and fanned to it: amortised O(1) a point.  Flips work
+on the oriented map opp[a, b] = c of the counter-clockwise triangles (a, b, c):
+a flip walk flips a working copy in six writes, keeps the admissible edges
+sorted and tests six edges a step, two reads each.  Validation also refuses a
+directed edge in two triangles, and a lone edge that is not a polygon side.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
-from math import lcm
+from functools import cached_property, lru_cache
+from itertools import combinations, pairwise
+from math import gcd, lcm
 
 from .ehrhart import ehrhart_tensors
 from .points import lattice_points
@@ -49,14 +51,15 @@ class Triangulation2D:
         tris = tuple(sorted(tuple(sorted(t)) for t in self.triangles))
         object.__setattr__(self, "triangles", tris)
         object.__setattr__(self, "points", tuple(tuple(p) for p in self.points))
-        object.__setattr__(self, "_edge_index", self.edge_triangles())  # read, never mutated
+
+    @cached_property
+    def opp(self) -> dict[tuple[int, int], int]:
+        """opp[a, b] = c for each triangle, turned counter-clockwise as (a, b, c); read, never mutated."""
+        ccw = (t if _cross(*self.triangle_points(t)) > 0 else t[::-1] for t in self.triangles)
+        return {(a, b): c for x, y, z in ccw for a, b, c in ((x, y, z), (y, z, x), (z, x, y))}
 
     def triangle_points(self, t: Triangle) -> tuple[Point, Point, Point]:
         return tuple(self.points[i] for i in t)
-
-    def doubled_area(self, t: Triangle) -> int:
-        a, b, c = self.triangle_points(t)
-        return abs(_cross(a, b, c))
 
     def edge_triangles(self) -> dict[tuple[int, int], list[Triangle]]:
         """Map from sorted vertex-index edge to the triangles containing it."""
@@ -67,26 +70,38 @@ class Triangulation2D:
         return out
 
     def interior_edges(self) -> list[tuple[int, int]]:
-        return sorted(e for e, ts in self._edge_index.items() if len(ts) == 2)
+        return sorted((a, b) for a, b in self.opp if a < b and (b, a) in self.opp)
+
+
+def _triangles(opp: dict) -> tuple[Triangle, ...]:
+    """Each triangle of an oriented map once, as its rotation that starts at its least vertex."""
+    return tuple((a, b, c) for (a, b), c in opp.items() if a < b and a < c)
 
 
 def validate_triangulation(tri: Triangulation2D) -> None:
     """Raise if the triangulation is not a unimodular triangulation of its point hull."""
     for t in tri.triangles:
-        if tri.doubled_area(t) != 1:
+        if abs(_cross(*tri.triangle_points(t))) != 1:
             raise ValueError(f"triangle {t} is not unimodular")
-    used = {i for t in tri.triangles for i in t}
-    if used != set(range(len(tri.points))):
+    if {i for t in tri.triangles for i in t} != set(range(len(tri.points))):
         raise ValueError("every lattice point must be a triangulation vertex")
-    if len(tri.triangles) != _hull_doubled_area(tri.points):
+    hull = _hull(tri.points)
+    if len(tri.triangles) != _hull_doubled_area(hull):
         raise ValueError("triangle areas do not add up to the polygon area")
-    for e, ts in tri._edge_index.items():
-        if len(ts) > 2:
-            raise ValueError(f"edge {e} lies in more than two triangles")
+    if len(tri.opp) < 3 * len(tri.triangles):
+        raise ValueError("a directed edge lies in two triangles")
+    sides = {}  # side starts by primitive direction, unique on a convex polygon; unimodular edges are primitive
+    for u, v in pairwise(hull):
+        if g := gcd(v[0] - u[0], v[1] - u[1]):
+            sides[(v[0] - u[0]) // g, (v[1] - u[1]) // g] = u
+    for a, b in [(a, b) for a, b in tri.opp if (b, a) not in tri.opp]:
+        (ax, ay), (bx, by) = pa, pb = tri.points[a], tri.points[b]
+        if (u := sides.get((bx - ax, by - ay))) is None or _cross(u, pa, pb):
+            raise ValueError(f"edge {(a, b)} has one triangle but is not a side of the polygon")
 
 
-def _hull_doubled_area(pts) -> int:
-    """Twice the area of the convex hull of planar points: monotone chain, then shoelace."""
+def _hull(pts) -> list[Point]:
+    """The convex hull's vertices counter-clockwise, by monotone chain, closed: the first comes last too."""
     pts = sorted(pts)
     hull: list[Point] = []
     for chain in (pts, pts[::-1]):  # lower hull, then upper hull
@@ -95,8 +110,12 @@ def _hull_doubled_area(pts) -> int:
             while len(hull) >= start + 2 and _cross(hull[-2], hull[-1], q) <= 0:
                 hull.pop()
             hull.append(q)
-    # each chain's last point repeats as the other's first, adding 0 to the sum
-    return abs(sum(a[0] * b[1] - a[1] * b[0] for a, b in zip(hull, hull[1:] + hull[:1])))
+    return hull  # each chain's last point repeats as the other's first
+
+
+def _hull_doubled_area(pts) -> int:
+    """Twice the area of the convex hull of planar points: monotone chain, then shoelace."""
+    return abs(sum(a[0] * b[1] - a[1] * b[0] for a, b in pairwise(_hull(pts))))
 
 
 def unimodular_triangulation(p: LatticePolytope) -> Triangulation2D:
@@ -120,48 +139,42 @@ def unimodular_triangulation(p: LatticePolytope) -> Triangulation2D:
     return tri
 
 
-def _flip_targets(points, edges: dict, edge: tuple[int, int]):
-    """Opposite vertices (k, l) and owner triangles of an admissibly flippable edge, else None."""
-    i, j = sorted(edge)
-    owners = edges.get((i, j), [])
-    if len(owners) == 2:
-        k, l = (sum(t) - i - j for t in owners)
-        pi, pj, pk, pl = (points[v] for v in (i, j, k, l))
+def _flip_targets(points, opp: dict, edge: tuple[int, int]):
+    """Opposite vertices (k, l) of an admissibly flippable edge (i, j), k left of i -> j, else None."""
+    i, j = edge
+    k, l = opp.get(edge), opp.get((j, i))
+    if k is not None and l is not None:
+        pi, pj, pk, pl = points[i], points[j], points[k], points[l]
         if _cross(pi, pj, pk) * _cross(pi, pj, pl) < 0 and _cross(pk, pl, pi) * _cross(pk, pl, pj) < 0:
-            return k, l, owners
+            return k, l
     return None
 
 
-def _flip_in_place(points, edges: dict, edge: tuple[int, int]) -> tuple[int, int, int, int]:
-    """Flip edge (i, j) into (k, l) in a working edge index; returns (i, j, k, l)."""
+def _flip_in_place(points, opp: dict, edge: tuple[int, int]) -> tuple[int, int, int, int]:
+    """Flip edge (i, j) into (k, l) in a working oriented map; returns (i, j, k, l)."""
     i, j = sorted(edge)
-    targets = _flip_targets(points, edges, (i, j))
+    targets = _flip_targets(points, opp, (i, j))
     if targets is None:
         raise FlipError(f"edge {(i, j)} is not the diagonal of a strictly convex quadrilateral")
-    k, l, owners = targets
-    new = (tuple(sorted((k, l, i))), tuple(sorted((k, l, j))))
-    if any(abs(_cross(*(points[v] for v in t))) != 1 for t in new):
+    k, l = targets
+    if abs(_cross(points[k], points[l], points[i])) != 1 or abs(_cross(points[k], points[l], points[j])) != 1:
         raise FlipError("flip would break unimodularity")
-    for t in owners:
-        for e in combinations(t, 2):
-            edges[e] = [s for s in edges[e] if s != t]
-    del edges[(i, j)]
-    for t in new:
-        for e in combinations(t, 2):
-            edges.setdefault(e, []).append(t)
+    # (i, j, k) and (j, i, l) become (i, l, k) and (l, j, k)
+    del opp[i, j], opp[j, i]
+    opp.update({(j, k): l, (k, i): l, (i, l): k, (l, j): k, (l, k): i, (k, l): j})
     return i, j, k, l
 
 
 def flip(tri: Triangulation2D, edge: tuple[int, int]) -> Triangulation2D:
     """Replace the diagonal of the strictly convex quadrilateral around an interior edge."""
-    edges = {e: list(ts) for e, ts in tri._edge_index.items()}
-    _flip_in_place(tri.points, edges, edge)
-    return Triangulation2D(tri.points, tuple({t for ts in edges.values() for t in ts}))
+    opp = dict(tri.opp)
+    _flip_in_place(tri.points, opp, edge)
+    return Triangulation2D(tri.points, _triangles(opp))
 
 
 def admissible_flips(tri: Triangulation2D) -> list[tuple[int, int]]:
     """Interior edges whose flip is admissible, in canonical order."""
-    return [e for e in tri.interior_edges() if _flip_targets(tri.points, tri._edge_index, e)]
+    return [e for e in tri.interior_edges() if _flip_targets(tri.points, tri.opp, e)]
 
 
 def flip_walk(tri: Triangulation2D, seed: int, steps: int) -> Triangulation2D:
@@ -171,20 +184,20 @@ def flip_walk(tri: Triangulation2D, seed: int, steps: int) -> Triangulation2D:
     admissible_flips lists them, so a seed fixes the walk.
     """
     rng = random.Random(seed)
-    points, edges = tri.points, {e: list(ts) for e, ts in tri._edge_index.items()}
     options = admissible_flips(tri)
+    points, opp = tri.points, dict(tri.opp)
     for _ in range(steps):
         if not options:
             break
-        i, j, k, l = _flip_in_place(points, edges, rng.choice(options))
+        i, j, k, l = _flip_in_place(points, opp, rng.choice(options))
         del options[bisect_left(options, (i, j))]
-        for e in ((k, l), (i, k), (i, l), (j, k), (j, l)):
-            e = tuple(sorted(e))
+        for a, b in ((k, l), (i, k), (i, l), (j, k), (j, l)):
+            e = (a, b) if a < b else (b, a)
             at = bisect_left(options, e)
             listed = options[at : at + 1] == [e]
-            if (_flip_targets(points, edges, e) is not None) != listed:
+            if (_flip_targets(points, opp, e) is not None) != listed:
                 options[at : at + listed] = [] if listed else [e]  # delete, or insert in order
-    return Triangulation2D(points, tuple({t for ts in edges.values() for t in ts}))
+    return Triangulation2D(points, _triangles(opp))
 
 
 @lru_cache(maxsize=None)

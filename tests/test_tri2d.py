@@ -3,8 +3,10 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,47 @@ def test_validation_refuses_triangles_short_of_the_polygon():
     pts = ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1))
     with pytest.raises(ValueError, match="do not add up"):
         validate_triangulation(Triangulation2D(pts, ((0, 1, 3), (1, 2, 4), (2, 5, 4))))
+
+
+def test_validation_refuses_overlapping_triangles():
+    # two unimodular triangles on the same side of (0,0)-(1,0): every point used, the areas add up
+    square = unit_square()
+    bad = Triangulation2D(((0, 0), (0, 1), (1, 0), (1, 1)), ((0, 2, 1), (0, 2, 3)))
+    assert bad.triangles == ((0, 1, 2), (0, 2, 3))  # the constructor accepts it; only validation refuses
+    with pytest.raises(ValueError, match="two triangles"):
+        validate_triangulation(bad)
+    with pytest.raises(ValueError, match="two triangles"):
+        valuation_n(square, bad)
+    assert valuation_n(square).is_zero
+
+
+def interiors_disjoint(s, t):
+    """Separating axes: some side line of one triangle has the other on its far closed side."""
+    for a, b in ((s, t), (t, s)):
+        inward = 1 if _cross(*a) > 0 else -1
+        if any(all(inward * _cross(u, v, q) <= 0 for q in b) for u, v in zip(a, a[1:] + a[:1])):
+            return True
+    return False
+
+
+def test_validation_accepts_exactly_the_tilings_of_the_rectangle():
+    pts = ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1))
+    unimodular = [t for t in combinations(range(6), 3) if abs(_cross(*(pts[v] for v in t))) == 1]
+    accepted, lone_edges = [], 0
+    for chosen in combinations(unimodular, 4):
+        try:
+            validate_triangulation(Triangulation2D(pts, chosen))
+            accepted.append(chosen)
+        except ValueError as refusal:
+            lone_edges += "not a side" in str(refusal)
+    tilings = [
+        chosen
+        for chosen in combinations(unimodular, 4)
+        if all(interiors_disjoint([pts[v] for v in s], [pts[v] for v in t]) for s, t in combinations(chosen, 2))
+    ]
+    assert accepted == tilings
+    assert len(tilings) == 6
+    assert lone_edges > 0  # some overlaps share no directed edge; the side check refuses them
 
 
 def test_flip_square_diagonal_and_involution():
@@ -320,6 +363,49 @@ def test_flip_walk_matches_full_retest_reference(p, seed):
     walked = flip_walk(base, seed, steps)
     assert walked.triangles == reference_flip_walk(base, seed, steps).triangles
     validate_triangulation(walked)
+
+
+def reference_opp(points, triangles):
+    """The oriented map rebuilt from scratch: the three rotations of each triangle, turned counter-clockwise."""
+    opp = {}
+    for t in triangles:
+        a, b, c = t if _cross(*(points[v] for v in t)) > 0 else t[::-1]
+        opp.update({(a, b): c, (b, c): a, (c, a): b})
+    return opp
+
+
+def assert_consistent_map(points, opp):
+    assert all(_cross(points[a], points[b], points[c]) == 1 for (a, b), c in opp.items())
+    assert reference_opp(points, {tuple(sorted((a, b, c))) for (a, b), c in opp.items()}) == opp
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_polygons.filter(lambda p: tri2d._hull_doubled_area(p.vertices) <= 120), st.integers(0, 10**6))
+def test_oriented_map_stays_consistent_through_flips_and_walks(p, seed):
+    base = unimodular_triangulation(p)
+    assert base.opp == reference_opp(base.points, base.triangles)
+    assert_consistent_map(base.points, base.opp)
+    working = []  # the map each in-place flip leaves behind
+    original = tri2d._flip_in_place
+
+    def recorded(points, opp, edge):
+        quadrilateral = original(points, opp, edge)
+        working.append(dict(opp))
+        return quadrilateral
+
+    with mock.patch.object(tri2d, "_flip_in_place", recorded):
+        options = admissible_flips(base)
+        if options:
+            flipped = flip(base, random.Random(seed).choice(options))
+            assert working[-1] == flipped.opp == reference_opp(flipped.points, flipped.triangles)
+            validate_triangulation(flipped)
+        before = len(working)
+        walked = flip_walk(base, seed, 2 * len(base.triangles))
+    validate_triangulation(walked)
+    if len(working) > before:
+        assert working[-1] == walked.opp == reference_opp(walked.points, walked.triangles)
+    for opp in working:
+        assert_consistent_map(base.points, opp)
 
 
 def test_flip_walk_retests_only_the_flipped_quadrilateral(monkeypatch):
