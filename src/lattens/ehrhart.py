@@ -1,14 +1,16 @@
 """Discrete moment tensors, Ehrhart tensor expansions, and exact identity checkers.
 
 The rank-r discrete moment tensor of a polytope is (1/r!) times the sum of
-the r-fold symmetric powers of its lattice points.  Evaluating it on the
-dilates kP for k = 0..n+r and solving the Vandermonde system per tensor
-coordinate produces the homogeneous expansion; the degree-(n+r) coefficient
-is independently checked against exact simplex integration of the moment
-tensor.  The interpolation runs in integers: the inverse Vandermonde matrix
-is cached per degree as W / D with W an integer matrix, the integer power
-sums of the dilates are combined with W, and each coefficient coordinate
-is one exact fraction with denominator D * r!.
+the r-fold symmetric powers of its lattice points.  On the dilates kP it
+is a polynomial in k of degree m + r, m = dim P, so evaluating it for
+k = 0..m+r and solving the Vandermonde system per tensor coordinate
+produces the homogeneous expansion; the coefficients of degree m+r+1..n+r
+are zero.  The leading coefficient of a full-dimensional P is checked
+independently against exact simplex integration of the moment tensor.
+The interpolation runs in integers: the inverse Vandermonde matrix is
+cached per degree as W / D with W an integer matrix, the integer power
+sums of the dilates are combined with W, and each coefficient is one
+integer tensor over D * r!, reduced once, not a fraction per coordinate.
 
 Power sums are taken over the runs in the columns of points.fibers,
 stretches of the last of P's lattice coordinates y, in closed form by
@@ -35,7 +37,7 @@ from .arith import multinomial, power_sum_polynomial
 from .linalg import det, invert_matrix
 from .points import _count, _expand, fibers, lattice_rows
 from .polytope import LatticePolytope, UnimodularMap, faces, negate, transform, translate
-from .tensor import MultiIndex, SymTensor, _poly_mul_linear, _pull_back_rows, apply_linear, multi_indices
+from .tensor import MultiIndex, SymTensor, _multinomials, _poly_mul_linear, _pull_back_rows, apply_linear, multi_indices
 
 
 @lru_cache(maxsize=None)
@@ -155,9 +157,8 @@ def _summer(p: LatticePolytope, rank: int):
 
 
 def _moment(p: LatticePolytope, relint: bool, rank: int) -> SymTensor:
-    n, rfact = p.ambient_dim, factorial(rank)
     sums = _summer(p, rank)(fibers(p, relint=relint))
-    return SymTensor._trusted(n, rank, {a: Fraction(s, rfact) for a, s in zip(multi_indices(n, rank), sums) if s})
+    return SymTensor._ints(p.ambient_dim, rank, dict(zip(multi_indices(p.ambient_dim, rank), sums)), factorial(rank))
 
 
 def discrete_moment(p: LatticePolytope, r: int) -> SymTensor:
@@ -202,20 +203,19 @@ def _expansions(p: LatticePolytope, ranks) -> list[EhrhartTensorExpansion]:
     """Expansions of every rank in ranks, from one enumeration of each dilate kP."""
     if p.is_empty:
         raise ValueError("expansion needs a non-empty polytope")
-    n = p.ambient_dim
+    n, m = p.ambient_dim, p.dim
     sums = {r: [] for r in ranks}
     # fibers checks the scan cap when called, so every dilate is checked first
-    dilates = [fibers(p, scale=k) for k in range(n + max(ranks) + 1)]
+    dilates = [fibers(p, scale=k) for k in range(m + max(ranks) + 1)]
     summers = {r: _summer(p, r) for r in ranks}
     for k, dilate_columns in enumerate(dilates):
         columns = list(dilate_columns)
         for r in ranks:
-            if k <= n + r:
+            if k <= m + r:
                 sums[r].append(summers[r](columns))
     out = []
     for r in ranks:
-        weights, d = _vandermonde_inverse(n + r)
-        denom = d * factorial(r)
+        weights, d = _vandermonde_inverse(m + r)
         alphas = multi_indices(n, r)
         coeffs = []
         for row in weights:
@@ -224,8 +224,8 @@ def _expansions(p: LatticePolytope, ranks) -> list[EhrhartTensorExpansion]:
             for w, values in zip(row, sums[r]):
                 if w:
                     total = map(add, total, map(mul, values, repeat(w)))
-            coords = {alpha: Fraction(c, denom) for alpha, c in zip(alphas, total) if c}
-            coeffs.append(SymTensor._trusted(n, r, coords))
+            coeffs.append(SymTensor._ints(n, r, dict(zip(alphas, total)), d * factorial(r)))
+        coeffs += [SymTensor.zero(n, r)] * (n - m)  # the degree is at most m + r
         out.append(EhrhartTensorExpansion(rank=r, coefficients=tuple(coeffs)))
     return out
 
@@ -282,10 +282,9 @@ def moment_tensor(p: LatticePolytope, r: int) -> SymTensor:
         h = _complete_homogeneous(list(simplex), n, r)
         for mono, c in h.items():
             total[mono] = total.get(mono, 0) + vol_factor * c
-    coords = {
-        alpha: Fraction(value, multinomial(r, alpha) * denom) for alpha, value in total.items()
-    }
-    return SymTensor(n, r, coords)
+    multinomials, lcm_m = _multinomials(n, r)
+    num = {alpha: value * (lcm_m // multinomials[alpha]) for alpha, value in total.items()}
+    return SymTensor._ints(n, r, num, lcm_m * denom)
 
 
 # -- identity checkers -----------------------------------------------------------
@@ -309,8 +308,7 @@ class CheckReport:
 def _compare(label: str, lhs: SymTensor, rhs: SymTensor, failures: list[str]) -> None:
     if lhs == rhs:
         return
-    diff = lhs - rhs
-    alpha = sorted(diff.coords)[0]
+    alpha = min((lhs - rhs).num)
     failures.append(
         f"{label}: coordinate {alpha} differs, {lhs.coord(alpha)} != {rhs.coord(alpha)}"
     )
@@ -324,20 +322,14 @@ def check_reciprocity(p: LatticePolytope, r: int) -> CheckReport:
     interior = discrete_moment_relint(p, r)
     expansion = ehrhart_tensors(p, r)
     sign = Fraction((-1) ** (m + r))
-    alternating = SymTensor.zero(n, r)
-    for i, coeff in enumerate(expansion.coefficients):
-        alternating = alternating + coeff * Fraction((-1) ** i)
-    _compare("alternating-sum reciprocity", interior, alternating * sign, failures)
+    _compare("alternating-sum reciprocity", interior, expansion.evaluate_at(-1) * sign, failures)
 
     face_sum = SymTensor.zero(n, r)
     for f in faces(p):
         face_sum = face_sum + discrete_moment(f, r) * Fraction((-1) ** f.dim)
     _compare("face-sum interior formula", interior, face_sum * Fraction((-1) ** m), failures)
 
-    mirrored = ehrhart_tensors(negate(p), r)
-    mirror_sum = SymTensor.zero(n, r)
-    for i, coeff in enumerate(mirrored.coefficients):
-        mirror_sum = mirror_sum + coeff * Fraction((-1) ** i)
+    mirror_sum = ehrhart_tensors(negate(p), r).evaluate_at(-1)
     _compare("face-sum vs mirrored expansion", face_sum, mirror_sum, failures)
 
     return CheckReport("reciprocity", not failures, failures)

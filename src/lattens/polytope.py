@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import comb, gcd
 from numbers import Integral
-from operator import and_, or_
+from operator import and_, mul, or_
 
 from .linalg import det, invert_matrix, rank_bareiss, rational_row_space_equations
 
@@ -42,7 +42,7 @@ MAX_HULL_SUBSETS = 100_000
 
 
 def _dot(a, x) -> int:
-    return sum(ai * xi for ai, xi in zip(a, x))
+    return sum(map(mul, a, x))
 
 
 class LatticePolytope:

@@ -1,10 +1,17 @@
-"""Symmetric tensor algebra over the rationals.
+"""Symmetric tensor algebra over the rationals, in integers.
 
 A rank-r symmetric tensor on R^n is stored sparsely as a map from
 multi-indices to rational coordinates, where the multi-index
 alpha = (a_1, ..., a_n) labels the coordinate T(e_1[a_1], ..., e_n[a_n])
 (basis vector e_i repeated a_i times, |alpha| = r).  Rank-0 tensors are
 scalars with the single multi-index (0, ..., 0).
+
+The coordinates are integer numerators num[alpha] over one denominator
+den, in a normal form: den > 0, no zero numerator is stored, and
+gcd(den, *num.values()) == 1.  Equal tensors therefore have equal
+(num, den), and the arithmetic below runs in integers, reducing by one
+gcd per result.  coords, the coordinates as Fractions, is a read-only
+view built on first read.
 
 The bridge to polynomial arithmetic: identifying T with its diagonal
 polynomial p_T(u) = T(u, ..., u), the coefficient of u^alpha in p_T equals
@@ -14,9 +21,13 @@ product is the product of the diagonal polynomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import repeat
+from math import gcd, lcm, prod
+from operator import add, mul
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .arith import multinomial
@@ -39,46 +50,56 @@ def _multi_indices(dim: int, rank: int) -> tuple[MultiIndex, ...]:
     return tuple((v,) + rest for v in range(rank + 1) for rest in _multi_indices(dim - 1, rank - v))
 
 
-@dataclass(frozen=True)
 class SymTensor:
-    """Immutable symmetric tensor; absent coordinates are zero."""
+    """Immutable symmetric tensor with coordinates num[alpha] / den; absent coordinates are zero."""
 
-    dim: int
-    rank: int
-    coords: Mapping[MultiIndex, Fraction] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
+    def __init__(self, dim: int, rank: int, coords: Mapping[MultiIndex, Fraction] | None = None) -> None:
         clean = {}
-        for alpha, value in self.coords.items():
+        for alpha, value in (coords or {}).items():
             alpha = tuple(alpha)
-            if len(alpha) != self.dim or sum(alpha) != self.rank or any(a < 0 for a in alpha):
-                raise ValueError(f"bad multi-index {alpha} for dim {self.dim} rank {self.rank}")
+            if len(alpha) != dim or sum(alpha) != rank or any(a < 0 for a in alpha):
+                raise ValueError(f"bad multi-index {alpha} for dim {dim} rank {rank}")
             value = Fraction(value)
             if value != 0:
                 clean[alpha] = value
-        object.__setattr__(self, "coords", clean)
+        # Fractions are in lowest terms, so over the lcm of their denominators gcd(den, *num) == 1
+        den = lcm(*(v.denominator for v in clean.values()))
+        num = {a: v.numerator * (den // v.denominator) for a, v in clean.items()}
+        self.__dict__.update(dim=dim, rank=rank, num=num, den=den)
 
     @staticmethod
-    def _trusted(dim: int, rank: int, coords: dict[MultiIndex, Fraction]) -> SymTensor:
-        """A tensor on coords as given, unchecked: non-zero Fractions on multi-indices of dim and rank."""
+    def _ints(dim: int, rank: int, num: dict[MultiIndex, int], den: int) -> SymTensor:
+        """The tensor num[alpha] / den, unchecked: integers on multi-indices of dim and rank, den > 0."""
+        num = {a: v for a, v in num.items() if v}
+        g = gcd(den, *num.values())
+        if g > 1:
+            num, den = {a: v // g for a, v in num.items()}, den // g
         t = object.__new__(SymTensor)
-        t.__dict__.update(dim=dim, rank=rank, coords=coords)
+        t.__dict__.update(dim=dim, rank=rank, num=num, den=den)
         return t
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    @cached_property
+    def coords(self) -> Mapping[MultiIndex, Fraction]:
+        """The non-zero coordinates as Fractions: a read-only view, built on first read."""
+        return MappingProxyType({a: Fraction(v, self.den) for a, v in self.num.items()})
 
     @staticmethod
     def zero(dim: int, rank: int) -> SymTensor:
-        return SymTensor(dim, rank, {})
+        return SymTensor._ints(dim, rank, {}, 1)
 
     @staticmethod
     def scalar(dim: int, value) -> SymTensor:
         return SymTensor(dim, 0, {(0,) * dim: Fraction(value)})
 
     def coord(self, alpha: MultiIndex) -> Fraction:
-        return self.coords.get(tuple(alpha), Fraction(0))
+        return Fraction(self.num.get(tuple(alpha), 0), self.den)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coords
+        return not self.num
 
     def scalar_value(self) -> Fraction:
         if self.rank != 0:
@@ -86,21 +107,25 @@ class SymTensor:
         return self.coord((0,) * self.dim)
 
     def __add__(self, other: SymTensor) -> SymTensor:
-        self._check_same_space(other)
-        out = dict(self.coords)
-        for alpha, value in other.coords.items():
-            out[alpha] = out.get(alpha, 0) + value
-        return SymTensor._trusted(self.dim, self.rank, {a: v for a, v in out.items() if v})
+        if self.dim != other.dim or self.rank != other.rank:
+            raise ValueError("tensors live in different spaces")
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        out = {alpha: v * a for alpha, v in self.num.items()}
+        for alpha, v in other.num.items():
+            out[alpha] = out.get(alpha, 0) + v * b
+        return SymTensor._ints(self.dim, self.rank, out, den)
 
     def __sub__(self, other: SymTensor) -> SymTensor:
         return self + (-other)
 
     def __neg__(self) -> SymTensor:
-        return SymTensor._trusted(self.dim, self.rank, {a: -v for a, v in self.coords.items()})
+        return SymTensor._ints(self.dim, self.rank, {a: -v for a, v in self.num.items()}, self.den)
 
     def __mul__(self, scalar) -> SymTensor:
         s = Fraction(scalar)
-        return SymTensor._trusted(self.dim, self.rank, {a: v * s for a, v in self.coords.items() if s})
+        num = {a: v * s.numerator for a, v in self.num.items()}
+        return SymTensor._ints(self.dim, self.rank, num, self.den * s.denominator)
 
     __rmul__ = __mul__
 
@@ -110,14 +135,14 @@ class SymTensor:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymTensor):
             return NotImplemented
-        return (self.dim, self.rank, dict(self.coords)) == (other.dim, other.rank, dict(other.coords))
+        # both sides are in lowest terms with no zero numerator
+        return (self.dim, self.rank, self.den, self.num) == (other.dim, other.rank, other.den, other.num)
 
     def __hash__(self) -> int:
         return hash((self.dim, self.rank, tuple(sorted(self.coords.items()))))
 
-    def _check_same_space(self, other: SymTensor) -> None:
-        if self.dim != other.dim or self.rank != other.rank:
-            raise ValueError("tensors live in different spaces")
+    def __repr__(self) -> str:
+        return f"SymTensor(dim={self.dim!r}, rank={self.rank!r}, coords={dict(self.coords)!r})"
 
     def to_json_dict(self) -> dict:
         coords = {
@@ -139,21 +164,17 @@ def sym_power(v: Vector, r: int) -> SymTensor:
     """r-fold symmetric power of a vector: (v^r)_alpha = prod v_i^alpha_i."""
     if r < 0:
         raise ValueError("rank must be non-negative")
-    n = len(v)
-    if r == 0:
-        return SymTensor.scalar(n, 1)
-    coords = {}
-    for alpha in multi_indices(n, r):
-        prod = Fraction(1)
-        for vi, ai in zip(v, alpha):
-            if ai:
-                prod *= Fraction(vi) ** ai
-        coords[alpha] = prod
-    return SymTensor(n, r, coords)
+    v = [Fraction(x) for x in v]
+    d = lcm(*(x.denominator for x in v))
+    w = [x.numerator * (d // x.denominator) for x in v]  # v = w / d
+    return SymTensor._ints(len(v), r, {a: prod(map(pow, w, a)) for a in multi_indices(len(v), r)}, d**r)
 
 
-def _diagonal_poly(t: SymTensor) -> dict[MultiIndex, Fraction]:
-    return {a: v * multinomial(t.rank, a) for a, v in t.coords.items()}
+@lru_cache(maxsize=None)
+def _multinomials(dim: int, rank: int) -> tuple[dict[MultiIndex, int], int]:
+    """multinomial(rank, alpha) for each multi-index alpha of dim and rank, and their lcm."""
+    m = {alpha: multinomial(rank, alpha) for alpha in _multi_indices(dim, rank)}
+    return m, lcm(*m.values())
 
 
 def _poly_mul_linear(poly: dict, v: Vector) -> dict:
@@ -167,23 +188,25 @@ def _poly_mul_linear(poly: dict, v: Vector) -> dict:
     return out
 
 
-def _poly_mul(p: dict, q: dict) -> dict:
-    out: dict[MultiIndex, Fraction] = {}
-    for a, u in p.items():
-        for b, w in q.items():
-            key = tuple(x + y for x, y in zip(a, b))
-            out[key] = out.get(key, Fraction(0)) + u * w
-    return out
-
-
 def sym_product(a: SymTensor, b: SymTensor) -> SymTensor:
-    """Symmetric (permutation-averaged) tensor product of rank p+q."""
+    """Symmetric (permutation-averaged) tensor product of rank p+q.
+
+    Multiplies the integer diagonal polynomials of a.num and b.num, then divides
+    by the multinomials of rank p+q as integers over their lcm L: over a.den * b.den * L.
+    """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch in symmetric product")
     rank = a.rank + b.rank
-    prod = _poly_mul(_diagonal_poly(a), _diagonal_poly(b))
-    coords = {alpha: c / multinomial(rank, alpha) for alpha, c in prod.items() if c}
-    return SymTensor._trusted(a.dim, rank, coords)
+    ma, mb = _multinomials(a.dim, a.rank)[0], _multinomials(a.dim, b.rank)[0]
+    m, den = _multinomials(a.dim, rank)
+    q = [(beta, w * mb[beta]) for beta, w in b.num.items()]
+    out: dict[MultiIndex, int] = {}
+    for alpha, u in a.num.items():
+        u *= ma[alpha]
+        for beta, w in q:
+            key = tuple(map(add, alpha, beta))
+            out[key] = out.get(key, 0) + u * w
+    return SymTensor._ints(a.dim, rank, {g: c * (den // m[g]) for g, c in out.items()}, a.den * b.den * den)
 
 
 def coordinate_row(vectors: Sequence[Vector], dim: int) -> dict[MultiIndex, Fraction]:
@@ -233,13 +256,17 @@ def apply_linear(t: SymTensor, matrix: Sequence[Sequence[int]]) -> SymTensor:
 
     Result coordinates are the multilinear expansion of
     T(M^t e_1 [a_1], ..., M^t e_n [a_n]); for powers this means
-    apply_linear(sym_power(x, r), M) == sym_power(M x, r).
+    apply_linear(sym_power(x, r), M) == sym_power(M x, r).  The integer
+    pull-back rows act on t.num; a rational M = W / d pulls back with W, over t.den * d^rank.
     """
     n = t.dim
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError("matrix dimension mismatch")
+    d = lcm(*(x.denominator for row in matrix for x in row))
+    w = [[x.numerator * (d // x.denominator) for x in row] for row in matrix]
     # M^t e_j is row j of M
-    coords = {}
-    for beta, row in _pull_back_rows(matrix, multi_indices(n, t.rank)):
-        coords[beta] = sum((c * t.coord(alpha) for alpha, c in row.items()), Fraction(0))
-    return SymTensor._trusted(n, t.rank, {beta: v for beta, v in coords.items() if v})
+    num = {
+        beta: sum(map(mul, row.values(), map(t.num.get, row, repeat(0))))
+        for beta, row in _pull_back_rows(w, multi_indices(n, t.rank))
+    }
+    return SymTensor._ints(n, t.rank, num, t.den * d**t.rank)

@@ -17,10 +17,9 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, pairwise
-from math import gcd, lcm
+from math import gcd
 
 from .ehrhart import ehrhart_tensors
 from .points import lattice_points
@@ -57,6 +56,11 @@ class Triangulation2D:
         """opp[a, b] = c for each triangle, turned counter-clockwise as (a, b, c); read, never mutated."""
         ccw = (t if _cross(*self.triangle_points(t)) > 0 else t[::-1] for t in self.triangles)
         return {(a, b): c for x, y, z in ccw for a, b, c in ((x, y, z), (y, z, x), (z, x, y))}
+
+    @cached_property
+    def admissible(self) -> tuple[tuple[int, int], ...]:
+        """The interior edges whose flip is admissible, in canonical order; computed once."""
+        return tuple(e for e in self.interior_edges() if _flip_targets(self.points, self.opp, e))
 
     def triangle_points(self, t: Triangle) -> tuple[Point, Point, Point]:
         return tuple(self.points[i] for i in t)
@@ -173,8 +177,8 @@ def flip(tri: Triangulation2D, edge: tuple[int, int]) -> Triangulation2D:
 
 
 def admissible_flips(tri: Triangulation2D) -> list[tuple[int, int]]:
-    """Interior edges whose flip is admissible, in canonical order."""
-    return [e for e in tri.interior_edges() if _flip_targets(tri.points, tri.opp, e)]
+    """Interior edges whose flip is admissible, in canonical order: a fresh list, the caller's to change."""
+    return list(tri.admissible)
 
 
 def flip_walk(tri: Triangulation2D, seed: int, steps: int) -> Triangulation2D:
@@ -205,8 +209,7 @@ def _standard_cube() -> tuple[int, dict[tuple[int, int], int]]:
     """T_2's cube, the one triangle enumerated: the lcm D of its denominators, and D * T_alpha."""
     linear = ehrhart_tensors(standard_simplex(2, 2), 3).coefficient(1)
     cube = sym_product(sym_product(linear, linear), linear)
-    d = lcm(*(c.denominator for c in cube.coords.values()))
-    return d, {a: cube.coord(a).numerator * (d // cube.coord(a).denominator) for a in RANK9}
+    return cube.den, {a: cube.num.get(a, 0) for a in RANK9}
 
 
 @lru_cache(maxsize=None)
@@ -250,4 +253,4 @@ def valuation_n(p: LatticePolytope, triangulation: Triangulation2D | None = None
     tri = triangulation if triangulation is not None else unimodular_triangulation(p)
     d, _ = _standard_cube()
     sums = map(sum, zip(*(_triangle_cube(tri.triangle_points(t)) for t in tri.triangles)))
-    return SymTensor(2, 9, {a: Fraction(s, d) for a, s in zip(RANK9, sums) if s})
+    return SymTensor._ints(2, 9, dict(zip(RANK9, sums)), d)

@@ -249,6 +249,30 @@ def test_translation_covariance_enumerates_each_dilate_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 2 * (p.ambient_dim + r + 1)
 
 
+def reference_ambient_expansion(p, r):
+    """Interpolation at the ambient degree n + r, on the moments of kP for k = 0..n+r."""
+    n = p.ambient_dim
+    weights, d = _vandermonde_inverse(n + r)
+    values = [discrete_moment(dilate(p, k), r) for k in range(n + r + 1)]
+    coeffs = []
+    for row in weights:
+        acc = SymTensor.zero(n, r)
+        for w, value in zip(row, values):
+            acc = acc + value * w
+        coeffs.append(acc / d)
+    return tuple(coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polytopes().filter(lambda p: p.dim < p.ambient_dim), st.integers(0, 3))
+def test_expansion_at_degree_dim_plus_rank_matches_ambient_interpolation(p, r):
+    # L^r(kP) has degree dim P + r, so the m + r + 1 nodes fix it; the n - m top coefficients are zero
+    coefficients = ehrhart_tensors(p, r).coefficients
+    assert coefficients == reference_ambient_expansion(p, r)
+    assert len(coefficients) == p.ambient_dim + r + 1
+    assert all(c.is_zero for c in coefficients[p.dim + r + 1 :])
+
+
 # -- the run-by-run power sums, kept as the reference for the list-wide kernel --
 
 

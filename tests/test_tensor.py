@@ -1,12 +1,16 @@
+import json
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lattens.arith import multinomial
 from lattens.ehrhart import discrete_moment, ehrhart_tensors
-from lattens.polytope import from_points
+from lattens.polytope import from_points, random_unimodular
 from lattens.tensor import (
     SymTensor,
     _pull_back_rows,
@@ -271,3 +275,129 @@ def test_apply_linear_matches_reference(matrix, rank, data):
     fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
     t = SymTensor(n, rank, {alpha: data.draw(fractions) for alpha in multi_indices(n, rank)})
     assert apply_linear(t, matrix) == reference_apply_linear(t, matrix)
+
+
+# -- the Fraction-dict tensor, kept as the reference for the integer one ---------------
+
+
+@dataclass(frozen=True)
+class ReferenceTensor:
+    """SymTensor as it was before its integer storage: a dict of non-zero Fractions."""
+
+    dim: int
+    rank: int
+    coords: dict
+
+    @staticmethod
+    def of(t):
+        return ReferenceTensor(t.dim, t.rank, {a: v for a, v in dict(t.coords).items() if v})
+
+    def __add__(self, other):
+        out = dict(self.coords)
+        for alpha, value in other.coords.items():
+            out[alpha] = out.get(alpha, 0) + value
+        return ReferenceTensor(self.dim, self.rank, {a: v for a, v in out.items() if v})
+
+    def __neg__(self):
+        return ReferenceTensor(self.dim, self.rank, {a: -v for a, v in self.coords.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, scalar):
+        s = Fraction(scalar)
+        return ReferenceTensor(self.dim, self.rank, {a: v * s for a, v in self.coords.items() if s})
+
+    def __truediv__(self, scalar):
+        return self * (1 / Fraction(scalar))
+
+    def __eq__(self, other):
+        return (self.dim, self.rank, self.coords) == (other.dim, other.rank, other.coords)
+
+    def __hash__(self):
+        return hash((self.dim, self.rank, tuple(sorted(self.coords.items()))))
+
+    def to_json_dict(self):
+        coords = {",".join(map(str, alpha)): str(value) for alpha, value in sorted(self.coords.items())}
+        return {"dim": self.dim, "rank": self.rank, "coords": coords}
+
+
+def reference_sym_product(a, b):
+    """Multiply the diagonal polynomials in Fractions and divide by the multinomials."""
+    rank = a.rank + b.rank
+    prod = {}
+    for x, u in a.coords.items():
+        for y, w in b.coords.items():
+            key = tuple(i + j for i, j in zip(x, y))
+            prod[key] = prod.get(key, 0) + u * multinomial(a.rank, x) * w * multinomial(b.rank, y)
+    return ReferenceTensor(a.dim, rank, {g: c / multinomial(rank, g) for g, c in prod.items() if c})
+
+
+def reference_matrix_apply(t, matrix):
+    """Precompose with M^t, one coordinate_row per coordinate, in Fractions."""
+    coords = {}
+    for beta in multi_indices(t.dim, t.rank):
+        row = coordinate_row(coordinate_vectors(matrix, beta), t.dim)
+        coords[beta] = sum((c * t.coords.get(alpha, 0) for alpha, c in row.items()), Fraction(0))
+    return ReferenceTensor(t.dim, t.rank, {b: v for b, v in coords.items() if v})
+
+
+def assert_normal_form(t):
+    assert type(t.den) is int and t.den > 0
+    assert all(type(v) is int and v != 0 for v in t.num.values())
+    assert gcd(t.den, *t.num.values()) == 1
+
+
+@st.composite
+def rational_tensors(draw, dim, rank):
+    """Sparse rational tensors: each coordinate zero or a Fraction with a small denominator."""
+    value = st.one_of(st.just(0), st.fractions(min_value=-20, max_value=20, max_denominator=12))
+    return SymTensor(dim, rank, {alpha: draw(value) for alpha in multi_indices(dim, rank)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 4), st.integers(0, 5), st.integers(0, 5))
+def test_integer_tensors_match_the_fraction_reference(data, dim, rank, other_rank):
+    a, b = data.draw(rational_tensors(dim, rank)), data.draw(rational_tensors(dim, rank))
+    c = data.draw(rational_tensors(dim, other_rank))
+    s = data.draw(st.fractions(min_value=-6, max_value=6, max_denominator=7))
+    ra, rb, rc = ReferenceTensor.of(a), ReferenceTensor.of(b), ReferenceTensor.of(c)
+    matrix = random_unimodular(dim, data.draw(st.integers(0, 10**6)), data.draw(st.integers(0, 6))).matrix
+    q = data.draw(st.integers(1, 3))
+    rational = [[Fraction(x, q) for x in row] for row in matrix]
+    results = [
+        (a + b, ra + rb),
+        (a - b, ra - rb),
+        (-a, -ra),
+        (a * s, ra * s),
+        (s * a, ra * s),
+        (sym_product(a, c), reference_sym_product(ra, rc)),
+        (apply_linear(a, matrix), reference_matrix_apply(ra, matrix)),
+        (apply_linear(a, rational), reference_matrix_apply(ra, rational)),
+    ]
+    if s:
+        results.append((a / s, ra / s))
+    for t, ref in results:
+        assert_normal_form(t)
+        assert ReferenceTensor.of(t) == ref
+        assert hash(t) == hash(ref)
+        assert json.dumps(t.to_json_dict()) == json.dumps(ref.to_json_dict())
+        assert SymTensor.from_json_dict(t.to_json_dict()) == t
+        assert t == SymTensor(t.dim, t.rank, t.coords)
+    assert (a == b) == (ra == rb)
+    assert (a - b == SymTensor.zero(dim, rank)) == (ra == rb)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(1, 4), st.integers(0, 5), st.integers(1, 30))
+def test_public_and_internal_constructors_agree(data, dim, rank, scale):
+    t = data.draw(rational_tensors(dim, rank))
+    assert_normal_form(t)
+    # the same values as unreduced integers over a multiple of the denominator, with zeros kept
+    num = {alpha: t.num.get(alpha, 0) * scale for alpha in multi_indices(dim, rank)}
+    built = SymTensor._ints(dim, rank, num, t.den * scale)
+    assert_normal_form(built)
+    assert built == t and hash(built) == hash(t)
+    assert built.num == t.num and built.den == t.den
+    assert built.coords == t.coords and repr(built) == repr(t)
+    assert all(type(v) is Fraction for v in built.coords.values())

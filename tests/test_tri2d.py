@@ -365,6 +365,21 @@ def test_flip_walk_matches_full_retest_reference(p, seed):
     validate_triangulation(walked)
 
 
+def test_admissible_flips_returns_a_fresh_list_each_call():
+    base = unimodular_triangulation(from_points([(0, 0), (4, 0), (8, 3), (6, 8), (2, 8), (0, 5)]))
+    index = base.edge_triangles()
+    expected = [e for e in base.interior_edges() if reference_flip_targets(base, index, e)]
+    first = admissible_flips(base)
+    assert first == expected
+    first.clear()  # flip_walk deletes and inserts in its copy
+    second = admissible_flips(base)
+    assert second == expected and second is not first
+    second.append((0, 0))
+    assert admissible_flips(base) == expected
+    # two walks from one base see the same edges: equal walks for equal seeds
+    assert flip_walk(base, 3, 20) == flip_walk(base, 3, 20)
+
+
 def reference_opp(points, triangles):
     """The oriented map rebuilt from scratch: the three rotations of each triangle, turned counter-clockwise."""
     opp = {}
