@@ -35,8 +35,8 @@ EQUIVARIANCE_MAX_STEPS = 1000
 NVAL_MAX_TRIALS = 1000
 # nval on T unimodular triangles took under 1 s at T = 1000 (fans with every
 # lattice point on the boundary, triangles up to 1000 wide); a trial of
-# --check-independence (a 2T-flip walk and a valuation) costs about 0.06 ms a
-# triangle, and trials * T = 50,000 took at most 3 s (2 vCPUs, Python 3.11)
+# --check-independence (a 2T-flip walk and a valuation) costs about 0.04 ms a
+# triangle, and trials * T = 50,000 took at most 2.8 s (2 vCPUs, Python 3.11)
 NVAL_MAX_TRIANGLES = 1000
 NVAL_MAX_WORK = 50_000
 

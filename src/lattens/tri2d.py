@@ -1,15 +1,16 @@
 """Unimodular triangulations of lattice polygons, flips, and the rank-9 valuation.
 
-A triangulation here always uses every lattice point of the polygon as a
-vertex; by Pick's theorem each triangle then has lattice area 1/2, so the
-triangulation is automatically unimodular.  Construction places the points
-in lex order; the hull edges each one sees strictly end the lower and upper
-monotone chains (Andrew), kept as stacks with collinear boundary points on
-them, and are popped and fanned to it: amortised O(1) a point.  Flips work
-on the oriented map opp[a, b] = c of the counter-clockwise triangles (a, b, c):
-a flip walk flips a working copy in six writes, keeps the admissible edges
-sorted and tests six edges a step, two reads each.  Validation also refuses a
-directed edge in two triangles, and a lone edge that is not a polygon side.
+A Triangulation2D is validated on construction: unimodular triangles, which
+hold no lattice points but their vertices (Pick), tile the hull of its points,
+so these are the hull's lattice points.  Construction places the points in lex
+order; the hull edges each one sees strictly end the lower and upper monotone
+chains (Andrew), kept as stacks with collinear boundary points on them, and
+are popped and fanned to it: amortised O(1) a point.  Flips work on the
+oriented map opp[a, b] = c of the counter-clockwise triangles (a, b, c): a
+flip walk flips a working copy in six writes, keeps the admissible edges
+sorted and tests six edges a step, two reads each.  An interior edge's apexes
+lie strictly on its two sides, so one test of the other diagonal decides a
+flip, whose two lattice triangles share doubled area 2: each is unimodular.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, pairwise
+from itertools import chain, pairwise
 from math import gcd
 
 from .ehrhart import ehrhart_tensors
@@ -41,15 +42,25 @@ def _cross(o: Point, a: Point, b: Point) -> int:
 
 @dataclass(frozen=True)
 class Triangulation2D:
-    """Immutable triangulation of a lattice polygon on all of its lattice points."""
+    """Immutable triangulation of a lattice polygon on all of its lattice points, validated on construction."""
 
     points: tuple[Point, ...]
     triangles: tuple[Triangle, ...]
 
     def __post_init__(self) -> None:
-        tris = tuple(sorted(tuple(sorted(t)) for t in self.triangles))
-        object.__setattr__(self, "triangles", tris)
-        object.__setattr__(self, "points", tuple(tuple(p) for p in self.points))
+        try:
+            points = tuple(map(tuple, self.points))
+            triangles = tuple(sorted(tuple(sorted(t)) for t in self.triangles))
+        except TypeError as exc:
+            raise ValueError("points and triangles must be sequences of integers") from exc
+        if set(map(len, points)) - {2} or set(map(type, chain.from_iterable(points))) - {int}:
+            raise ValueError("every point must be a pair of integers")
+        flat = tuple(chain.from_iterable(triangles))
+        if set(map(len, triangles)) - {3} or set(map(type, flat)) - {int} or not set(flat) <= set(range(len(points))):
+            raise ValueError("every triangle must be three indices into the points")
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "triangles", triangles)
+        validate_triangulation(self)
 
     @cached_property
     def opp(self) -> dict[tuple[int, int], int]:
@@ -64,14 +75,6 @@ class Triangulation2D:
 
     def triangle_points(self, t: Triangle) -> tuple[Point, Point, Point]:
         return tuple(self.points[i] for i in t)
-
-    def edge_triangles(self) -> dict[tuple[int, int], list[Triangle]]:
-        """Map from sorted vertex-index edge to the triangles containing it."""
-        out: dict[tuple[int, int], list[Triangle]] = {}
-        for t in self.triangles:
-            for e in combinations(t, 2):
-                out.setdefault(e, []).append(t)
-        return out
 
     def interior_edges(self) -> list[tuple[int, int]]:
         return sorted((a, b) for a, b in self.opp if a < b and (b, a) in self.opp)
@@ -89,15 +92,16 @@ def validate_triangulation(tri: Triangulation2D) -> None:
             raise ValueError(f"triangle {t} is not unimodular")
     if {i for t in tri.triangles for i in t} != set(range(len(tri.points))):
         raise ValueError("every lattice point must be a triangulation vertex")
-    hull = _hull(tri.points)
-    if len(tri.triangles) != _hull_doubled_area(hull):
+    # side starts by primitive direction, unique on a convex polygon; unimodular edges are primitive
+    doubled_area, sides = 0, {}
+    for u, v in pairwise(_hull(tri.points)):
+        doubled_area += u[0] * v[1] - u[1] * v[0]
+        if g := gcd(v[0] - u[0], v[1] - u[1]):
+            sides[(v[0] - u[0]) // g, (v[1] - u[1]) // g] = u
+    if len(tri.triangles) != doubled_area:
         raise ValueError("triangle areas do not add up to the polygon area")
     if len(tri.opp) < 3 * len(tri.triangles):
         raise ValueError("a directed edge lies in two triangles")
-    sides = {}  # side starts by primitive direction, unique on a convex polygon; unimodular edges are primitive
-    for u, v in pairwise(hull):
-        if g := gcd(v[0] - u[0], v[1] - u[1]):
-            sides[(v[0] - u[0]) // g, (v[1] - u[1]) // g] = u
     for a, b in [(a, b) for a, b in tri.opp if (b, a) not in tri.opp]:
         (ax, ay), (bx, by) = pa, pb = tri.points[a], tri.points[b]
         if (u := sides.get((bx - ax, by - ay))) is None or _cross(u, pa, pb):
@@ -138,9 +142,7 @@ def unimodular_triangulation(p: LatticePolytope) -> Triangulation2D:
                 seen = chain.pop()
                 triangles.append((chain[-1], seen, q))
             chain.append(q)
-    tri = Triangulation2D(tuple(pts), tuple(triangles))
-    validate_triangulation(tri)
-    return tri
+    return Triangulation2D(tuple(pts), tuple(triangles))
 
 
 def _flip_targets(points, opp: dict, edge: tuple[int, int]):
@@ -148,8 +150,8 @@ def _flip_targets(points, opp: dict, edge: tuple[int, int]):
     i, j = edge
     k, l = opp.get(edge), opp.get((j, i))
     if k is not None and l is not None:
-        pi, pj, pk, pl = points[i], points[j], points[k], points[l]
-        if _cross(pi, pj, pk) * _cross(pi, pj, pl) < 0 and _cross(pk, pl, pi) * _cross(pk, pl, pj) < 0:
+        pk, pl = points[k], points[l]
+        if _cross(pk, pl, points[i]) * _cross(pk, pl, points[j]) < 0:
             return k, l
     return None
 
@@ -161,8 +163,6 @@ def _flip_in_place(points, opp: dict, edge: tuple[int, int]) -> tuple[int, int, 
     if targets is None:
         raise FlipError(f"edge {(i, j)} is not the diagonal of a strictly convex quadrilateral")
     k, l = targets
-    if abs(_cross(points[k], points[l], points[i])) != 1 or abs(_cross(points[k], points[l], points[j])) != 1:
-        raise FlipError("flip would break unimodularity")
     # (i, j, k) and (j, i, l) become (i, l, k) and (l, j, k)
     del opp[i, j], opp[j, i]
     opp.update({(j, k): l, (k, i): l, (i, l): k, (l, j): k, (l, k): i, (k, l): j})
@@ -239,17 +239,16 @@ def valuation_n(p: LatticePolytope, triangulation: Triangulation2D | None = None
     degree-1 rank-3 expansion coefficients of the triangles.
 
     Vanishes on polygons of dimension at most one; the value is independent
-    of the chosen triangulation, which must be a unimodular triangulation
-    on the lattice points of p.  Cubes are summed in integers over D.
+    of the chosen triangulation, which must be one of p: as a Triangulation2D
+    is on all lattice points of its hull, that hull must have p's vertices.
+    Cubes are summed in integers over D.
     """
     if p.ambient_dim != 2:
         raise ValueError("the rank-9 valuation lives on lattice polygons")
     if p.is_empty or p.dim <= 1:
         return SymTensor.zero(2, 9)
-    if triangulation is not None:
-        validate_triangulation(triangulation)
-        if sorted(triangulation.points) != lattice_points(p):
-            raise ValueError("the triangulation's points are not the polygon's lattice points")
+    if triangulation is not None and tuple(sorted(set(_hull(triangulation.points)))) != p.vertices:
+        raise ValueError("the triangulation's points are not the polygon's lattice points")
     tri = triangulation if triangulation is not None else unimodular_triangulation(p)
     d, _ = _standard_cube()
     sums = map(sum, zip(*(_triangle_cube(tri.triangle_points(t)) for t in tri.triangles)))

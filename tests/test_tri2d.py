@@ -37,6 +37,15 @@ def unit_square():
     return from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
 
 
+def edge_triangles(tri):
+    """Map from sorted vertex-index edge to the triangles containing it."""
+    out = {}
+    for t in tri.triangles:
+        for e in combinations(t, 2):
+            out.setdefault(e, []).append(t)
+    return out
+
+
 def test_triangulation_examples():
     assert len(unimodular_triangulation(unit_square()).triangles) == 2
     assert len(unimodular_triangulation(standard_simplex(2, 2)).triangles) == 1
@@ -68,14 +77,31 @@ def test_validation_refuses_triangles_short_of_the_polygon():
 
 def test_validation_refuses_overlapping_triangles():
     # two unimodular triangles on the same side of (0,0)-(1,0): every point used, the areas add up
-    square = unit_square()
-    bad = Triangulation2D(((0, 0), (0, 1), (1, 0), (1, 1)), ((0, 2, 1), (0, 2, 3)))
-    assert bad.triangles == ((0, 1, 2), (0, 2, 3))  # the constructor accepts it; only validation refuses
     with pytest.raises(ValueError, match="two triangles"):
-        validate_triangulation(bad)
-    with pytest.raises(ValueError, match="two triangles"):
-        valuation_n(square, bad)
-    assert valuation_n(square).is_zero
+        Triangulation2D(((0, 0), (0, 1), (1, 0), (1, 1)), ((0, 2, 1), (0, 2, 3)))
+    assert valuation_n(unit_square()).is_zero
+
+
+T2_POINTS = ((0, 0), (1, 0), (0, 1))
+
+
+@pytest.mark.parametrize(
+    "points, triangles",
+    [
+        pytest.param(T2_POINTS, ((0, 1, 7),), id="index-past-the-points"),
+        pytest.param(T2_POINTS, ((0, 1),), id="two-indices"),
+        pytest.param(T2_POINTS, ((0, 1, 2, 2),), id="four-indices"),
+        pytest.param(T2_POINTS, (("a", 1, 2),), id="string-index"),
+        pytest.param(T2_POINTS, ((-3, 1, 2),), id="negative-index"),
+        pytest.param(T2_POINTS, ((0.0, 1, 2),), id="float-index"),
+        pytest.param(((0, 0), (1, 0), (0, 1, 5)), ((0, 1, 2),), id="point-of-three-coordinates"),
+        pytest.param(((0, 0), (1, 0), (0, "1")), ((0, 1, 2),), id="string-coordinate"),
+        pytest.param(((0, 0), (1, 0), 7), ((0, 1, 2),), id="point-not-a-sequence"),
+    ],
+)
+def test_constructor_refuses_malformed_input_with_value_error(points, triangles):
+    with pytest.raises(ValueError, match="every (point|triangle)|sequences"):
+        Triangulation2D(points, triangles)
 
 
 def interiors_disjoint(s, t):
@@ -119,7 +145,7 @@ def test_flip_square_diagonal_and_involution():
 
 def test_flip_refusals():
     tri = unimodular_triangulation(unit_square())
-    boundary_edge = next(e for e, ts in tri.edge_triangles().items() if len(ts) == 1)
+    boundary_edge = next(e for e, ts in edge_triangles(tri).items() if len(ts) == 1)
     with pytest.raises(FlipError):
         flip(tri, boundary_edge)
     # collinear outer chain: the quadrilateral around the interior edge is degenerate
@@ -333,7 +359,7 @@ def reference_flip_walk(tri, seed, steps):
     """Every step re-tests every interior edge, and each flip rebuilds the frozen triangulation."""
     rng = random.Random(seed)
     for _ in range(steps):
-        index = tri.edge_triangles()
+        index = edge_triangles(tri)
         options = [e for e in tri.interior_edges() if reference_flip_targets(tri, index, e)]
         if not options:
             break
@@ -365,9 +391,42 @@ def test_flip_walk_matches_full_retest_reference(p, seed):
     validate_triangulation(walked)
 
 
+@settings(max_examples=80, deadline=None)
+@given(small_polygons, small_polygons, st.booleans())
+def test_valuation_refuses_exactly_the_triangulations_of_other_point_sets(p, q, same_points):
+    if same_points:  # another route to p's lattice points: hull all of them
+        q = from_points(lattice_points(p))
+    tri = unimodular_triangulation(q)
+    if lattice_points(p) != lattice_points(q):
+        with pytest.raises(ValueError, match="lattice points"):
+            valuation_n(p, tri)
+    else:
+        assert valuation_n(p, tri) == valuation_n(p)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_polygons.filter(lambda p: tri2d._hull_doubled_area(p.vertices) <= 80), st.integers(0, 10**6))
+def test_flip_targets_match_both_convexity_tests_along_walks(p, seed):
+    rng = random.Random(seed)
+    tri = unimodular_triangulation(p)
+    for _ in range(len(tri.triangles) + 1):
+        index = edge_triangles(tri)
+        for i, j in tri.interior_edges():
+            expected = reference_flip_targets(tri, index, (i, j))
+            for edge in ((i, j), (j, i)):
+                targets = tri2d._flip_targets(tri.points, tri.opp, edge)
+                assert (targets is None) == (expected is None)
+                if targets is not None:  # the reference names the apexes in triangle order
+                    assert set(targets) == set(expected)
+                    assert _cross(tri.points[edge[0]], tri.points[edge[1]], tri.points[targets[0]]) > 0
+        if not tri.admissible:
+            break
+        tri = flip(tri, rng.choice(tri.admissible))
+
+
 def test_admissible_flips_returns_a_fresh_list_each_call():
     base = unimodular_triangulation(from_points([(0, 0), (4, 0), (8, 3), (6, 8), (2, 8), (0, 5)]))
-    index = base.edge_triangles()
+    index = edge_triangles(base)
     expected = [e for e in base.interior_edges() if reference_flip_targets(base, index, e)]
     first = admissible_flips(base)
     assert first == expected
