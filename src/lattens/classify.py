@@ -8,24 +8,24 @@ the coordinates of Z(T_n) through the dissection of the prism over T_{n-1}
 into n unimodular simplices, together with even-permutation symmetry of
 T_n.  Ranks and kernels are computed exactly over the rationals.
 
-Rank folds a stream of rows, which a prism system builds as they are asked
-for, and stops once they reach full rank, the number of orbit columns: no
-set of rows has higher rank than the system, whose rank is at most that
-number, so this proves a zero kernel exactly.  Kernels build every row.
+Rank folds each row, which a prism system builds as it is read, onto the
+orbit columns and into an echelon form, and reads no more once the pivots
+fill the orbit columns: no set of rows has higher rank than the system, so
+this proves a zero kernel exactly.  Kernels read every row.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import islice
 from math import comb
 
-from .linalg import kernel_basis as _rational_kernel, rank_bareiss
+from .linalg import _echelon, kernel_basis as _rational_kernel, rank_bareiss
 from .tensor import MultiIndex, _pull_back_rows, multi_indices
 
 Row = dict[MultiIndex, int]
+PackedRow = tuple[str, tuple[tuple[MultiIndex, int], ...]]
 
 # order-three lattice symmetry of the standard triangle: e1 -> -e2, e2 -> e1 - e2
 PLANAR_MAP = ((0, 1), (-1, -1))
@@ -35,22 +35,20 @@ PLANAR_MAP = ((0, 1), (-1, -1))
 class ConstraintSystem:
     """Sparse exact linear system over labelled tensor coordinates.
 
-    Rows carry a provenance tag.  Position permutations in
+    Rows carry a provenance tag and their sorted non-zero (label, value)
+    pairs; ``rows`` is any re-iterable of them.  Position permutations in
     ``symmetry_generators`` declare additional constraints of the form
     x_alpha = x_{alpha o sigma}; rank and kernel computations fold the
     system onto permutation orbits, which changes neither.
     """
 
     labels: tuple[MultiIndex, ...]
-    rows: tuple[tuple[str, tuple[tuple[MultiIndex, int], ...]], ...]
+    rows: Iterable[PackedRow]
     symmetry_generators: tuple[tuple[int, ...], ...] = ()
 
     @staticmethod
     def build(labels, tagged_rows, symmetry_generators=()) -> ConstraintSystem:
-        packed = tuple(
-            (tag, tuple(sorted((tuple(a), v) for a, v in row.items() if v != 0)))
-            for tag, row in tagged_rows
-        )
+        packed = tuple(_pack(tag, row) for tag, row in tagged_rows)
         return ConstraintSystem(tuple(map(tuple, labels)), packed, tuple(symmetry_generators))
 
     @property
@@ -80,12 +78,12 @@ class ConstraintSystem:
         return reps, rep_of
 
 
+def _pack(tag: str, row: Row) -> PackedRow:
+    return tag, tuple(sorted((tuple(a), v) for a, v in row.items() if v != 0))
+
+
 def _fold(system: ConstraintSystem):
-    """(orbit count, orbit column of each label, the rows summed onto the orbit columns, zero sums dropped)."""
-    if isinstance(system, _PrismSystem):  # build each row as it is folded, in stream order
-        rows = (row.items() for _, row in _pull_back_sums(system.terms, system.kept))
-    else:
-        rows = (row for _, row in system.rows)
+    """(orbit count, orbit column of each label, the rows summed onto the orbit columns as read, zero sums dropped)."""
     reps, rep_of = system.orbits()
     pos = {rep: i for i, rep in enumerate(reps)}
     column = {label: pos[rep_of[label]] for label in system.labels}
@@ -96,16 +94,14 @@ def _fold(system: ConstraintSystem):
             vec[column[label]] += value
         return vec
 
-    return len(reps), column, (vec for vec in map(fold, rows) if any(vec))
+    return len(reps), column, (vec for vec in (fold(row) for _, row in system.rows) if any(vec))
 
 
 def rank(system: ConstraintSystem) -> int:
-    """Exact rank, symmetry rows included: prism rows are eliminated width, 2 width, ... at a time, others at once."""
+    """Exact rank, symmetry rows included: each folded row enters the echelon form as it is read,
+    and no row is read once the pivots fill the orbit columns."""
     width, _, stream = _fold(system)
-    folded = list(islice(stream, width if isinstance(system, _PrismSystem) else None))
-    while (found := rank_bareiss(folded)) < width and (more := list(islice(stream, len(folded)))):
-        folded += more
-    return system.unknowns - width + found
+    return system.unknowns - width + len(_echelon(stream, width)[1])
 
 
 def kernel_basis(system: ConstraintSystem) -> list[list[Fraction]]:
@@ -251,18 +247,17 @@ def _alternating_generators(n: int) -> tuple[tuple[int, ...], ...]:
 PRISM_FILTERS = ("all", "en-odd", "en-even")
 
 
-class _PrismSystem(ConstraintSystem):
-    """A prism system that builds its dissection rows, one per kept coordinate in stream order, when asked;
-    comparing, hashing or printing it builds them all, as the dataclass methods read rows."""
+@dataclass(frozen=True)
+class _DissectionRows:
+    """The packed non-zero dissection rows, one per kept coordinate in order, built on each iteration."""
 
-    def __init__(self, labels, terms, kept, generators):
-        self.__dict__.update(labels=labels, terms=terms, kept=kept, symmetry_generators=generators)
+    terms: tuple
+    kept: tuple[MultiIndex, ...]
 
-    @cached_property
-    def rows(self):
-        """Every non-zero row, packed by ConstraintSystem.build, in lex order of the kept coordinates."""
-        rows = _pull_back_sums(self.terms, sorted(self.kept))
-        return ConstraintSystem.build(self.labels, [("dissection", row) for _, row in rows if any(row.values())]).rows
+    def __iter__(self):
+        for _, row in _pull_back_sums(self.terms, self.kept):
+            if any(row.values()):
+                yield _pack("dissection", row)
 
 
 def prism_system(n: int, r: int, coordinate_filter: str = "all") -> ConstraintSystem:
@@ -280,8 +275,10 @@ def prism_system(n: int, r: int, coordinate_filter: str = "all") -> ConstraintSy
         raise ValueError(f"filter must be one of {PRISM_FILTERS}")
     labels = multi_indices(n, r)
     parities = {"all": (0, 1), "en-odd": (1,), "en-even": (0,)}[coordinate_filter]
+    # in the order (-alpha_n, alpha) the rows reach full rank early: at (8, 8), 28 rows against 3,004 in lex order
     kept = sorted((alpha for alpha in labels if alpha[-1] % 2 in parities), key=lambda alpha: (-alpha[-1], alpha))
-    return _PrismSystem(tuple(labels), [(matrix, 1) for matrix in prism_maps(n)], kept, _alternating_generators(n))
+    rows = _DissectionRows(tuple((matrix, 1) for matrix in prism_maps(n)), tuple(kept))
+    return ConstraintSystem(tuple(labels), rows, _alternating_generators(n))
 
 
 # -- high-rank survey -----------------------------------------------------------------

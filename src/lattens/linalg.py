@@ -1,13 +1,12 @@
 """Exact linear algebra: one fraction-free elimination kernel, and integer kernels.
 
 The elimination kernel serves rref, rank_bareiss, det, invert_matrix,
-kernel_basis and rational_row_space_equations.  It takes rows of int or
-Fraction entries and scales each row by the lcm of its denominators, which
-keeps the row space, the rank and the reduced row echelon form.  It then
-runs Bareiss's fraction-free elimination (Bareiss 1968, Math. Comp. 22):
-every entry is a minor of the scaled matrix, every division is an exact
-integer division, and the forward pass stops once no rows remain below the
-pivots.  det takes square integer matrices only (int entries, or Fractions
+kernel_basis, rational_row_space_equations and classify.rank.  It reads rows
+of int or Fraction entries from any iterable, scales each by the lcm of its
+denominators, and runs Bareiss's fraction-free elimination (Bareiss 1968,
+Math. Comp. 22) one row at a time: every entry is a minor of the scaled
+matrix, every division is exact, and no row is read once the pivots fill the
+columns.  det takes square integer matrices only (int entries, or Fractions
 with denominator 1).  integer_kernel, the one integer lattice reduction,
 does not use the elimination kernel: it runs unimodular row operations and
 returns the row Hermite normal form of an integer kernel.
@@ -19,57 +18,44 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-def _echelon(rows, ncols: int) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free forward pass: (echelon rows, pivot columns, swap sign).
+def _echelon(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free elimination, one row at a time: (echelon rows, pivot columns).
 
-    Row k of the result has its pivot at column pivots[k]; that pivot is the
-    determinant of the leading (k+1) x (k+1) pivot minor of the row-permuted
-    integer matrix, so for a non-singular square matrix the last pivot times
-    the swap sign is the determinant.  Rows that are or become zero are dropped.
+    Each row read takes the Bareiss step of every pivot row before it; its
+    pivot is then its first non-zero column, and a zero row is dropped.  The
+    pivot of row k is the minor on rows 0..k and columns pivots[0..k].
     """
-    m = []
+    ech: list[list[int]] = []
+    pivots: list[int] = []
     for row in rows:
         scale = lcm(*[x.denominator for x in row])
-        ints = [x.numerator * (scale // x.denominator) for x in row]
-        if any(ints):
-            m.append(ints)
-    pivots: list[int] = []
-    sign = 1
-    prev = 1
-    for c in range(ncols):
-        k = len(pivots)
-        if k == len(m):
-            break
-        piv = next((i for i in range(k, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        top = m[k]
-        p = top[c]
-        rest = []
-        for row in m[k + 1 :]:
-            f = row[c]
+        new = [x.numerator * (scale // x.denominator) for x in row]
+        prev = 1
+        for top, c in zip(ech, pivots):
+            p, f = top[c], new[c]
             if f:
-                row = [(p * x - f * y) // prev for x, y in zip(row, top)]
+                new = [(p * x - f * y) // prev for x, y in zip(new, top)]
+                if not any(new):
+                    break
             elif p != prev:
-                row = [p * x // prev for x in row]
-            if any(row):
-                rest.append(row)
-        m[k + 1 :] = rest
-        prev = p
-        pivots.append(c)
-    return m[: len(pivots)], pivots, sign
+                new = [p * x // prev for x in new]
+            prev = p
+        c = next((j for j, x in enumerate(new) if x), None)
+        if c is not None:
+            ech.append(new)
+            pivots.append(c)
+            if len(pivots) == ncols:
+                break
+    return ech, pivots
 
 
 def _reduced(rows, ncols: int) -> tuple[list[list[int]], list[int], int]:
     """Forward pass plus back-substitution: (D, pivots, d) with RREF = D / d.
 
     d is the last Bareiss pivot, the determinant of the pivot minor, so
-    d times the reduced row echelon form is an integer matrix (Cramer).
+    d times the reduced row echelon form is an integer matrix (Cramer); rows sorted by pivot.
     """
-    ech, pivots, _ = _echelon(rows, ncols)
+    ech, pivots = _echelon(rows, ncols)
     if not pivots:
         return [], [], 1
     d = ech[-1][pivots[-1]]
@@ -82,7 +68,8 @@ def _reduced(rows, ncols: int) -> tuple[list[list[int]], list[int], int]:
                 row = [x - f * y for x, y in zip(row, red[j])]
         di = ech[i][pivots[i]]
         red[i] = [x // di for x in row]
-    return red, pivots, d
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    return [red[i] for i in order], [pivots[i] for i in order], d
 
 
 def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
@@ -101,10 +88,12 @@ def det(matrix) -> int:
     n = len(matrix)
     if any(x.denominator != 1 for row in matrix for x in row):
         raise ValueError("det takes integer matrices")
-    ech, pivots, sign = _echelon(matrix, n)
+    ech, pivots = _echelon(matrix, n)
     if len(pivots) < n:
         return 0
-    return sign * ech[-1][-1] if n else 1
+    # the last pivot is the determinant with the columns in pivot order
+    inversions = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1 :])
+    return (-1) ** inversions * ech[-1][pivots[-1]] if n else 1
 
 
 def _scaled_kernel(rows, ncols: int) -> tuple[list[list[int]], int]:

@@ -50,10 +50,11 @@ class ScanTooLarge(ValueError):
 
 
 def _primitive(c, d, s):
+    """(c, d, s) divided by the gcd g of c, or None when g does not divide d: then c . t = d at no lattice t."""
     g = 0
     for x in c:
         g = gcd(g, x)
-    return tuple(x // g for x in c), Fraction(d, g), Fraction(s, g)
+    return None if d % g else (tuple(x // g for x in c), d // g, Fraction(s, g))
 
 
 class _Frame:
@@ -83,14 +84,12 @@ class _Frame:
 
     @cached_property
     def levels(self):
-        # facet rows in t; each is tight at a vertex, so its offset is an integer
+        # facet rows in t; each is tight at a vertex, so _primitive keeps it
         levels = []
         if self.basis:
-            rows = []
-            for a, b in self.facets:
-                c, d, s = _primitive([_dot(a, e) for e in self.basis], b - _dot(a, self.origin), 1)
-                rows.append((c, int(d), s))
-            levels.append(rows)
+            levels.append([
+                _primitive([_dot(a, e) for e in self.basis], b - _dot(a, self.origin), 1) for a, b in self.facets
+            ])
         for j in range(len(self.basis) - 1, 0, -1):
             levels.append(_project(levels[-1], j, self.verts))
         levels.reverse()
@@ -117,13 +116,14 @@ def _project(rows, j, verts):
         for cd, dd, sd in downs:
             u, w = -cd[j], cu[j]
             c = [u * x + w * y for x, y in zip(cu[:j], cd[:j])]
-            if any(c):
-                keep.append(_primitive(c, u * du + w * dd, u * su + w * sd))
+            # a row tight at no lattice point is tight at no vertex, so it is no facet
+            if any(c) and (row := _primitive(c, u * du + w * dd, u * su + w * sd)):
+                keep.append(row)
     # a row is a facet of the projection iff its set of tight projected
     # vertices is maximal; of equal facets _maximal_tight keeps the first,
     # here the one with the largest s
     keep.sort(key=lambda row: row[2], reverse=True)
-    return [(c, int(d), s) for c, d, s in _maximal_tight(keep, verts)]
+    return _maximal_tight(keep, verts)
 
 
 @lru_cache(maxsize=8)

@@ -1,8 +1,9 @@
-"""The fraction-free elimination kernel against two independent oracles.
+"""The fraction-free elimination kernel against three independent oracles.
 
 The reference is a plain Fraction Gauss-Jordan elimination, kept here as a
 test-only implementation; sympy's exact matrices are a second, optional
-oracle.  The integer kernel is checked against a second unimodular
+oracle.  The row-at-a-time kernel is also checked against the former
+column-at-a-time Bareiss pass, kept here as reference_echelon.  The integer kernel is checked against a second unimodular
 reduction, also kept here, that returns a kernel lattice basis in no
 normal form.
 """
@@ -15,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lattens.linalg import (
+    _echelon,
+    _reduced,
     det,
     integer_kernel,
     invert_matrix,
@@ -47,6 +50,48 @@ def reference_rref(rows):
         pivots.append(c)
         r += 1
     return m[:r], pivots
+
+
+def reference_echelon(rows, ncols):
+    """The former forward pass, one column at a time: (echelon rows, pivot columns, swap sign).
+
+    Row k has its pivot at column pivots[k], increasing, and the pivot is the
+    leading (k+1) x (k+1) minor of the row-permuted integer matrix.
+    """
+    m = []
+    for row in rows:
+        scale = lcm(*[x.denominator for x in row])
+        ints = [x.numerator * (scale // x.denominator) for x in row]
+        if any(ints):
+            m.append(ints)
+    pivots = []
+    sign = 1
+    prev = 1
+    for c in range(ncols):
+        k = len(pivots)
+        if k == len(m):
+            break
+        piv = next((i for i in range(k, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        top = m[k]
+        p = top[c]
+        rest = []
+        for row in m[k + 1 :]:
+            f = row[c]
+            if f:
+                row = [(p * x - f * y) // prev for x, y in zip(row, top)]
+            elif p != prev:
+                row = [p * x // prev for x in row]
+            if any(row):
+                rest.append(row)
+        m[k + 1 :] = rest
+        prev = p
+        pivots.append(c)
+    return m[: len(pivots)], pivots, sign
 
 
 def reference_det(matrix):
@@ -137,6 +182,83 @@ def integer_matrix(rows):
     """
     d = lcm(*(Fraction(x).denominator for row in rows for x in row))
     return [[int(x * d) for x in row] for row in rows]
+
+
+@st.composite
+def late_pivots(draw):
+    """Echelon rows in reverse: each row's leading column lies left of the rows before it,
+    followed by combinations of them."""
+    ncols = draw(st.integers(1, 6))
+    leads = sorted(draw(st.sets(st.integers(0, ncols - 1), min_size=1)), reverse=True)
+    rows = []
+    for c in leads:
+        lead = draw(st.one_of(st.integers(1, 6), st.integers(-6, -1), st.fractions(1, 5, max_denominator=7)))
+        rows.append([0] * c + [lead] + [draw(entries) for _ in range(ncols - c - 1)])
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+    return rows, ncols, leads
+
+
+def assert_echelon_matches_reference(rows, ncols):
+    ech, pivots = _echelon(rows, ncols)
+    ref, ref_pivots, sign = reference_echelon(rows, ncols)
+    assert sorted(pivots) == ref_pivots
+    assert len(ech) == len(ref)
+    red, red_pivots, d = _reduced(rows, ncols)
+    assert red_pivots == ref_pivots
+    assert [[Fraction(x, d) for x in row] for row in red] == reference_rref(rows)[0]
+    if len(rows) == ncols > 0:
+        ints = integer_matrix(rows)
+        full = reference_echelon(ints, ncols)
+        assert det(ints) == (full[2] * full[0][-1][-1] if len(full[1]) == ncols else 0)
+    return pivots
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(matrices(), matrices(square=True)))
+def test_echelon_matches_column_reference(case):
+    assert_echelon_matches_reference(*case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(late_pivots())
+def test_echelon_matches_column_reference_on_late_pivots(case):
+    rows, ncols, leads = case
+    pivots = assert_echelon_matches_reference(rows, ncols)
+    # each row's leading column survives the steps of the rows before it
+    assert pivots == leads
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_echelon_reads_no_row_after_the_columns_fill(case):
+    rows, ncols = case
+    read = []
+
+    def stream():
+        for row in rows:
+            read.append(row)
+            yield row
+
+    full = next((k for k in range(1, len(rows) + 1) if len(reference_rref(rows[:k])[1]) == ncols), None)
+    _echelon(stream(), ncols)
+    assert len(read) == (len(rows) if full is None else full)
+
+
+def test_echelon_stops_on_an_endless_stream():
+    def stream():
+        yield [0, 2, 1]
+        yield [0, 4, 2]
+        yield [3, 0, 0]
+        yield [1, 1, 1]
+        raise AssertionError("read a row after the pivots filled the columns")
+
+    ech, pivots = _echelon(stream(), 3)
+    assert pivots == [1, 0, 2]
+    # the last pivot is the determinant of rows 0, 2, 3 with the columns taken in pivot order
+    assert ech[-1][2] == reference_det([[2, 0, 1], [0, 3, 0], [1, 1, 1]])
 
 
 @pytest.fixture(scope="module")
