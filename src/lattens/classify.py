@@ -5,8 +5,14 @@ r+1 coordinates x_j = Z(T_2)(e_1[j], e_2[r-j]) of a translation-invariant
 equivariant valuation on the plane, using the order-three lattice symmetry
 of T_2 together with coordinate-swap parity.  The prism family constrains
 the coordinates of Z(T_n) through the dissection of the prism over T_{n-1}
-into n unimodular simplices, together with even-permutation symmetry of
-T_n.  Ranks and kernels are computed exactly over the rationals.
+into n unimodular simplices.  Ranks and kernels are computed exactly over
+the rationals.
+
+Permutation matrices fix T_n; the even ones have determinant +1 and lie in
+SL_n(Z), the odd ones have determinant -1.  So the coordinates of an
+SL_n(Z)-equivariant Z(T_n) agree on every A_n-orbit of positions, and rank
+and kernel fold every system onto these orbit columns.  For n = 2, A_2 is
+trivial and nothing folds.
 
 Rank folds each row, which a prism system builds as it is read, onto the
 orbit columns and into an echelon form, and reads no more once the pivots
@@ -33,49 +39,43 @@ PLANAR_MAP = ((0, 1), (-1, -1))
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Sparse exact linear system over labelled tensor coordinates.
+    """Sparse exact linear system over the labelled tensor coordinates of Z(T_n).
 
     Rows carry a provenance tag and their sorted non-zero (label, value)
-    pairs; ``rows`` is any re-iterable of them.  Position permutations in
-    ``symmetry_generators`` declare additional constraints of the form
-    x_alpha = x_{alpha o sigma}; rank and kernel computations fold the
-    system onto permutation orbits, which changes neither.
+    pairs; ``rows`` is any re-iterable of them.  The coordinates agree on
+    every A_n-orbit of positions, x_alpha = x_{alpha o sigma} for even sigma,
+    because even permutation matrices lie in SL_n(Z) and fix T_n; rank and
+    kernel computations fold the system onto these orbits.
     """
 
     labels: tuple[MultiIndex, ...]
     rows: Iterable[PackedRow]
-    symmetry_generators: tuple[tuple[int, ...], ...] = ()
 
     @staticmethod
-    def build(labels, tagged_rows, symmetry_generators=()) -> ConstraintSystem:
-        packed = tuple(_pack(tag, row) for tag, row in tagged_rows)
-        return ConstraintSystem(tuple(map(tuple, labels)), packed, tuple(symmetry_generators))
+    def build(labels, tagged_rows) -> ConstraintSystem:
+        return ConstraintSystem(tuple(map(tuple, labels)), tuple(_pack(tag, row) for tag, row in tagged_rows))
 
     @property
     def unknowns(self) -> int:
         return len(self.labels)
 
     def orbits(self) -> tuple[list[MultiIndex], dict[MultiIndex, MultiIndex]]:
-        """Orbit representatives and the label-to-representative map."""
-        reps: list[MultiIndex] = []
-        rep_of: dict[MultiIndex, MultiIndex] = {}
-        for label in self.labels:
-            if label in rep_of:
-                continue
-            orbit = {label}
-            stack = [label]
-            while stack:
-                cur = stack.pop()
-                for g in self.symmetry_generators:
-                    nxt = tuple(cur[g[i]] for i in range(len(g)))
-                    if nxt not in orbit:
-                        orbit.add(nxt)
-                        stack.append(nxt)
-            rep = min(orbit)
-            reps.append(rep)
-            for member in orbit:
-                rep_of[member] = rep
-        return reps, rep_of
+        """Orbit representatives, in order of first appearance, and the label-to-representative map."""
+        rep_of = {label: _orbit_rep(label) for label in self.labels}
+        return list(dict.fromkeys(rep_of.values())), rep_of
+
+
+def _orbit_rep(label: MultiIndex) -> MultiIndex:
+    """The least element of the A_n-orbit of label.
+
+    That is the sorted tuple, unless the entries are pairwise distinct and
+    label is an odd arrangement of them: its orbit then holds the odd
+    arrangements only, and the least of those swaps the last two entries.
+    """
+    rep = sorted(label)
+    if len(set(label)) == len(label) and sum(a > b for i, a in enumerate(label) for b in label[i + 1 :]) % 2:
+        rep[-2], rep[-1] = rep[-1], rep[-2]
+    return tuple(rep)
 
 
 def _pack(tag: str, row: Row) -> PackedRow:
@@ -231,19 +231,6 @@ def prism_maps(n: int) -> list[tuple[tuple[int, ...], ...]]:
     return maps
 
 
-def _alternating_generators(n: int) -> tuple[tuple[int, ...], ...]:
-    if n <= 2:
-        return ()
-    if n == 3:
-        return ((1, 2, 0),)
-    gens = []
-    for i in range(n - 2):
-        perm = list(range(n))
-        perm[i], perm[i + 1], perm[i + 2] = perm[i + 1], perm[i + 2], perm[i]
-        gens.append(tuple(perm))
-    return tuple(gens)
-
-
 PRISM_FILTERS = ("all", "en-odd", "en-even")
 
 
@@ -264,8 +251,8 @@ def prism_system(n: int, r: int, coordinate_filter: str = "all") -> ConstraintSy
     """Dissection constraints on the C(n+r-1, r) coordinates of a T_n tensor value.
 
     The filter selects which coordinates contribute a dissection row based
-    on the parity of the final exponent; even-permutation symmetry of T_n
-    is carried as generator metadata and enters rank and kernel exactly.
+    on the parity of the final exponent; rank and kernel fold the rows onto
+    the A_n-orbit columns, like those of every system.
     """
     if n < 3:
         raise ValueError("prism systems are built for dimension at least 3")
@@ -278,7 +265,7 @@ def prism_system(n: int, r: int, coordinate_filter: str = "all") -> ConstraintSy
     # in the order (-alpha_n, alpha) the rows reach full rank early: at (8, 8), 28 rows against 3,004 in lex order
     kept = sorted((alpha for alpha in labels if alpha[-1] % 2 in parities), key=lambda alpha: (-alpha[-1], alpha))
     rows = _DissectionRows(tuple((matrix, 1) for matrix in prism_maps(n)), tuple(kept))
-    return ConstraintSystem(tuple(labels), rows, _alternating_generators(n))
+    return ConstraintSystem(tuple(labels), rows)
 
 
 # -- high-rank survey -----------------------------------------------------------------

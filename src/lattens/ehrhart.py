@@ -341,8 +341,8 @@ def check_translation_covariance(p: LatticePolytope, r: int, y) -> CheckReport:
 
     failures: list[str] = []
     n = p.ambient_dim
-    expansions = _expansions(p, range(r + 1))
     shifted = ehrhart_tensors(translate(p, y), r)
+    expansions = _expansions(p, range(r + 1))
     y_pow = [sym_power(tuple(y), j) for j in range(r + 1)]
     for l in range(n + r + 1):
         rhs = SymTensor.zero(n, r)

@@ -49,7 +49,7 @@ class LatticePolytope:
     """Convex hull of finitely many integer points, canonicalized."""
 
     def __init__(self, points, ambient_dim: int | None = None):
-        pts = [tuple(int(c) for c in p) for p in points]
+        pts = [tuple(map(_entry, p)) for p in points]
         if pts:
             dims = {len(p) for p in pts}
             if len(dims) != 1:
@@ -258,6 +258,7 @@ def _image(p: LatticePolytope, m, m_inv, t, k: int) -> LatticePolytope:
 
 
 def dilate(p: LatticePolytope, k: int) -> LatticePolytope:
+    k = _entry(k)
     if k < 0:
         raise ValueError("dilation factor must be non-negative")
     if p.is_empty:
@@ -271,7 +272,7 @@ def dilate(p: LatticePolytope, k: int) -> LatticePolytope:
 def translate(p: LatticePolytope, y) -> LatticePolytope:
     if p.is_empty:
         return p
-    y = tuple(int(c) for c in y)
+    y = tuple(map(_entry, y))
     if len(y) != p.ambient_dim:
         raise ValueError("translation dimension mismatch")
     identity = _identity(p.ambient_dim)
@@ -294,9 +295,9 @@ def minkowski_sum(p: LatticePolytope, q: LatticePolytope) -> LatticePolytope:
 
 
 def _entry(x) -> int:
-    # truncating 1.7 to 1 would silently check a different map
+    # truncating 1.7 to 1 would silently build a different polytope or check a different map
     if isinstance(x, bool) or not isinstance(x, Integral):
-        raise ValueError(f"map entries must be integers, not {x!r}")
+        raise ValueError(f"coordinates, factors and map entries must be integers, not {x!r}")
     return int(x)
 
 

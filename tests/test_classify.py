@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lattens import classify
 from lattens.classify import (
@@ -52,15 +54,70 @@ def prism_relation_row(n, alpha):
     return {k: v for k, v in row.items() if v != 0}
 
 
-def explicit_symmetry_rows(system):
-    """Materialized rows x_alpha - x_(alpha o sigma) for each symmetry generator of the system."""
+def alternating_generators(n):
+    """Generators of A_n acting on positions: the 3-cycles on consecutive positions."""
+    if n <= 2:
+        return ()
+    if n == 3:
+        return ((1, 2, 0),)
+    gens = []
+    for i in range(n - 2):
+        perm = list(range(n))
+        perm[i], perm[i + 1], perm[i + 2] = perm[i + 1], perm[i + 2], perm[i]
+        gens.append(tuple(perm))
+    return tuple(gens)
+
+
+def reference_orbits(labels, generators):
+    """The former ConstraintSystem.orbits: each orbit closed by breadth-first search over the generators.
+
+    Returns the least member of each orbit, in order of first appearance, and the map from every
+    orbit member, label or not, to it.
+    """
+    reps = []
+    rep_of = {}
+    for label in labels:
+        if label in rep_of:
+            continue
+        orbit = {label}
+        stack = [label]
+        while stack:
+            cur = stack.pop()
+            for g in generators:
+                nxt = tuple(cur[g[i]] for i in range(len(g)))
+                if nxt not in orbit:
+                    orbit.add(nxt)
+                    stack.append(nxt)
+        rep = min(orbit)
+        reps.append(rep)
+        for member in orbit:
+            rep_of[member] = rep
+    return reps, rep_of
+
+
+def explicit_symmetry_rows(labels, n):
+    """Materialized rows x_alpha - x_(alpha o sigma) for each generator sigma of A_n."""
     out = []
-    for g in system.symmetry_generators:
-        for label in system.labels:
+    for g in alternating_generators(n):
+        for label in labels:
             image = tuple(label[g[i]] for i in range(len(g)))
             if image != label:
                 out.append({label: 1, image: -1})
     return out
+
+
+def explicit_dense_rows(n, r, coordinate_filter):
+    """The dissection rows and the explicit symmetry rows of a prism system, unfolded and dense."""
+    system = prism_system(n, r, coordinate_filter)
+    column = {label: i for i, label in enumerate(system.labels)}
+    sparse = [dict(row) for _, row in system.rows] + explicit_symmetry_rows(system.labels, n)
+    dense = []
+    for row in sparse:
+        vec = [0] * len(column)
+        for label, value in row.items():
+            vec[column[label]] = value
+        dense.append(vec)
+    return system, dense
 
 
 def test_rank_and_kernel_basics():
@@ -197,27 +254,26 @@ def test_prism_even_filter_dimension_three(r):
 
 
 def test_prism_symmetry_folding_matches_explicit_rows():
-    system = prism_system(3, 2, "all")
-    explicit = ConstraintSystem.build(
-        system.labels,
-        [(tag, dict(row)) for tag, row in system.rows]
-        + [("symmetry", row) for row in explicit_symmetry_rows(system)],
-    )
-    assert rank(system) == rank(explicit)
-    folded = kernel_basis(system)
-    plain = kernel_basis(explicit)
-    assert len(folded) == len(plain)
+    system, dense = explicit_dense_rows(3, 2, "all")
+    explicit_rank = rank_bareiss(dense)
+    assert rank(system) == explicit_rank
+    assert len(kernel_basis(system)) == system.unknowns - explicit_rank
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_folded_rank_matches_explicit_symmetry_rows(n):
-    # folding sums the entries of each orbit; explicit rows x_alpha - x_(alpha o sigma) must agree
+    # folding sums the entries of each orbit; the unfolded rows with x_alpha - x_(alpha o sigma) must agree
     for r in range(2, 7):
         for coordinate_filter in PRISM_FILTERS:
-            system = prism_system(n, r, coordinate_filter)
-            tagged = [(tag, dict(row)) for tag, row in system.rows]
-            tagged += [("symmetry", row) for row in explicit_symmetry_rows(system)]
-            assert rank(system) == rank(ConstraintSystem.build(system.labels, tagged)), (r, coordinate_filter)
+            system, dense = explicit_dense_rows(n, r, coordinate_filter)
+            assert rank(system) == rank_bareiss(dense), (r, coordinate_filter)
+
+
+def test_folded_rank_matches_sympy_on_explicit_symmetry_rows():
+    sympy = pytest.importorskip("sympy")
+    for n, r, coordinate_filter in [(3, 2, "all"), (3, 4, "en-odd"), (3, 5, "en-even"), (4, 3, "all")]:
+        system, dense = explicit_dense_rows(n, r, coordinate_filter)
+        assert rank(system) == sympy.Matrix(dense).rank(), (n, r, coordinate_filter)
 
 
 def test_prism_system_validation():
@@ -354,7 +410,7 @@ def reference_prism_build(n, r, coordinate_filter):
     kept = [alpha for alpha in labels if alpha[-1] % 2 in parities]
     pulled = eager_pull_back_sums([(matrix, 1) for matrix in prism_maps(n)], kept)
     rows = [row for row in pulled.values() if any(row.values())]
-    reps, rep_of = prism_system(n, r, coordinate_filter).orbits()
+    reps, rep_of = reference_orbits(labels, alternating_generators(n))
     folded = []
     for row in rows:
         vec = [0] * len(reps)
@@ -376,7 +432,7 @@ def test_streamed_prism_rank_matches_eager_build():
         # the same rows stored and fed in a seeded shuffled order
         tagged = [(tag, dict(row)) for tag, row in system.rows]
         rng.shuffle(tagged)
-        shuffled = ConstraintSystem.build(system.labels, tagged, system.symmetry_generators)
+        shuffled = ConstraintSystem.build(system.labels, tagged)
         assert rank(shuffled) == expected, (n, r, coordinate_filter)
         assert kernel_basis(system) == kernel_basis(shuffled), (n, r, coordinate_filter)
         if expected < system.unknowns:
@@ -416,5 +472,33 @@ def test_prism_rows_iterate_again_for_rank_then_kernel():
     basis = kernel_basis(system)
     assert basis and found + len(basis) == system.unknowns
     assert list(system.rows) == first
-    stored = ConstraintSystem.build(system.labels, [(tag, dict(row)) for tag, row in first], system.symmetry_generators)
+    stored = ConstraintSystem.build(system.labels, [(tag, dict(row)) for tag, row in first])
     assert rank(stored) == rank(system) and kernel_basis(stored) == kernel_basis(system)
+
+
+# -- closed-form orbits against the breadth-first search ---------------------------
+
+
+def test_orbits_match_reference_on_prism_grid():
+    for n, r, coordinate_filter in PRISM_GRID:
+        system = prism_system(n, r, coordinate_filter)
+        assert system.orbits() == reference_orbits(system.labels, alternating_generators(n)), (n, r, coordinate_filter)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_orbits_match_reference_on_multi_indices(n):
+    for r in range(9 if n < 8 else 7):
+        labels = multi_indices(n, r)
+        system = ConstraintSystem.build(labels, [])
+        assert system.orbits() == reference_orbits(system.labels, alternating_generators(n)), (n, r)
+
+
+@given(st.integers(0, 6).flatmap(lambda n: st.lists(st.tuples(*[st.integers(-2, 4)] * n), max_size=12)))
+def test_orbits_match_reference_on_random_labels(labels):
+    system = ConstraintSystem.build(labels, [])
+    n = len(labels[0]) if labels else 0
+    reps, rep_of = system.orbits()
+    expected_reps, expected_rep_of = reference_orbits(system.labels, alternating_generators(n))
+    assert reps == expected_reps
+    # the search also maps orbit members that are not labels
+    assert rep_of == {label: expected_rep_of[label] for label in system.labels}

@@ -234,6 +234,12 @@ def test_check_translation_covariance_examples():
     assert check_translation_covariance(t2, 2, (1, 1)).ok
 
 
+def test_check_translation_covariance_refuses_a_non_integer_vector():
+    # translate used to truncate y to (0, 0) while sym_power took 0.5 exactly, reporting a failed identity
+    with pytest.raises(ValueError, match="integers"):
+        check_translation_covariance(standard_simplex(2, 2), 1, (0.5, 0))
+
+
 def test_translation_covariance_enumerates_each_dilate_once(monkeypatch):
     calls = []
 

@@ -124,6 +124,38 @@ def test_unimodular_map_refuses_non_integer_entries(entry):
         UnimodularMap(((1, 0), (0, 1)), (entry, 0))
 
 
+@pytest.mark.parametrize("coordinate", [0.7, Fraction(1, 2), "3", True])
+def test_from_points_refuses_non_integer_coordinates(coordinate):
+    # int() would truncate 0.7 to 0 and silently return the unit triangle
+    with pytest.raises(ValueError, match="integers"):
+        from_points([(coordinate, 0), (1, 0), (0, 1.9)])
+    with pytest.raises(ValueError, match="integers"):
+        from_points([(coordinate, 0), (1, 0), (0, 1)])
+
+
+def test_translate_refuses_a_non_integer_vector():
+    # int() would truncate (0.5, 1) to (0, 1)
+    with pytest.raises(ValueError, match="integers"):
+        translate(standard_simplex(2, 2), (0.5, 1))
+
+
+def test_dilate_refuses_a_non_integer_factor():
+    # 1.5 used to give float vertices, on which count raised TypeError
+    with pytest.raises(ValueError, match="integers"):
+        dilate(standard_simplex(2, 2), 1.5)
+
+
+def test_integral_coordinates_other_than_bool_are_taken_exactly():
+    class Two(int):
+        pass
+
+    t2 = standard_simplex(2, 2)
+    assert from_points([(Two(2), 0), (0, 0), (0, 1)]) == from_points([(2, 0), (0, 0), (0, 1)])
+    assert translate(t2, (Two(2), -1)) == from_points([(2, -1), (3, -1), (2, 0)])
+    assert dilate(t2, Two(2)) == from_points([(0, 0), (2, 0), (0, 2)])
+    assert all(type(c) is int for v in dilate(t2, Two(2)).vertices for c in v)
+
+
 def test_random_unimodular_determinism_and_determinant():
     assert random_unimodular(3, seed=1, steps=0).matrix == UnimodularMap.identity(3).matrix
     for seed in range(8):
