@@ -12,16 +12,16 @@ cached per degree as W / D with W an integer matrix, the integer power
 sums of the dilates are combined with W, and each coefficient is one
 integer tensor over D * r!, reduced once, not a fraction per coordinate.
 
-Power sums are taken over the runs in the columns of points.fibers,
+Power sums are taken over the runs in the blocks of points.fibers,
 stretches of the last of P's lattice coordinates y, in closed form by
 Faulhaber's polynomials (Beck and Robins, Computing the Continuous
-Discretely).  One call lays out the runs of a whole enumeration as
-parallel integer lists, and each power, Faulhaber sum and monomial sum is
-one pass over all of them, never a loop over runs.  For a
-lower-dimensional P, one integer plan per polytope and rank pushes the
-sums of monomials in y to the sums of monomials in x, unless the points
-are fewer than the plan's entries; then they are mapped to x and summed
-as one-point runs.
+Discretely).  The blocks hold their runs as parallel integer lists; one
+call joins the blocks of a whole enumeration, and each power, Faulhaber
+sum and monomial sum is one pass over all runs, never a loop over runs.
+For a lower-dimensional P, one integer plan per polytope and rank pushes
+the sums of monomials in y to the sums of monomials in x, unless the
+points are fewer than the plan's entries; then they are mapped to x and
+summed as one-point runs.
 """
 
 from __future__ import annotations
@@ -56,10 +56,10 @@ def _power_sum_table(rank: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(table)
 
 
-def _tensor_sum(columns, dim: int, rank: int) -> list[int]:
-    """Exact sums of y^beta over the points of columns, one per beta of multi_indices(dim, rank).
+def _tensor_sum(blocks, dim: int, rank: int) -> list[int]:
+    """Exact sums of y^beta over the points of blocks, one per beta of multi_indices(dim, rank).
 
-    The runs of all columns are laid out as parallel integer lists, and
+    The runs of all blocks are joined into parallel integer lists, and
     every step below is one pass over all runs at once.  Write a point of a
     run as y = (h, v, u): h = y_1..y_(dim-2), then v, and u, the run's
     coordinate, lo <= u <= hi.  By Faulhaber's polynomials the run's sum of
@@ -69,9 +69,9 @@ def _tensor_sum(columns, dim: int, rank: int) -> list[int]:
     """
     width = max(dim - 2, 0)
     outer, vs, below, his = [[] for _ in range(width)], [], [], []
-    for head, v, lo, hi in columns:
-        for coords, x in zip(outer, head):
-            coords += repeat(x, len(hi))
+    for heads, v, lo, hi in blocks:
+        for coords, h in zip(outer, heads):
+            coords += h
         if dim > 1:
             vs += v
         below += lo
@@ -117,38 +117,38 @@ def _tensor_sum(columns, dim: int, rank: int) -> list[int]:
 
 
 def _summer(p: LatticePolytope, rank: int):
-    """The map from columns of p to the exact sums of x^alpha over their points, |alpha| = rank.
+    """The map from blocks of p to the exact sums of x^alpha over their points, |alpha| = rank.
 
-    Columns live in p's lattice coordinates y.  Unless y = x, x = sum_i y_i A_i
+    Blocks live in p's lattice coordinates y.  Unless y = x, x = sum_i y_i A_i
     with A = lattice_rows(p), and expanding (x . z)^rank both ways,
     multinomial(rank, alpha) times the sum of x^alpha is the sum over beta
     of multinomial(rank, beta) times the sum of y^beta times the coefficient
     of z^alpha in prod_i (A_i . z)^beta_i, given by tensor's pull-back kernel.
     That plan has up to |betas| |alphas| entries, so it is built, once per
-    map, only for columns with at least as many points: fewer points are
+    map, only for blocks with at least as many points: fewer points are
     mapped to x and summed as one-point runs, and the plan never outgrows them.
     """
     n, rows = p.ambient_dim, lattice_rows(p)
     if rows is None:
-        return lambda columns: _tensor_sum(columns, n, rank)
+        return lambda blocks: _tensor_sum(blocks, n, rank)
     betas, alphas = multi_indices(len(rows), rank), multi_indices(n, rank)
+    plan = None
 
-    @lru_cache(maxsize=1)
-    def plan():
-        index = {alpha: i for i, alpha in enumerate(alphas)}
-        pulled = _pull_back_rows(rows, betas)
-        terms = [[(index[a], multinomial(rank, beta) * c) for a, c in row.items()] for beta, row in pulled]
-        return terms, [multinomial(rank, alpha) for alpha in alphas]
-
-    def push(columns):
-        columns = list(columns)
-        if _count(columns) < len(betas) * len(alphas):
-            # one column per point: head x[:-2], v x[-2] (None when n = 1), lo = hi = x[-1]
-            points = ((x[:-2], x[-2:-1] or None, x[-1:], x[-1:]) for x in _expand(p, columns))
-            return _tensor_sum(points, n, rank)
-        terms, divisors = plan()
+    def push(blocks):
+        nonlocal plan
+        blocks = list(blocks)
+        if _count(blocks) < len(betas) * len(alphas):
+            # one block of one-point runs: heads x[:-2], vs x[-2] (None when n = 1), lo = hi = x[-1]
+            xs = list(zip(*_expand(p, blocks)))
+            return _tensor_sum([(xs[:-2], xs[-2] if n > 1 else None, xs[-1], xs[-1])] if xs else [], n, rank)
+        if plan is None:
+            index = {alpha: i for i, alpha in enumerate(alphas)}
+            pulled = _pull_back_rows(rows, betas)
+            terms = [[(index[a], multinomial(rank, beta) * c) for a, c in row.items()] for beta, row in pulled]
+            plan = terms, [multinomial(rank, alpha) for alpha in alphas]
+        terms, divisors = plan
         out = [0] * len(alphas)
-        for s, row in zip(_tensor_sum(columns, len(rows), rank), terms):
+        for s, row in zip(_tensor_sum(blocks, len(rows), rank), terms):
             for i, c in row:
                 out[i] += c * s
         return [x // d for x, d in zip(out, divisors)]
@@ -208,11 +208,11 @@ def _expansions(p: LatticePolytope, ranks) -> list[EhrhartTensorExpansion]:
     # fibers checks the scan cap when called, so every dilate is checked first
     dilates = [fibers(p, scale=k) for k in range(m + max(ranks) + 1)]
     summers = {r: _summer(p, r) for r in ranks}
-    for k, dilate_columns in enumerate(dilates):
-        columns = list(dilate_columns)
+    for k, dilate_blocks in enumerate(dilates):
+        blocks = list(dilate_blocks)
         for r in ranks:
             if k <= m + r:
-                sums[r].append(summers[r](columns))
+                sums[r].append(summers[r](blocks))
     out = []
     for r in ranks:
         weights, d = _vandermonde_inverse(m + r)

@@ -20,22 +20,23 @@ facet rows themselves, so the runs are exact.
 On kP the lattice coordinates are y = x for a full-dimensional P, else
 y = (k, t) with x = sum_i y_i A_i and A = (o, E_1..E_m).
 
-fibers yields a column (head, vs, los, his) for each value head of all but
-the last two coordinates of y: integer sequences vs, los, his of one
-length, holding the runs of points y = head + (v, s) with lo <= s <= hi
-for v, lo, hi in zip(vs, los, his).  Every run holds at least
-one point, and columns and their runs come in lex order of y.  When y has
-one coordinate, vs is None and the column's single run holds y = (s,).
-The walk scans every value of the second-to-last coordinate between the
-projected bounds, so a thin polytope can cost a pass over many empty runs;
-they are dropped in bulk, not one by one.
+fibers yields blocks (heads, vs, los, his) of integer sequences of one
+length: run q holds y = (heads[0][q], .., heads[-1][q], vs[q], s) for
+los[q] <= s <= his[q].  Every run holds a point, and blocks and runs come
+in lex order of y.  When y has one coordinate, heads is empty, vs is None
+and the block's single run holds y = (s,).  The walk fixes t_1..t_(m-3)
+one value at a time, then takes the bounds of t_(m-1) for every t_(m-2)
+and the runs of every (t_(m-2), t_(m-1)) pair between them, one pass per
+row over a list.  A block holds at most _BLOCK pairs, or the pairs of one
+t_(m-2).  The empty runs of a thin polytope are dropped in bulk.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import compress
+from itertools import accumulate, chain, compress, repeat
 from math import ceil, gcd
 from operator import le, mul, neg
 
@@ -43,6 +44,8 @@ from .linalg import integer_kernel
 from .polytope import LatticePolytope, _dot, _identity, _maximal_tight
 
 _MAX_SCAN_CELLS = 50_000_000
+# (t_(m-2), t_(m-1)) pairs per block: bounds the lists a block holds at once
+_BLOCK = 1 << 16
 
 
 class ScanTooLarge(ValueError):
@@ -60,11 +63,13 @@ def _primitive(c, d, s):
 class _Frame:
     """Lattice frame and Fourier-Motzkin levels of a non-empty polytope.
 
-    levels[j] holds rows (c, d, s) over t_1..t_(j+1) with c primitive and
+    Level j has rows (c, d, s) over t_1..t_(j+1) with c primitive and
     nonzero in its last entry.  Each row is a nonnegative combination of
     facet rows with weights summing to s, so c . t <= k d holds on kP and,
-    as each facet row loses 1 on the relative interior, c . t <= k d - s
-    holds there.  The levels are built on first use, after the scan cap check.
+    as each facet row loses 1 on the relative interior, c . t <= k d - ceil(s)
+    holds there.  levels[j] holds, upper-bound rows (c_(j+1) > 0) first, the
+    columns of c over t_1..t_j, |c_(j+1)| of either kind, the d and ceil(s).
+    The levels are built on first use, after the scan cap check.
     """
 
     def __init__(self, p: LatticePolytope):
@@ -76,7 +81,8 @@ class _Frame:
             self.basis = list(_identity(n))
         else:
             self.origin = p.vertices[0]
-            self.basis = [tuple(e) for e in integer_kernel([a for a, _ in p.hull_equalities], n)]
+            # a point spans no direction, so it needs no kernel
+            self.basis = [tuple(e) for e in integer_kernel([a for a, _ in p.hull_equalities], n)] if m else []
         self.rows = None if self.full else (self.origin, *self.basis)
         self.verts = [self._coordinates(v) for v in p.vertices]
         self.extents = [max(t[j] for t in self.verts) - min(t[j] for t in self.verts) for j in range(m)]
@@ -92,8 +98,17 @@ class _Frame:
             ])
         for j in range(len(self.basis) - 1, 0, -1):
             levels.append(_project(levels[-1], j, self.verts))
-        levels.reverse()
-        return [[row for row in level if row[0][-1]] for level in levels]
+        out = []
+        for j, level in enumerate(reversed(levels)):
+            rows = sorted((row for row in level if row[0][-1]), key=lambda row: row[0][-1] < 0)
+            out.append((
+                [[c[i] for c, _, _ in rows] for i in range(j)],
+                [c[-1] for c, _, _ in rows if c[-1] > 0],
+                [-c[-1] for c, _, _ in rows if c[-1] < 0],
+                [d for _, d, _ in rows],
+                [ceil(s) for _, _, s in rows],
+            ))
+        return out
 
     def _coordinates(self, x) -> tuple[int, ...]:
         # forward substitution on the pivot columns of the echelon basis
@@ -133,17 +148,17 @@ def _frame(p: LatticePolytope) -> _Frame:
 
 
 def lattice_rows(p: LatticePolytope) -> tuple[tuple[int, ...], ...] | None:
-    """Rows A with x = sum_i y_i A_i for the coordinates y of fibers' columns, or None when y = x."""
+    """Rows A with x = sum_i y_i A_i for the coordinates y of fibers' blocks, or None when y = x."""
     return None if p.is_empty else _frame(p).rows
 
 
 def fibers(p: LatticePolytope, relint: bool = False, scale: int = 1):
-    """Columns (head, vs, los, his) covering the lattice points y of scale * p in lex order.
+    """Blocks (heads, vs, los, his) covering the lattice points y of scale * p in lex order.
 
     y is in p's lattice coordinates (see lattice_rows); the module docstring
-    gives the column contract.
+    gives the block contract.
 
-    With relint, the columns cover the relative interior instead (a point's
+    With relint, the blocks cover the relative interior instead (a point's
     relative interior is the point, and 0 * p is a point).  Raises
     ScanTooLarge, before any enumeration, when the box of the vertices in
     lattice coordinates has more than the cap's cells.
@@ -157,19 +172,18 @@ def fibers(p: LatticePolytope, relint: bool = False, scale: int = 1):
     if cells > _MAX_SCAN_CELLS:
         raise ScanTooLarge("bounding box too large to scan; reduce the dilation or dimension")
     strict = relint and p.dim > 0 and scale > 0
-    # per level: prefix coefficient columns, the divisors of the upper-bound
-    # rows (last coefficient > 0, listed first) and of the lower-bound rows,
-    # and the offsets
-    levels = []
-    for j, level in enumerate(frame.levels):
-        rows = sorted(level, key=lambda row: row[0][-1] < 0)
-        levels.append((
-            [[c[i] for c, _, _ in rows] for i in range(j)],
-            [c[-1] for c, _, _ in rows if c[-1] > 0],
-            [-c[-1] for c, _, _ in rows if c[-1] < 0],
-            [scale * d - ceil(s) if strict else scale * d for _, d, s in rows],
-        ))
-    return _walk(frame, levels, scale)
+    levels = [
+        (cols, ups, lows, [scale * d - e for d, e in zip(ds, ceils)] if strict else [scale * d for d in ds])
+        for cols, ups, lows, ds, ceils in frame.levels
+    ]
+    prefix = () if frame.full else (scale,)
+    if not levels:
+        # p is a point o, so y = (scale,) and x = scale * o
+        return iter([([], None, [scale], [scale])])
+    if len(levels) > 1:
+        return _blocks(levels, prefix, [level[3] for level in levels])
+    lo, hi = _bounds(levels[0], levels[0][3])
+    return iter([([], [scale] if prefix else None, [lo], [hi])] if lo <= hi else [])
 
 
 def _bounds(level, res) -> tuple[int, int]:
@@ -180,77 +194,78 @@ def _bounds(level, res) -> tuple[int, int]:
     return lo, hi
 
 
-def _walk(frame: _Frame, levels, k: int):
-    """Odometer over t_1..t_(m-2); each t_(m-1) interval is expanded into one column."""
-    m = len(levels)
-    prefix = () if frame.full else (k,)
-    if m == 0:
-        # p is a point o, so y = (k,) and x = k o
-        yield (), None, (k,), (k,)
-        return
-    if m == 1:
-        lo, hi = _bounds(levels[0], levels[0][3])
-        if lo <= hi:
-            yield (), prefix or None, (lo,), (hi,)
-        return
-    last_cols, ups, lows, _ = levels[-1]
+def _ranges(level, res, vs, us=None):
+    """Lists lo, hi of the level's last coordinate at each v of vs, or at each (u, v) of zip(us, vs).
+
+    u and v are the two coordinates before it; res holds its rows' offsets net of the others.
+    """
+    cols, ups, lows, _ = level
+    floors = []
+    for r, c, d, a in zip(res, cols[-2] if us else repeat(0), cols[-1], ups + lows):
+        if c and d:
+            floors.append([(r - c * u - d * v) // a for u, v in zip(us, vs)])
+        else:
+            w, ws = (c, us) if c else (d, vs)
+            floors.append([(r - w * x) // a for x in ws] if w else [r // a] * len(vs))
     nup = len(ups)
-    # res[j][l]: residual offsets of level l's rows once t_1..t_j are fixed
-    res = [[level[3] for level in levels]]
-    t = [0] * (m - 1)
-    top = [0] * (m - 1)
-
-    def fix(j):
-        # t_j (that is, t[j - 1]) changed: recompute the residuals after it
-        v = t[j - 1]
-        prev = res[j - 1]
-        del res[j:]
-        res.append([None] * j + [
-            [r - c * v for r, c in zip(prev[l], levels[l][0][j - 1])] for l in range(j, m)
-        ])
-
-    j = 0
-    while True:
-        lo, hi = _bounds(levels[j], res[j][j])
-        if lo <= hi:
-            if j < m - 2:
-                t[j], top[j] = lo, hi
-                j += 1
-                fix(j)
-                continue
-            # last level for every t_(m-1) in [lo, hi]: one list of floors per row
-            base, col = res[j][m - 1], last_cols[m - 2]
-            span = range(lo, hi + 1)
-            floors = [
-                [(b - c * v) // a for v in span] if c else [b // a] * len(span)
-                for b, c, a in zip(base, col, ups + lows)
-            ]
-            his = floors[0] if nup == 1 else list(map(min, *floors[:nup]))
-            los = list(map(neg, floors[nup] if len(lows) == 1 else map(min, *floors[nup:])))
-            if not all(map(le, los, his)):
-                # empty runs are dropped in bulk, one byte each: a thin P can have millions
-                keep = bytes(map(le, los, his))
-                span, los, his = list(compress(span, keep)), list(compress(los, keep)), list(compress(his, keep))
-            if span:
-                yield prefix + tuple(t[: m - 2]), span, los, his
-        # advance the deepest prefix coordinate that has room
-        j -= 1
-        while j >= 0 and t[j] == top[j]:
-            j -= 1
-        if j < 0:
-            return
-        t[j] += 1
-        j += 1
-        fix(j)
+    his = floors[0] if nup == 1 else list(map(min, *floors[:nup]))
+    los = list(map(neg, floors[nup] if len(lows) == 1 else map(min, *floors[nup:])))
+    return los, his
 
 
-def _expand(p: LatticePolytope, columns):
-    """The points x of columns of p, one at a time."""
-    # a column of one coordinate has vs None: los stands in for it, and y = (s,)
+def _block(fixed, lists):
+    """The runs of lists = [*heads, vs, los, his] that hold a point, as a block led by fixed heads, if any."""
+    los, his = lists[-2:]
+    if not all(map(le, los, his)):
+        # empty runs are dropped in bulk, one byte each: a thin P can have millions
+        keep = bytes(map(le, los, his))
+        lists = [list(compress(x, keep)) for x in lists]
+    *heads, vs, los, his = lists
+    if his:
+        yield [[x] * len(his) for x in fixed] + heads, vs, los, his
+
+
+def _blocks(levels, fixed, res):
+    """Blocks under the fixed values of t_1..t_j; levels starts at level j, res holds its offsets net of them.
+
+    Down to t_(m-3) one value at a time; then the bounds of t_(m-1) for
+    every t_(m-2), and the runs of every (t_(m-2), t_(m-1)) pair.
+    """
+    lo, hi = _bounds(levels[0], res[0])
+    if len(levels) == 2:
+        # a polygon has no t_(m-2): one block over every t_1
+        span = range(lo, hi + 1)
+        yield from _block(fixed, [span, *_ranges(levels[1], res[1], span)])
+        return
+    if len(levels) > 3:
+        j = len(levels[0][0])
+        for v in range(lo, hi + 1):
+            rest = [[r - c * v for r, c in zip(rs, level[0][j])] for rs, level in zip(res[1:], levels[1:])]
+            yield from _blocks(levels[1:], fixed + (v,), rest)
+        return
+    for start in range(lo, hi + 1, _BLOCK):
+        xs = range(start, min(start + _BLOCK, hi + 1))
+        vlo, vhi = _ranges(levels[1], res[1], xs)
+        stops = [h + 1 for h in vhi]
+        widths = [max(b - a, 0) for a, b in zip(vlo, stops)]
+        ends = list(accumulate(widths))
+        a = 0
+        while a < len(xs):
+            # one value of t_(m-2), then as many more as keep the block within _BLOCK pairs
+            b = bisect_right(ends, (ends[a - 1] if a else 0) + _BLOCK, a + 1)
+            us = list(chain.from_iterable(map(repeat, xs[a:b], widths[a:b])))
+            vs = list(chain.from_iterable(map(range, vlo[a:b], stops[a:b])))
+            yield from _block(fixed, [us, vs, *_ranges(levels[2], res[2], vs, us)])
+            a = b
+
+
+def _expand(p: LatticePolytope, blocks):
+    """The points x of blocks of p, one at a time."""
+    # a block of one coordinate has vs None: los stands in for it, and y = (s,)
     ys = (
-        head + (v, s) if vs else (s,)
-        for head, vs, los, his in columns
-        for v, lo, hi in zip(vs or los, los, his)
+        (*h, v, s) if vs else (s,)
+        for heads, vs, los, his in blocks
+        for *h, v, lo, hi in zip(*heads, vs or los, los, his)
         for s in range(lo, hi + 1)
     )
     rows = lattice_rows(p)
@@ -270,8 +285,8 @@ def relint_lattice_points(p: LatticePolytope) -> list[tuple[int, ...]]:
     return list(_expand(p, fibers(p, relint=True)))
 
 
-def _count(columns) -> int:
-    return sum(len(his) + sum(his) - sum(los) for _, _, los, his in columns)
+def _count(blocks) -> int:
+    return sum(len(his) + sum(his) - sum(los) for _, _, los, his in blocks)
 
 
 def count(p: LatticePolytope) -> int:

@@ -423,14 +423,13 @@ def polytope_from_json_dict(data: dict) -> LatticePolytope:
     verts = data.get("vertices") if isinstance(data, dict) else None
     if not isinstance(verts, list) or not verts:
         raise ValueError("polytope JSON needs a non-empty \"vertices\" list")
-    for v in verts:
-        # bool is a subclass of int, but true/false are not coordinates
-        if not isinstance(v, list) or not all(isinstance(c, int) and not isinstance(c, bool) for c in v):
-            raise ValueError("vertices must be lists of integers")
+    if not all(isinstance(v, list) for v in verts):
+        raise ValueError("vertices must be lists of integers")
     n = len(verts[0])
     if n > MAX_AMBIENT_DIM:
         raise ValueError(f"ambient dimension capped at {MAX_AMBIENT_DIM}")
-    distinct = len({tuple(v) for v in verts})
+    # _entry refuses bools, floats, strings and nested lists before any of them is hashed
+    distinct = len({tuple(map(_entry, v)) for v in verts})
     subsets = max(comb(distinct, m) for m in range(n + 1))
     if subsets > MAX_HULL_SUBSETS:
         raise ValueError(

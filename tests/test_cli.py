@@ -300,6 +300,25 @@ def test_bool_coordinates_exit_two(monkeypatch, capsys):
     assert "integers" in cli_error(monkeypatch, capsys, ["count"], stdin=bools)
 
 
+def test_nested_list_coordinates_exit_two(monkeypatch, capsys):
+    nested = '{"vertices": [[[0],0],[1,0],[0,1]]}'
+    assert "integers, not [0]" in cli_error(monkeypatch, capsys, ["count"], stdin=nested)
+
+
+def test_string_coordinates_exit_two(monkeypatch, capsys):
+    strings = '{"vertices": [["0",0],[1,0],[0,1]]}'
+    assert "integers, not '0'" in cli_error(monkeypatch, capsys, ["count"], stdin=strings)
+
+
+def test_float_coordinates_exit_two(monkeypatch, capsys):
+    floats = '{"vertices": [[0.5,0],[1,0],[0,1]]}'
+    assert "integers, not 0.5" in cli_error(monkeypatch, capsys, ["count"], stdin=floats)
+
+
+def test_a_vertex_that_is_not_a_list_exits_two(monkeypatch, capsys):
+    assert "lists" in cli_error(monkeypatch, capsys, ["count"], stdin='{"vertices": [[0,0],[1,0],3]}')
+
+
 def test_negative_independence_trials_exit_two(monkeypatch, capsys):
     assert "independence" in cli_error(monkeypatch, capsys, ["nval", "--check-independence", "-3"])
 

@@ -352,32 +352,32 @@ def reference_tensor_sum(runs, dim, rank):
     return acc
 
 
-def column_runs(columns):
-    """The runs (head, lo, hi) of columns, head holding every coordinate but the last."""
+def block_runs(blocks):
+    """The runs (head, lo, hi) of blocks, head holding every coordinate but the last."""
     return [
-        (head + ((v,) if vs is not None else ()), lo, hi)
-        for head, vs, los, his in columns
-        for v, lo, hi in zip(vs if vs is not None else los, los, his)
+        ((*h, v) if vs is not None else (), lo, hi)
+        for heads, vs, los, his in blocks
+        for *h, v, lo, hi in zip(*heads, vs if vs is not None else los, los, his)
     ]
 
 
 def test_range_power_sums_match_direct_sums():
-    # one-run columns in one coordinate; (5, 4) and (-2, -3) are empty ranges
+    # one-run blocks in one coordinate; (5, 4) and (-2, -3) are empty ranges
     for lo, hi in [(0, 0), (-1, -1), (1, 5), (-4, 3), (-7, -2), (-3, 0), (0, 6), (5, 4), (-2, -3)]:
         for rank in range(19):
             direct = [sum(u**e for u in range(lo, hi + 1)) for e in range(rank + 1)]
             assert reference_range_power_sums(lo, hi, rank) == direct, (lo, hi, rank)
-            assert _tensor_sum([((), None, (lo,), (hi,))], 1, rank) == direct[-1:], (lo, hi, rank)
+            assert _tensor_sum([([], None, [lo], [hi])], 1, rank) == direct[-1:], (lo, hi, rank)
 
 
 @settings(max_examples=120, deadline=None)
 @given(polytopes(), st.integers(0, 6), st.booleans(), st.integers(0, 3))
 def test_tensor_sum_matches_run_by_run_reference_and_point_sums(p, rank, relint, scale):
-    columns = list(fibers(p, relint=relint, scale=scale))
+    blocks = list(fibers(p, relint=relint, scale=scale))
     rows = lattice_rows(p)
     dim = p.ambient_dim if rows is None else len(rows)
-    runs = column_runs(columns)
-    sums = _tensor_sum(columns, dim, rank)
+    runs = block_runs(blocks)
+    sums = _tensor_sum(blocks, dim, rank)
     assert sums == reference_tensor_sum(runs, dim, rank)
     ys = [head + (s,) for head, lo, hi in runs for s in range(lo, hi + 1)]
     brute = [sum(prod(c**e for c, e in zip(y, beta)) for y in ys) for beta in multi_indices(dim, rank)]

@@ -2,6 +2,7 @@ import random
 import time
 import tracemalloc
 from itertools import product
+from unittest import mock
 from fractions import Fraction
 from math import factorial, prod
 
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_polytope
+from lattens import points
 from lattens.ehrhart import discrete_moment, discrete_moment_relint
 from lattens.points import (
     ScanTooLarge,
@@ -158,8 +160,8 @@ def test_thin_triangle_drops_its_empty_runs():
     # a million values of the first coordinate, and all but three of their runs are empty
     p = from_points([(0, 0), (10**6, 1), (10**6 + 1, 1)])
     points = [(0, 0), (10**6, 1), (10**6 + 1, 1)]
-    columns = list(fibers(p))
-    assert sum(len(his) for _, _, _, his in columns) <= 3
+    blocks = list(fibers(p))
+    assert sum(len(his) for _, _, _, his in blocks) <= 3
     assert lattice_points(p) == points and count(p) == 3
     assert moment_coords(discrete_moment(p, 2), 2, 2) == point_sums(points, 2, 2)
 
@@ -213,21 +215,21 @@ def point_sums(pts, n, r):
     }
 
 
-def lifted_runs(p, rows, columns):
-    """The points of columns, mapped to x = sum_i y_i A_i unless rows is None.
+def lifted_runs(p, rows, blocks):
+    """The points of blocks, mapped to x = sum_i y_i A_i unless rows is None.
 
-    Checks the column contract on the way: sequences of one length, no
-    empty run, and vs is None exactly when y has one coordinate.
+    Checks the block contract on the way: sequences of one length, no empty
+    run, and vs is None exactly when y has one coordinate.
     """
     ys = []
-    for head, vs, los, his in columns:
+    for heads, vs, los, his in blocks:
         assert len(los) == len(his) and all(lo <= hi for lo, hi in zip(los, his))
         if vs is None:
-            assert head == () and len(los) == 1
+            assert heads == [] and len(los) == 1
             ys += [(s,) for s in range(los[0], his[0] + 1)]
         else:
-            assert len(vs) == len(los)
-            ys += [head + (v, s) for v, lo, hi in zip(vs, los, his) for s in range(lo, hi + 1)]
+            assert all(len(h) == len(los) for h in heads) and len(vs) == len(los)
+            ys += [(*h, v, s) for *h, v, lo, hi in zip(*heads, vs, los, his) for s in range(lo, hi + 1)]
     assert all(len(y) == (p.ambient_dim if rows is None else len(rows)) for y in ys)
     if rows is None:
         return ys
@@ -278,3 +280,120 @@ def test_moments_of_long_runs_in_lower_dimensions():
         for r in ranks:
             assert moment_coords(discrete_moment(p, r), n, r) == point_sums(closed, n, r)
             assert moment_coords(discrete_moment_relint(p, r), n, r) == point_sums(interior, n, r)
+
+
+# -- the blocks against the column-by-column walk they replaced ---------------------
+
+
+def reference_fibers(p, relint=False, scale=1):
+    """Columns (head, vs, los, his), one per value head of all but the last two coordinates of y.
+
+    The odometer walk that fibers ran before it worked the last levels a
+    list at a time: it steps through t_1..t_(m-2) and floors each facet row
+    over one column's span of t_(m-1).
+    """
+    if p.is_empty:
+        return
+    frame = points._frame(p)
+    strict = relint and p.dim > 0 and scale > 0
+    levels = [
+        (cols, ups, lows, [scale * d - (e if strict else 0) for d, e in zip(ds, ceils)])
+        for cols, ups, lows, ds, ceils in frame.levels
+    ]
+    m = len(levels)
+    prefix = () if frame.full else (scale,)
+
+    def bounds(level, res):
+        _, ups, lows, _ = level
+        return -min(r // a for r, a in zip(res[len(ups):], lows)), min(r // a for r, a in zip(res, ups))
+
+    if m == 0:
+        yield (), None, (scale,), (scale,)
+        return
+    if m == 1:
+        lo, hi = bounds(levels[0], levels[0][3])
+        if lo <= hi:
+            yield (), prefix or None, (lo,), (hi,)
+        return
+    last_cols, ups, lows, _ = levels[-1]
+    nup = len(ups)
+    res = [[level[3] for level in levels]]
+    t = [0] * (m - 1)
+    top = [0] * (m - 1)
+
+    def fix(j):
+        v = t[j - 1]
+        prev = res[j - 1]
+        del res[j:]
+        res.append([None] * j + [[r - c * v for r, c in zip(prev[l], levels[l][0][j - 1])] for l in range(j, m)])
+
+    j = 0
+    while True:
+        lo, hi = bounds(levels[j], res[j][j])
+        if lo <= hi:
+            if j < m - 2:
+                t[j], top[j] = lo, hi
+                j += 1
+                fix(j)
+                continue
+            base, col = res[j][m - 1], last_cols[m - 2]
+            span = range(lo, hi + 1)
+            floors = [[(b - c * v) // a for v in span] for b, c, a in zip(base, col, ups + lows)]
+            his = [min(f) for f in zip(*floors[:nup])]
+            los = [-min(f) for f in zip(*floors[nup:])]
+            kept = [(v, lo, hi) for v, lo, hi in zip(span, los, his) if lo <= hi]
+            if kept:
+                yield prefix + tuple(t[: m - 2]), *map(list, zip(*kept))
+        j -= 1
+        while j >= 0 and t[j] == top[j]:
+            j -= 1
+        if j < 0:
+            return
+        t[j] += 1
+        j += 1
+        fix(j)
+
+
+def reference_runs(columns):
+    """The runs (y without its last coordinate, lo, hi) of the reference's columns."""
+    return [
+        (head + ((v,) if vs is not None else ()), lo, hi)
+        for head, vs, los, his in columns
+        for v, lo, hi in zip(vs if vs is not None else los, los, his)
+    ]
+
+
+def block_runs(blocks):
+    """The runs (y without its last coordinate, lo, hi) of blocks, in block order."""
+    return [
+        ((*h, v) if vs is not None else (), lo, hi)
+        for heads, vs, los, his in blocks
+        for *h, v, lo, hi in zip(*heads, vs if vs is not None else los, los, his)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(polytopes(), st.booleans(), st.integers(0, 3))
+def test_blocks_hold_the_reference_walks_runs_in_order(p, relint, scale):
+    runs = reference_runs(reference_fibers(p, relint, scale))
+    blocks = list(fibers(p, relint=relint, scale=scale))
+    assert block_runs(blocks) == runs
+    assert all(his for _, _, _, his in blocks)
+    # a bound of two pairs cuts blocks at nearly every value of t_(m-2)
+    with mock.patch.object(points, "_BLOCK", 2):
+        assert block_runs(fibers(p, relint=relint, scale=scale)) == runs
+
+
+def test_a_block_holds_at_most_its_bound_of_pairs():
+    # 700 x 700 values of (t_1, t_2), so 490,000 runs of two points: in one block, count peaked at 29 MB
+    box = from_points([(x, y, z) for x in (0, 699) for y in (0, 699) for z in (0, 1)])
+    tracemalloc.start()
+    try:
+        assert count(box) == 2 * 700**2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    blocks = list(fibers(box))
+    assert len(blocks) > 1 and max(len(his) for _, _, _, his in blocks) <= points._BLOCK
+    assert block_runs(blocks) == reference_runs(reference_fibers(box))
