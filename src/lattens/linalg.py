@@ -1,15 +1,15 @@
 """Exact linear algebra: one fraction-free elimination kernel, and integer kernels.
 
 The elimination kernel serves rref, rank_bareiss, det, invert_matrix,
-kernel_basis, rational_row_space_equations and classify.rank.  It reads rows
-of int or Fraction entries from any iterable, scales each by the lcm of its
-denominators, and runs Bareiss's fraction-free elimination (Bareiss 1968,
-Math. Comp. 22) one row at a time: every entry is a minor of the scaled
-matrix, every division is exact, and no row is read once the pivots fill the
-columns.  det takes square integer matrices only (int entries, or Fractions
-with denominator 1).  integer_kernel, the one integer lattice reduction,
-does not use the elimination kernel: it runs unimodular row operations and
-returns the row Hermite normal form of an integer kernel.
+kernel_basis, rational_row_space_equations, classify.rank and the hull in
+polytope.  It reads rows of int or Fraction entries from any iterable, scales
+each by the lcm of its denominators, and runs Bareiss's fraction-free
+elimination (Bareiss 1968, Math. Comp. 22) one row at a time: every entry is a
+minor of the scaled matrix, every division is exact, and no row is read once
+the pivots fill the columns.  det takes square integer matrices only (int
+entries, or Fractions with denominator 1).  integer_kernel, the one integer
+lattice reduction, does not use the elimination kernel: it runs unimodular row
+operations and returns the row Hermite normal form of an integer kernel.
 """
 
 from __future__ import annotations
@@ -18,16 +18,15 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-def _echelon(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free elimination, one row at a time: (echelon rows, pivot columns).
+def _echelon(rows, ncols: int) -> tuple[list[list[int]], list[int], list[int]]:
+    """Fraction-free elimination, one row at a time: (echelon rows, pivot columns, their input row indices).
 
     Each row read takes the Bareiss step of every pivot row before it; its
     pivot is then its first non-zero column, and a zero row is dropped.  The
     pivot of row k is the minor on rows 0..k and columns pivots[0..k].
     """
-    ech: list[list[int]] = []
-    pivots: list[int] = []
-    for row in rows:
+    ech, pivots, kept = [], [], []
+    for i, row in enumerate(rows):
         scale = lcm(*[x.denominator for x in row])
         new = [x.numerator * (scale // x.denominator) for x in row]
         prev = 1
@@ -44,9 +43,10 @@ def _echelon(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
         if c is not None:
             ech.append(new)
             pivots.append(c)
+            kept.append(i)
             if len(pivots) == ncols:
                 break
-    return ech, pivots
+    return ech, pivots, kept
 
 
 def _reduced(rows, ncols: int) -> tuple[list[list[int]], list[int], int]:
@@ -55,7 +55,7 @@ def _reduced(rows, ncols: int) -> tuple[list[list[int]], list[int], int]:
     d is the last Bareiss pivot, the determinant of the pivot minor, so
     d times the reduced row echelon form is an integer matrix (Cramer); rows sorted by pivot.
     """
-    ech, pivots = _echelon(rows, ncols)
+    ech, pivots, _ = _echelon(rows, ncols)
     if not pivots:
         return [], [], 1
     d = ech[-1][pivots[-1]]
@@ -88,7 +88,7 @@ def det(matrix) -> int:
     n = len(matrix)
     if any(x.denominator != 1 for row in matrix for x in row):
         raise ValueError("det takes integer matrices")
-    ech, pivots = _echelon(matrix, n)
+    ech, pivots, _ = _echelon(matrix, n)
     if len(pivots) < n:
         return 0
     # the last pivot is the determinant with the columns in pivot order

@@ -11,10 +11,11 @@ these fields in points.
 Only the constructor, on point sets, runs the convex hull: double
 description in integers (Motzkin, Raiffa, Thompson and Thrall 1953;
 Fukuda and Prodon 1996) from the first m-simplex among the sorted
-points, adding the others in lex order.  Normals lie in the direction
-space, so each facet has one row.  A facet is a row whose set of tight
-points is maximal (_maximal_tight), the rule that also gives a face's
-facets and the fiber bounds in points.  Faces are read off the
+points, adding the others in lex order.  Three eliminations give that
+simplex and its facets for any number of points.  Normals lie in the
+direction space, so each facet has one row.  A facet is a row whose set
+of tight points is maximal (_maximal_tight), the rule that also gives a
+face's facets and the fiber bounds in points.  Faces are read off the
 vertex-facet incidences and keep their parent's normals.  Images under
 dilation, translation, negation and unimodular maps map the vertices and
 half-spaces through one code path: x -> k M x + t with M in GL_n(Z)
@@ -31,13 +32,13 @@ from math import comb, gcd
 from numbers import Integral
 from operator import and_, mul, or_
 
-from .linalg import det, invert_matrix, rank_bareiss, rational_row_space_equations
+from .linalg import _echelon, _reduced, det, invert_matrix, rational_row_space_equations
 
 Point = tuple[int, ...]
 
 MAX_AMBIENT_DIM = 6
-# bounds the input size only, as the hull tests no subsets; the slowest hull of an accepted input
-# measured, 100,000 collinear points, took 3.0 s (2-vCPU machine, Python 3.11)
+# bounds the input size only, as the hull tests no subsets; the slowest hull of an accepted input measured,
+# 100,000 points in Z^1, took 1.2 s (2-vCPU Xeon, Python 3.11.7, best of 5 in fresh processes)
 MAX_HULL_SUBSETS = 100_000
 
 
@@ -75,14 +76,10 @@ class LatticePolytope:
             self.facet_inequalities: tuple[tuple[Point, int], ...] = ()
             return
 
-        origin = pts[0]
-        # a single point has no directions, and its equations are the n unit rows
-        eq_rows = rational_row_space_equations([[x - y for x, y in zip(p, origin)] for p in pts[1:]], n)
-        m = n - len(eq_rows)
-        self.dim = m
-        self.hull_equalities = tuple((tuple(row), _dot(row, origin)) for row in eq_rows)
-
-        facets, self.vertices = _facets_of_point_set(pts, m, eq_rows) if m else ([], tuple(pts))
+        simplex, eq_rows, facets = _first_simplex(pts, n)
+        self.dim = len(simplex) - 1
+        self.hull_equalities = tuple((tuple(row), _dot(row, pts[0])) for row in eq_rows)
+        facets, self.vertices = _facets_of_point_set(pts, simplex, facets) if facets else ([], tuple(pts))
         self.facet_inequalities = tuple(facets)
 
     # -- construction helpers ------------------------------------------------
@@ -164,25 +161,38 @@ def _maximal_tight(rows, points) -> list:
     return [rows[i] for i in sorted(first[s] for s in kept)]
 
 
-def _facets_of_point_set(points: list[Point], m: int, eq_rows) -> tuple[list[tuple[Point, int]], tuple[Point, ...]]:
-    """Sorted facet inequalities (a, b), a . x <= b with a primitive, of conv(points), an m-polytope, m > 0,
-    and its sorted vertices.
+def _first_simplex(points: list[Point], n: int) -> tuple[list[Point], list[list[int]], list[tuple[Point, int, int]]]:
+    """(simplex, hull equations, facet rows (a, b, t) as in _facets_of_point_set) of sorted distinct points.
 
-    The first simplex's facet normals solve their difference rows with the
-    hull equations eq_rows; each further point joins each facet it violates
-    to each it satisfies strictly and shares a ridge's m - 1 points with.
+    One streamed elimination keeps points[0] and each point whose difference from it is independent of those before.
+    Row k lies opposite simplex[k]: with x_i column i of M^-1, M the m edges on the hull equations, so that
+    edge j . x_i = [i = j], its normal is sum x_i for k = 0 and -x_(k-1) for k > 0; _reduced gives d M^-1, d < 0 too.
     """
-    simplex = points[:1]
-    for p in points:
-        if len(simplex) <= m and rank_bareiss([[x - y for x, y in zip(q, p)] for q in simplex]) == len(simplex):
-            simplex.append(p)
-    # facets are rows (a, b, t), t the points with a . x = b as bits, in the order added (the simplex first)
+    origin = points[0]
+    simplex = [origin] + [points[i] for i in _echelon(([x - y for x, y in zip(p, origin)] for p in points), n)[2]]
+    edges = [[x - y for x, y in zip(p, origin)] for p in simplex[1:]]
+    m = len(edges)
+    eq_rows = rational_row_space_equations(edges, n) if m < n else []
+    if not m:
+        return simplex, eq_rows, []
+    red, _, d = _reduced([row + [int(i == j) for j in range(n)] for i, row in enumerate(edges + eq_rows)], 2 * n)
+    cols = list(zip(*red))[n : n + m]
     facets = []
-    for k, apex in enumerate(simplex):
-        base, *rest = (q for q in simplex if q is not apex)
-        (g,) = rational_row_space_equations([[x - y for x, y in zip(q, base)] for q in rest] + eq_rows, len(base))
-        h, t = _dot(g, base), (1 << m + 1) - 1 - (1 << k)
-        facets.append((tuple(g), h, t) if _dot(g, apex) < h else (tuple(-x for x in g), -h, t))
+    for k, a in enumerate([[sum(xs) for xs in zip(*cols)]] + [[-x for x in col] for col in cols]):
+        g = gcd(*a) if d > 0 else -gcd(*a)
+        a = tuple(x // g for x in a)
+        facets.append((a, _dot(a, simplex[1 if k == 0 else 0]), (1 << m + 1) - 1 - (1 << k)))
+    return simplex, eq_rows, facets
+
+
+def _facets_of_point_set(points: list[Point], simplex: list[Point], facets: list) -> tuple[list, tuple[Point, ...]]:
+    """Sorted facet inequalities (a, b), a . x <= b, a primitive, and sorted vertices of conv(points), an m-polytope.
+
+    Facets are rows (a, b, t), t the points on a . x = b as bits in the order added, the first simplex's first
+    (_first_simplex); each further point joins each facet it violates to each it satisfies strictly and shares a
+    ridge's m - 1 points with.
+    """
+    m = len(simplex) - 1
     # the points on the boundary of the hull so far, by bit; a point inside it stays inside
     live = dict(enumerate(simplex))
     for i, p in enumerate((q for q in points if q not in simplex), m + 1):
@@ -296,7 +306,7 @@ def minkowski_sum(p: LatticePolytope, q: LatticePolytope) -> LatticePolytope:
 
 def _entry(x) -> int:
     # truncating 1.7 to 1 would silently build a different polytope or check a different map
-    if isinstance(x, bool) or not isinstance(x, Integral):
+    if type(x) is not int and (isinstance(x, bool) or not isinstance(x, Integral)):
         raise ValueError(f"coordinates, factors and map entries must be integers, not {x!r}")
     return int(x)
 

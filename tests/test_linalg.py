@@ -202,10 +202,14 @@ def late_pivots(draw):
 
 
 def assert_echelon_matches_reference(rows, ncols):
-    ech, pivots = _echelon(rows, ncols)
+    ech, pivots, kept = _echelon(rows, ncols)
     ref, ref_pivots, sign = reference_echelon(rows, ncols)
     assert sorted(pivots) == ref_pivots
     assert len(ech) == len(ref)
+    # the kept rows are the greedy basis: each row raises the rank of the rows before it iff it is kept
+    ranks = [len(reference_rref(rows[: k + 1])[1]) for k in range(len(rows))]
+    greedy = [k for k, r in enumerate(ranks) if r > (ranks[k - 1] if k else 0)]
+    assert kept == greedy
     red, red_pivots, d = _reduced(rows, ncols)
     assert red_pivots == ref_pivots
     assert [[Fraction(x, d) for x in row] for row in red] == reference_rref(rows)[0]
@@ -255,8 +259,9 @@ def test_echelon_stops_on_an_endless_stream():
         yield [1, 1, 1]
         raise AssertionError("read a row after the pivots filled the columns")
 
-    ech, pivots = _echelon(stream(), 3)
+    ech, pivots, kept = _echelon(stream(), 3)
     assert pivots == [1, 0, 2]
+    assert kept == [0, 2, 3]
     # the last pivot is the determinant of rows 0, 2, 3 with the columns taken in pivot order
     assert ech[-1][2] == reference_det([[2, 0, 1], [0, 3, 0], [1, 1, 1]])
 

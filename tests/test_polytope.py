@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import polytopes, random_polytope, sample_polytopes
-from lattens import points, polytope
+from lattens import linalg, points, polytope
 from lattens.ehrhart import moment_tensor
 from lattens.linalg import (
     det,
@@ -26,6 +26,7 @@ from lattens.polytope import (
     LatticePolytope,
     UnimodularMap,
     _dot,
+    _first_simplex,
     _maximal_tight,
     dilate,
     dissect_prism,
@@ -430,25 +431,87 @@ def test_hull_matches_subset_reference(pts):
     assert_hull_matches_subset_reference(pts)
 
 
+# -- the first simplex against the former simplex step ------------------------------
+
+
+def reference_first_simplex(points, n):
+    """The simplex step the constructor used to run, on sorted distinct points.
+
+    The hull equations solve every difference from points[0]; a point joins
+    the simplex when its differences to the simplex so far have full rank;
+    the facet opposite each simplex point solves the differences of the
+    others with the hull equations, oriented away from that point.
+    """
+    eq_rows = rational_row_space_equations([[x - y for x, y in zip(p, points[0])] for p in points[1:]], n)
+    m = n - len(eq_rows)
+    simplex = points[:1]
+    for p in points:
+        if len(simplex) <= m and rank_bareiss([[x - y for x, y in zip(q, p)] for q in simplex]) == len(simplex):
+            simplex.append(p)
+    facets = []
+    for k, apex in enumerate(simplex if m else []):
+        base, *rest = (q for q in simplex if q is not apex)
+        (g,) = rational_row_space_equations([[x - y for x, y in zip(q, base)] for q in rest] + eq_rows, n)
+        h, t = _dot(g, base), (1 << m + 1) - 1 - (1 << k)
+        facets.append((tuple(g), h, t) if _dot(g, apex) < h else (tuple(-x for x in g), -h, t))
+    return simplex, eq_rows, facets
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(point_sets(), redundant_point_sets().map(lambda pts: (len(pts[0]), pts))))
+def test_first_simplex_matches_former_simplex_step(case):
+    n, pts = case
+    pts = sorted(set(pts))
+    assert _first_simplex(pts, n) == reference_first_simplex(pts, n)
+
+
+@pytest.mark.parametrize(
+    "pts, facets",
+    [
+        ([(0, 0), (2, 1), (1, 3)], (((-3, 1), 0), ((1, -2), 0), ((2, 1), 5))),
+        ([(0, 0, 0), (-1, 0, 0), (1, -1, 0)], (((-1, -2, 0), 1), ((0, 1, 0), 0), ((1, 1, 0), 0))),
+        ([(-2, 1, -1), (1, -2, 2), (-1, 1, 1)], (((-2, 5, 1), 8), ((0, -1, -1), 0), ((1, 2, 4), 5))),
+        (
+            [(0, 0, 0), (-1, 0, 0), (0, -1, 0), (0, 1, -1)],
+            (((-1, -1, -2), 1), ((0, 0, 1), 0), ((0, 1, 1), 0), ((1, 0, 0), 0)),
+        ),
+    ],
+)
+def test_simplex_facets_when_the_stacked_inverse_has_negative_scale(pts, facets):
+    # the reduction of [M | I] returns d [I | M^-1] with d < 0 here; unflipped, every normal would point inwards
+    n = len(pts[0])
+    simplex, eq_rows, _ = _first_simplex(sorted(pts), n)
+    stacked = [[x - y for x, y in zip(p, simplex[0])] for p in simplex[1:]] + eq_rows
+    assert linalg._reduced([row + [int(i == j) for j in range(n)] for i, row in enumerate(stacked)], 2 * n)[2] < 0
+    assert LatticePolytope(pts).facet_inequalities == facets
+
+
 @pytest.mark.parametrize("n, ts", [(4, range(-4, 6)), (5, range(11)), (6, range(-5, 7))])
 def test_hull_of_cyclic_polytope_matches_subset_reference(n, ts):
     # every point of the moment curve is a vertex, and the facets are many
     assert_hull_matches_subset_reference([tuple(t**k for k in range(1, n + 1)) for t in ts])
 
 
-def test_hull_of_4_cube_solves_one_system_per_simplex_facet(monkeypatch):
-    solves = []
-    solve = polytope.rational_row_space_equations
+def test_hull_set_up_runs_at_most_three_eliminations(monkeypatch):
+    calls = []
+    echelon = linalg._echelon
 
     def counted(rows, ncols):
-        solves.append(rows)
-        return solve(rows, ncols)
+        calls.append(ncols)
+        return echelon(rows, ncols)
 
-    monkeypatch.setattr(polytope, "rational_row_space_equations", counted)
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    monkeypatch.setattr(polytope, "_echelon", counted)
     cube = list(product((0, 1), repeat=4))
-    # the hull equations, then one solve per facet of the first 4-simplex; the subset hull made 1,821
+    # one pass for the simplex, the hull equations, one inverse for every simplex facet; the subset hull made 1,821
     assert len(LatticePolytope(cube).facet_inequalities) == 8
-    assert len(solves) <= 4 + 2
+    assert len(calls) <= 3
+    # however many points, in any dimension: a point, 300 points on a segment, a 5-polytope in Z^6 with repeats
+    flat = [(0, 0, 0, 0, 0, 0)] + [tuple(int(i == j) for j in range(6)) for i in range(5)] + [(1, 1, 1, 0, 0, 0)] * 3
+    for pts in ([(1, 2, 3)], [(k, 2 * k, 0) for k in range(300)], flat + [(0, 1, 0, 1, 0, 0), (1, 0, 1, 0, 1, 0)]):
+        calls.clear()
+        LatticePolytope(pts)
+        assert len(calls) <= 3, pts
     monkeypatch.undo()
     assert_hull_matches_subset_reference(cube)
     # the doubled cube with its centre and the centres of four facets inside the point set
