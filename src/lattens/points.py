@@ -22,30 +22,29 @@ y = (k, t) with x = sum_i y_i A_i and A = (o, E_1..E_m).
 
 fibers yields blocks (heads, vs, los, his) of integer sequences of one
 length: run q holds y = (heads[0][q], .., heads[-1][q], vs[q], s) for
-los[q] <= s <= his[q].  Every run holds a point, and blocks and runs come
-in lex order of y.  When y has one coordinate, heads is empty, vs is None
-and the block's single run holds y = (s,).  The walk fixes t_1..t_(m-3)
-one value at a time, then takes the bounds of t_(m-1) for every t_(m-2)
-and the runs of every (t_(m-2), t_(m-1)) pair between them, one pass per
-row over a list.  A block holds at most _BLOCK pairs, or the pairs of one
-t_(m-2).  The empty runs of a thin polytope are dropped in bulk.
+los[q] <= s <= his[q].  Every run holds a point, a block holds at most
+_BLOCK runs, and blocks and runs come in lex order of y.  When y has one
+coordinate, heads is empty, vs is None and the block's single run holds
+y = (s,).  Each level holds its prefixes t_1..t_j as parallel lists, bounds
+t_(j+1) for all of them in one pass per row, drops in bulk the prefixes with
+no child and cuts the children into slices of at most _BLOCK, which may
+split one prefix's range.  The last level's bounds are the runs.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, compress, repeat
-from math import ceil, gcd
-from operator import le, mul, neg
+from math import ceil, gcd, prod
+from operator import le, mul, neg, sub
 
 from .linalg import integer_kernel
 from .polytope import LatticePolytope, _dot, _identity, _maximal_tight
 
 _MAX_SCAN_CELLS = 50_000_000
-# (t_(m-2), t_(m-1)) pairs per block: bounds the lists a block holds at once
-_BLOCK = 1 << 16
+_BLOCK = 1 << 16  # entries per slice of a level and runs per block: bounds the lists held at once
 
 
 class ScanTooLarge(ValueError):
@@ -54,10 +53,7 @@ class ScanTooLarge(ValueError):
 
 def _primitive(c, d, s):
     """(c, d, s) divided by the gcd g of c, or None when g does not divide d: then c . t = d at no lattice t."""
-    g = 0
-    for x in c:
-        g = gcd(g, x)
-    return None if d % g else (tuple(x // g for x in c), d // g, Fraction(s, g))
+    return None if d % (g := gcd(*c)) else (tuple(x // g for x in c), d // g, Fraction(s, g))
 
 
 class _Frame:
@@ -68,13 +64,13 @@ class _Frame:
     facet rows with weights summing to s, so c . t <= k d holds on kP and,
     as each facet row loses 1 on the relative interior, c . t <= k d - ceil(s)
     holds there.  levels[j] holds, upper-bound rows (c_(j+1) > 0) first, the
-    columns of c over t_1..t_j, |c_(j+1)| of either kind, the d and ceil(s).
-    The levels are built on first use, after the scan cap check.
+    columns of c over t_1..t_j, |c_(j+1)| of either kind, the d and ceil(s),
+    and each row's nonzero pairs (i, c_(i+1)) over t_1..t_j.  The levels are
+    built on first use, after the scan cap check.
     """
 
     def __init__(self, p: LatticePolytope):
-        n = p.ambient_dim
-        m = p.dim
+        n, m = p.ambient_dim, p.dim
         self.full = m == n
         if self.full:
             self.origin = (0,) * n
@@ -107,6 +103,7 @@ class _Frame:
                 [-c[-1] for c, _, _ in rows if c[-1] < 0],
                 [d for _, d, _ in rows],
                 [ceil(s) for _, _, s in rows],
+                [[(i, c[i]) for i in range(j) if c[i]] for c, _, _ in rows],
             ))
         return out
 
@@ -116,9 +113,8 @@ class _Frame:
         t = []
         for e in self.basis:
             col = next(i for i, v in enumerate(e) if v)
-            tj = diff[col] // e[col]
-            diff = [a - tj * b for a, b in zip(diff, e)]
-            t.append(tj)
+            t.append(diff[col] // e[col])
+            diff = [a - t[-1] * b for a, b in zip(diff, e)]
         return tuple(t)
 
 
@@ -156,107 +152,86 @@ def fibers(p: LatticePolytope, relint: bool = False, scale: int = 1):
     """Blocks (heads, vs, los, his) covering the lattice points y of scale * p in lex order.
 
     y is in p's lattice coordinates (see lattice_rows); the module docstring
-    gives the block contract.
-
-    With relint, the blocks cover the relative interior instead (a point's
-    relative interior is the point, and 0 * p is a point).  Raises
-    ScanTooLarge, before any enumeration, when the box of the vertices in
-    lattice coordinates has more than the cap's cells.
+    gives the block contract and the walk.  With relint, the blocks cover the
+    relative interior instead (a point's relative interior is the point, and
+    0 * p is a point).  Raises ValueError when scale < 0, and ScanTooLarge,
+    before any level is built, when the box of the vertices in lattice
+    coordinates has more than the cap's cells.
     """
+    if scale < 0:
+        raise ValueError("scale must be nonnegative")
     if p.is_empty:
         return iter(())
     frame = _frame(p)
-    cells = 1
-    for e in frame.extents:
-        cells *= scale * e + 1
-    if cells > _MAX_SCAN_CELLS:
+    if prod(scale * e + 1 for e in frame.extents) > _MAX_SCAN_CELLS:
         raise ScanTooLarge("bounding box too large to scan; reduce the dilation or dimension")
-    strict = relint and p.dim > 0 and scale > 0
-    levels = [
-        (cols, ups, lows, [scale * d - e for d, e in zip(ds, ceils)] if strict else [scale * d for d in ds])
-        for cols, ups, lows, ds, ceils in frame.levels
-    ]
-    prefix = () if frame.full else (scale,)
-    if not levels:
+    if not frame.levels:
         # p is a point o, so y = (scale,) and x = scale * o
         return iter([([], None, [scale], [scale])])
-    if len(levels) > 1:
-        return _blocks(levels, prefix, [level[3] for level in levels])
-    lo, hi = _bounds(levels[0], levels[0][3])
-    return iter([([], [scale] if prefix else None, [lo], [hi])] if lo <= hi else [])
+    return _walk(frame.levels, scale, relint and scale > 0, frame.full)
 
 
-def _bounds(level, res) -> tuple[int, int]:
-    """Interval of the level's last coordinate, from residual offsets of its rows."""
-    _, ups, lows, _ = level
-    hi = min([r // a for r, a in zip(res, ups)])
-    lo = -min([r // a for r, a in zip(res[len(ups):], lows)])
-    return lo, hi
+def _walk(levels, scale, strict, full):
+    """fibers' blocks, walked one slice of prefixes at a time; see the module docstring."""
+    stack = [iter([[]])]  # the root: one prefix of no coordinates
+    while stack:
+        ts = next(stack[-1], None)
+        if ts is None:
+            stack.pop()
+            continue
+        los, his = _ranges(levels[len(stack) - 1], ts, scale, strict)
+        if not all(map(le, los, his)):
+            # prefixes with no child are dropped in bulk, one byte each: most of a thin P's have none
+            keep = bytes(map(le, los, his))
+            *ts, los, his = [list(compress(x, keep)) for x in (*ts, los, his)]
+        if len(stack) < len(levels):
+            stack.append(_slices(ts, los, his))
+        elif his:
+            ys = ts if full else [[scale] * len(his), *ts]
+            yield ys[:-1], (ys[-1] if ys else None), los, his
 
 
-def _ranges(level, res, vs, us=None):
-    """Lists lo, hi of the level's last coordinate at each v of vs, or at each (u, v) of zip(us, vs).
-
-    u and v are the two coordinates before it; res holds its rows' offsets net of the others.
-    """
-    cols, ups, lows, _ = level
+def _ranges(level, ts, scale, strict):
+    """Lists lo, hi of the level's last coordinate for each prefix of the parallel lists ts."""
+    _, ups, lows, ds, ceils, rows = level
     floors = []
-    for r, c, d, a in zip(res, cols[-2] if us else repeat(0), cols[-1], ups + lows):
-        if c and d:
-            floors.append([(r - c * u - d * v) // a for u, v in zip(us, vs)])
+    for terms, a, d, e in zip(rows, ups + lows, ds, ceils):
+        r = scale * d - e if strict else scale * d
+        if len(terms) == 1:
+            (i, c), = terms
+            floors.append([(r - c * x) // a for x in ts[i]])
+        elif len(terms) == 2:
+            (i, c), (k, b) = terms
+            floors.append([(r - c * x - b * y) // a for x, y in zip(ts[i], ts[k])])
         else:
-            w, ws = (c, us) if c else (d, vs)
-            floors.append([(r - w * x) // a for x in ws] if w else [r // a] * len(vs))
-    nup = len(ups)
-    his = floors[0] if nup == 1 else list(map(min, *floors[:nup]))
-    los = list(map(neg, floors[nup] if len(lows) == 1 else map(min, *floors[nup:])))
+            res = [r] * (len(ts[0]) if ts else 1)  # the root is one prefix of no coordinates
+            for i, c in terms:
+                res = [s - c * x for s, x in zip(res, ts[i])]
+            floors.append([s // a for s in res] if terms else [r // a] * len(res))
+    his = floors[0] if len(ups) == 1 else list(map(min, *floors[: len(ups)]))
+    los = list(map(neg, floors[-1] if len(lows) == 1 else map(min, *floors[len(ups) :])))
     return los, his
 
 
-def _block(fixed, lists):
-    """The runs of lists = [*heads, vs, los, his] that hold a point, as a block led by fixed heads, if any."""
-    los, his = lists[-2:]
-    if not all(map(le, los, his)):
-        # empty runs are dropped in bulk, one byte each: a thin P can have millions
-        keep = bytes(map(le, los, his))
-        lists = [list(compress(x, keep)) for x in lists]
-    *heads, vs, los, his = lists
-    if his:
-        yield [[x] * len(his) for x in fixed] + heads, vs, los, his
-
-
-def _blocks(levels, fixed, res):
-    """Blocks under the fixed values of t_1..t_j; levels starts at level j, res holds its offsets net of them.
-
-    Down to t_(m-3) one value at a time; then the bounds of t_(m-1) for
-    every t_(m-2), and the runs of every (t_(m-2), t_(m-1)) pair.
-    """
-    lo, hi = _bounds(levels[0], res[0])
-    if len(levels) == 2:
-        # a polygon has no t_(m-2): one block over every t_1
-        span = range(lo, hi + 1)
-        yield from _block(fixed, [span, *_ranges(levels[1], res[1], span)])
-        return
-    if len(levels) > 3:
-        j = len(levels[0][0])
-        for v in range(lo, hi + 1):
-            rest = [[r - c * v for r, c in zip(rs, level[0][j])] for rs, level in zip(res[1:], levels[1:])]
-            yield from _blocks(levels[1:], fixed + (v,), rest)
-        return
-    for start in range(lo, hi + 1, _BLOCK):
-        xs = range(start, min(start + _BLOCK, hi + 1))
-        vlo, vhi = _ranges(levels[1], res[1], xs)
-        stops = [h + 1 for h in vhi]
-        widths = [max(b - a, 0) for a, b in zip(vlo, stops)]
-        ends = list(accumulate(widths))
-        a = 0
-        while a < len(xs):
-            # one value of t_(m-2), then as many more as keep the block within _BLOCK pairs
-            b = bisect_right(ends, (ends[a - 1] if a else 0) + _BLOCK, a + 1)
-            us = list(chain.from_iterable(map(repeat, xs[a:b], widths[a:b])))
-            vs = list(chain.from_iterable(map(range, vlo[a:b], stops[a:b])))
-            yield from _block(fixed, [us, vs, *_ranges(levels[2], res[2], vs, us)])
-            a = b
+def _slices(ts, los, his):
+    """Slices of at most _BLOCK children (*t, s), lo <= s <= hi, of the prefixes t of ts, each range non-empty."""
+    stops = [h + 1 for h in his]
+    ends = [0, *accumulate(map(sub, stops, los))]
+    for g in range(0, ends[-1], _BLOCK):
+        if ends[-1] <= _BLOCK:  # one slice, the common case: no cuts
+            yield [list(chain.from_iterable(map(repeat, t, map(sub, stops, los)))) for t in ts] + [
+                list(chain.from_iterable(map(range, los, stops)))
+            ]
+            return
+        # children g.. of prefixes a..b-1; the first and the last prefix's range may be cut
+        a = bisect_right(ends, g) - 1
+        b = bisect_left(ends, g + _BLOCK, a + 1, len(los))
+        starts, tops = los[a:b], stops[a:b]
+        starts[0] += g - ends[a]
+        tops[-1] -= max(ends[b] - g - _BLOCK, 0)
+        yield [list(chain.from_iterable(map(repeat, t[a:b], map(sub, tops, starts)))) for t in ts] + [
+            list(chain.from_iterable(map(range, starts, tops)))
+        ]
 
 
 def _expand(p: LatticePolytope, blocks):

@@ -136,6 +136,14 @@ def test_scan_cap_refuses_before_the_fourier_motzkin_levels():
     assert time.perf_counter() - start < 2
 
 
+def test_negative_scale_is_refused():
+    # scale=-1 once gave no blocks for T = conv((0,0),(2,0),(0,2)), though -T has six points
+    t = from_points([(0, 0), (2, 0), (0, 2)])
+    for p in (t, from_points([(0, 0, 0), (2, 0, 0)]), from_points([(1, 2)]), LatticePolytope.empty(2)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            fibers(p, scale=-1)
+
+
 def test_lex_order_is_deterministic():
     p = from_points([(0, 0), (2, 0), (0, 2), (2, 2)])
     pts = lattice_points(p)
@@ -157,13 +165,21 @@ def test_thin_simplex_enumerates_without_allocating_its_box():
 
 
 def test_thin_triangle_drops_its_empty_runs():
-    # a million values of the first coordinate, and all but three of their runs are empty
+    # a million values of the first coordinate, and all but three of their runs are empty;
+    # flooring every value in one list peaked at 40 MB
     p = from_points([(0, 0), (10**6, 1), (10**6 + 1, 1)])
-    points = [(0, 0), (10**6, 1), (10**6 + 1, 1)]
-    blocks = list(fibers(p))
+    expected = [(0, 0), (10**6, 1), (10**6 + 1, 1)]
+    tracemalloc.start()
+    try:
+        blocks = list(fibers(p))
+        assert lattice_points(p) == expected and count(p) == 3
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
     assert sum(len(his) for _, _, _, his in blocks) <= 3
-    assert lattice_points(p) == points and count(p) == 3
-    assert moment_coords(discrete_moment(p, 2), 2, 2) == point_sums(points, 2, 2)
+    assert all(len(his) <= points._BLOCK for _, _, _, his in blocks)
+    assert moment_coords(discrete_moment(p, 2), 2, 2) == point_sums(expected, 2, 2)
 
 
 # -- fiber enumeration against the box scan -------------------------------------------
@@ -298,7 +314,7 @@ def reference_fibers(p, relint=False, scale=1):
     strict = relint and p.dim > 0 and scale > 0
     levels = [
         (cols, ups, lows, [scale * d - (e if strict else 0) for d, e in zip(ds, ceils)])
-        for cols, ups, lows, ds, ceils in frame.levels
+        for cols, ups, lows, ds, ceils, _ in frame.levels
     ]
     m = len(levels)
     prefix = () if frame.full else (scale,)
@@ -379,9 +395,11 @@ def test_blocks_hold_the_reference_walks_runs_in_order(p, relint, scale):
     blocks = list(fibers(p, relint=relint, scale=scale))
     assert block_runs(blocks) == runs
     assert all(his for _, _, _, his in blocks)
-    # a bound of two pairs cuts blocks at nearly every value of t_(m-2)
+    # a bound of two entries cuts every level into slices of at most two
     with mock.patch.object(points, "_BLOCK", 2):
-        assert block_runs(fibers(p, relint=relint, scale=scale)) == runs
+        blocks = list(fibers(p, relint=relint, scale=scale))
+        assert block_runs(blocks) == runs
+        assert all(len(his) <= 2 for _, _, _, his in blocks)
 
 
 def test_a_block_holds_at_most_its_bound_of_pairs():
