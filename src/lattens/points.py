@@ -37,14 +37,15 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, compress, repeat
-from math import ceil, gcd, prod
+from math import ceil, gcd
 from operator import le, mul, neg, sub
 
 from .linalg import integer_kernel
 from .polytope import LatticePolytope, _dot, _identity, _maximal_tight
 
 _MAX_SCAN_CELLS = 50_000_000
-_BLOCK = 1 << 16  # entries per slice of a level and runs per block: bounds the lists held at once
+# entries per slice of a level and runs per block: bounds the lists held at once
+_BLOCK = 1 << 16
 
 
 class ScanTooLarge(ValueError):
@@ -53,7 +54,10 @@ class ScanTooLarge(ValueError):
 
 def _primitive(c, d, s):
     """(c, d, s) divided by the gcd g of c, or None when g does not divide d: then c . t = d at no lattice t."""
-    return None if d % (g := gcd(*c)) else (tuple(x // g for x in c), d // g, Fraction(s, g))
+    g = 0
+    for x in c:
+        g = gcd(g, x)
+    return None if d % g else (tuple(x // g for x in c), d // g, Fraction(s, g))
 
 
 class _Frame:
@@ -63,14 +67,15 @@ class _Frame:
     nonzero in its last entry.  Each row is a nonnegative combination of
     facet rows with weights summing to s, so c . t <= k d holds on kP and,
     as each facet row loses 1 on the relative interior, c . t <= k d - ceil(s)
-    holds there.  levels[j] holds, upper-bound rows (c_(j+1) > 0) first, the
-    columns of c over t_1..t_j, |c_(j+1)| of either kind, the d and ceil(s),
-    and each row's nonzero pairs (i, c_(i+1)) over t_1..t_j.  The levels are
-    built on first use, after the scan cap check.
+    holds there.  levels[j] holds, upper-bound rows (c_(j+1) > 0) first, each
+    row's nonzero pairs (i, c_(i+1)) over t_1..t_j, |c_(j+1)| of either kind,
+    the d and ceil(s).  The levels are built on first use, after the scan cap
+    check.
     """
 
     def __init__(self, p: LatticePolytope):
-        n, m = p.ambient_dim, p.dim
+        n = p.ambient_dim
+        m = p.dim
         self.full = m == n
         if self.full:
             self.origin = (0,) * n
@@ -98,12 +103,11 @@ class _Frame:
         for j, level in enumerate(reversed(levels)):
             rows = sorted((row for row in level if row[0][-1]), key=lambda row: row[0][-1] < 0)
             out.append((
-                [[c[i] for c, _, _ in rows] for i in range(j)],
+                [[(i, c[i]) for i in range(j) if c[i]] for c, _, _ in rows],
                 [c[-1] for c, _, _ in rows if c[-1] > 0],
                 [-c[-1] for c, _, _ in rows if c[-1] < 0],
                 [d for _, d, _ in rows],
                 [ceil(s) for _, _, s in rows],
-                [[(i, c[i]) for i in range(j) if c[i]] for c, _, _ in rows],
             ))
         return out
 
@@ -113,8 +117,9 @@ class _Frame:
         t = []
         for e in self.basis:
             col = next(i for i, v in enumerate(e) if v)
-            t.append(diff[col] // e[col])
-            diff = [a - t[-1] * b for a, b in zip(diff, e)]
+            tj = diff[col] // e[col]
+            diff = [a - tj * b for a, b in zip(diff, e)]
+            t.append(tj)
         return tuple(t)
 
 
@@ -152,18 +157,23 @@ def fibers(p: LatticePolytope, relint: bool = False, scale: int = 1):
     """Blocks (heads, vs, los, his) covering the lattice points y of scale * p in lex order.
 
     y is in p's lattice coordinates (see lattice_rows); the module docstring
-    gives the block contract and the walk.  With relint, the blocks cover the
-    relative interior instead (a point's relative interior is the point, and
-    0 * p is a point).  Raises ValueError when scale < 0, and ScanTooLarge,
-    before any level is built, when the box of the vertices in lattice
-    coordinates has more than the cap's cells.
+    gives the block contract and the walk.
+
+    With relint, the blocks cover the relative interior instead (a point's
+    relative interior is the point, and 0 * p is a point).  Raises
+    ValueError when scale < 0, and ScanTooLarge, before any level is built,
+    when the box of the vertices in lattice coordinates has more than the
+    cap's cells.
     """
     if scale < 0:
         raise ValueError("scale must be nonnegative")
     if p.is_empty:
         return iter(())
     frame = _frame(p)
-    if prod(scale * e + 1 for e in frame.extents) > _MAX_SCAN_CELLS:
+    cells = 1
+    for e in frame.extents:
+        cells *= scale * e + 1
+    if cells > _MAX_SCAN_CELLS:
         raise ScanTooLarge("bounding box too large to scan; reduce the dilation or dimension")
     if not frame.levels:
         # p is a point o, so y = (scale,) and x = scale * o
@@ -193,7 +203,7 @@ def _walk(levels, scale, strict, full):
 
 def _ranges(level, ts, scale, strict):
     """Lists lo, hi of the level's last coordinate for each prefix of the parallel lists ts."""
-    _, ups, lows, ds, ceils, rows = level
+    rows, ups, lows, ds, ceils = level
     floors = []
     for terms, a, d, e in zip(rows, ups + lows, ds, ceils):
         r = scale * d - e if strict else scale * d
@@ -218,11 +228,6 @@ def _slices(ts, los, his):
     stops = [h + 1 for h in his]
     ends = [0, *accumulate(map(sub, stops, los))]
     for g in range(0, ends[-1], _BLOCK):
-        if ends[-1] <= _BLOCK:  # one slice, the common case: no cuts
-            yield [list(chain.from_iterable(map(repeat, t, map(sub, stops, los)))) for t in ts] + [
-                list(chain.from_iterable(map(range, los, stops)))
-            ]
-            return
         # children g.. of prefixes a..b-1; the first and the last prefix's range may be cut
         a = bisect_right(ends, g) - 1
         b = bisect_left(ends, g + _BLOCK, a + 1, len(los))

@@ -312,9 +312,15 @@ def reference_fibers(p, relint=False, scale=1):
         return
     frame = points._frame(p)
     strict = relint and p.dim > 0 and scale > 0
+    # level j's columns over t_1..t_j, from the nonzero pairs of its rows
     levels = [
-        (cols, ups, lows, [scale * d - (e if strict else 0) for d, e in zip(ds, ceils)])
-        for cols, ups, lows, ds, ceils, _ in frame.levels
+        (
+            [[dict(row).get(i, 0) for row in rows] for i in range(j)],
+            ups,
+            lows,
+            [scale * d - (e if strict else 0) for d, e in zip(ds, ceils)],
+        )
+        for j, (rows, ups, lows, ds, ceils) in enumerate(frame.levels)
     ]
     m = len(levels)
     prefix = () if frame.full else (scale,)
