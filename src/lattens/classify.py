@@ -18,6 +18,13 @@ Rank folds each row, which a prism system builds as it is read, onto the
 orbit columns and into an echelon form, and reads no more once the pivots
 fill the orbit columns: no set of rows has higher rank than the system, so
 this proves a zero kernel exactly.  Kernels read every row.
+
+Rows are built in closed form.  The order-three symmetry sends e_1 to -e_2
+and e_2 to e_1 - e_2.  Prism map 1 is the identity; map i >= 2 sends e_k to
+e_k - e_n for i-1 <= k <= n-1 and e_n to e_(i-1), fixing the earlier basis
+vectors, so it pulls z^alpha back to (-1)^(alpha_n) (z_(i-1) + z_n)^(alpha_(i-1))
+(z_(i-1) + ... + z_(n-1))^(alpha_n) times z_k^(alpha_k) for every other k < n.
+Every coefficient is thus a binomial one, or a binomial times a multinomial.
 """
 
 from __future__ import annotations
@@ -26,16 +33,13 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import add
 
 from .linalg import _echelon, kernel_basis as _rational_kernel, rank_bareiss
-from .tensor import MultiIndex, _pull_back_rows, multi_indices
+from .tensor import MultiIndex, _multinomials, multi_indices
 
 Row = dict[MultiIndex, int]
 PackedRow = tuple[str, tuple[tuple[MultiIndex, int], ...]]
-
-# order-three lattice symmetry of the standard triangle: e1 -> -e2, e2 -> e1 - e2
-PLANAR_MAP = ((0, 1), (-1, -1))
-
 
 @dataclass(frozen=True)
 class ConstraintSystem:
@@ -121,35 +125,17 @@ def planar_labels(r: int) -> list[MultiIndex]:
     return [(j, r - j) for j in range(r + 1)]
 
 
-def _pull_back_sums(terms, alphas: list[MultiIndex]):
-    """Each alpha in order, with the row sum of s * (pull-back of z^alpha through M) over (M, s) in terms.
-
-    M is pulled back with its rows, and alpha, reversed, the same product, so that consecutive alphas
-    share the power of M's last row and more.  Entries that cancel stay in the row as zeros.
-    """
-    streams = [_pull_back_rows(matrix[::-1], [alpha[::-1] for alpha in alphas]) for matrix, _ in terms]
-    for alpha, pulled in zip(alphas, zip(*streams)):
-        row: Row = {}
-        for (_, sign), (_, part) in zip(terms, pulled):
-            for beta, c in part.items():
-                row[beta] = row.get(beta, 0) + sign * c
-        yield alpha, row
-
-
-def _planar_rows(r: int, matrix, sign: int) -> list[Row]:
-    """The non-zero rows x_a + sign * (x pulled back through matrix)_a, |a| = r."""
-    rows = _pull_back_sums([(((1, 0), (0, 1)), 1), (matrix, sign)], planar_labels(r))
-    return [row for _, row in rows if any(row.values())]
-
-
 def planar_relation_rows(r: int) -> list[Row]:
     """Constraints from precomposing with the order-three symmetry of T_2.
 
-    Generated symbolically: the coordinate at (a, r-a) must equal the
-    multilinear expansion of the same tensor at the transformed basis
-    vectors, the pull-back of z^(a, r-a) through PLANAR_MAP.
+    The coordinate at (a, b), b = r - a, must equal the multilinear
+    expansion of the same tensor at the transformed basis vectors: the symmetry
+    pulls z^(a, b) back to z_1^a (-z_0 - z_1)^b, so the row holds
+    [j = a] - (-1)^b C(b, j) at (j, r - j) for j <= b, and (a, b) with its
+    sum, zero or not.  All-zero rows are dropped.
     """
-    return _planar_rows(r, PLANAR_MAP, -1)
+    rows = [{(j, r - j): (j == a) - (-1) ** b * comb(b, j) for j in {*range(b + 1), a}} for a, b in planar_labels(r)]
+    return [row for row in rows if any(row.values())]
 
 
 def planar_reduced_rows(r: int) -> list[Row]:
@@ -206,45 +192,39 @@ def _planar_assembly(r: int, parity: int | None) -> ConstraintSystem:
 # -- prism systems ------------------------------------------------------------------
 
 
-def prism_maps(n: int) -> list[tuple[tuple[int, ...], ...]]:
-    """The n lattice maps carrying T_n onto the translated prism dissection pieces.
-
-    Map 1 is the identity; map i sends e_k to e_k - e_n for i-1 <= k <= n-1
-    and e_n to e_{i-1}, fixing the earlier basis vectors.
-    """
-    maps = []
-    for i in range(1, n + 1):
-        cols = []
-        for j in range(1, n + 1):  # column j = image of e_j
-            col = [0] * n
-            if i == 1:
-                col[j - 1] = 1
-            elif j <= n - 1:
-                col[j - 1] = 1
-                if i - 1 <= j <= n - 1:
-                    col[n - 1] -= 1
-            else:
-                col[i - 2] = 1
-            cols.append(col)
-        matrix = tuple(tuple(cols[j][i_row] for j in range(n)) for i_row in range(n))
-        maps.append(matrix)
-    return maps
-
-
 PRISM_FILTERS = ("all", "en-odd", "en-even")
+
+
+def _dissection_row(alpha: MultiIndex) -> Row:
+    """The sum over the prism maps of the pull-back of z^alpha, in closed form (see the module docstring).
+
+    For map i, alpha[s] with s = i - 2 is alpha_(i-1): g counts the factors z_(i-1) + z_n of its power
+    that take z_n, and mu spreads alpha_n over z_(i-1)..z_(n-1).
+    """
+    n, last = len(alpha), alpha[-1]
+    sign = (-1) ** last
+    row: Row = {alpha: 1}
+    for s in range(n - 1):
+        head, rest = alpha[:s], alpha[s + 1 : n - 1]
+        binomials = [(g, sign * comb(alpha[s], g)) for g in range(alpha[s] + 1)]
+        for mu, m in _multinomials(n - 1 - s, last)[0].items():
+            top, tail = alpha[s] + mu[0], tuple(map(add, rest, mu[1:]))
+            for g, c in binomials:
+                key = (*head, top - g, *tail, g)
+                row[key] = row.get(key, 0) + c * m
+    return row
 
 
 @dataclass(frozen=True)
 class _DissectionRows:
     """The packed non-zero dissection rows, one per kept coordinate in order, built on each iteration."""
 
-    terms: tuple
     kept: tuple[MultiIndex, ...]
 
     def __iter__(self):
-        for _, row in _pull_back_sums(self.terms, self.kept):
-            if any(row.values()):
-                yield _pack("dissection", row)
+        for alpha in self.kept:
+            if (packed := _pack("dissection", _dissection_row(alpha)))[1]:
+                yield packed
 
 
 def prism_system(n: int, r: int, coordinate_filter: str = "all") -> ConstraintSystem:
@@ -264,8 +244,7 @@ def prism_system(n: int, r: int, coordinate_filter: str = "all") -> ConstraintSy
     parities = {"all": (0, 1), "en-odd": (1,), "en-even": (0,)}[coordinate_filter]
     # in the order (-alpha_n, alpha) the rows reach full rank early: at (8, 8), 28 rows against 3,004 in lex order
     kept = sorted((alpha for alpha in labels if alpha[-1] % 2 in parities), key=lambda alpha: (-alpha[-1], alpha))
-    rows = _DissectionRows(tuple((matrix, 1) for matrix in prism_maps(n)), tuple(kept))
-    return ConstraintSystem(tuple(labels), rows)
+    return ConstraintSystem(tuple(labels), _DissectionRows(tuple(kept)))
 
 
 # -- high-rank survey -----------------------------------------------------------------
@@ -276,12 +255,10 @@ def _planar_assemblies(r: int) -> dict[str, ConstraintSystem]:
     return {name: _planar_assembly(r, parity) for name, parity in parities.items()}
 
 
-def expected_survey_rank(r: int) -> int | None:
-    if r in (9, 11, 13):
-        return r - 1
-    if r in (15, 17, 19):
-        return r - 2
-    return None
+def expected_survey_rank(r: int) -> int:
+    """The even assembly's rank, r + 1 - #{(a, b) in N^2 : 2a + 3b = r}: its kernel dimension is the
+    t^r coefficient of Molien's series 1/((1 - t^2)(1 - t^3)) for the order-six symmetry group of T_2."""
+    return r + 1 - sum((r - 3 * b) % 2 == 0 for b in range(r // 3 + 1))
 
 
 def in_span(vectors: list[list[Fraction]], target: list[Fraction]) -> bool:
@@ -310,7 +287,7 @@ def high_rank_survey(r_list) -> list[dict]:
             entry["assemblies"][name] = {
                 "rank": rk,
                 "kernel_dim": system.unknowns - rk,
-                "matches_expected": expected is not None and rk == expected,
+                "matches_expected": rk == expected,
             }
         if r == 9:
             entry["rank9_kernel"] = _rank9_kernel_report(systems["even"])

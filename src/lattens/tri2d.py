@@ -11,6 +11,7 @@ flip walk flips a working copy in six writes, keeps the admissible edges
 sorted and tests six edges a step, two reads each.  An interior edge's apexes
 lie strictly on its two sides, so one test of the other diagonal decides a
 flip, whose two lattice triangles share doubled area 2: each is unimodular.
+So a flip keeps a valid map valid, and its result is not validated again.
 """
 
 from __future__ import annotations
@@ -61,6 +62,13 @@ class Triangulation2D:
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "triangles", triangles)
         validate_triangulation(self)
+
+    @staticmethod
+    def _trusted(points: tuple[Point, ...], opp: dict[tuple[int, int], int]) -> Triangulation2D:
+        """The triangulation of a valid oriented map on normalised points, unvalidated, keeping opp as its map."""
+        tri = object.__new__(Triangulation2D)
+        tri.__dict__.update(points=points, triangles=tuple(sorted(tuple(sorted(t)) for t in _triangles(opp))), opp=opp)
+        return tri
 
     @cached_property
     def opp(self) -> dict[tuple[int, int], int]:
@@ -173,7 +181,7 @@ def flip(tri: Triangulation2D, edge: tuple[int, int]) -> Triangulation2D:
     """Replace the diagonal of the strictly convex quadrilateral around an interior edge."""
     opp = dict(tri.opp)
     _flip_in_place(tri.points, opp, edge)
-    return Triangulation2D(tri.points, _triangles(opp))
+    return Triangulation2D._trusted(tri.points, opp)
 
 
 def admissible_flips(tri: Triangulation2D) -> list[tuple[int, int]]:
@@ -201,7 +209,7 @@ def flip_walk(tri: Triangulation2D, seed: int, steps: int) -> Triangulation2D:
             listed = options[at : at + 1] == [e]
             if (_flip_targets(points, opp, e) is not None) != listed:
                 options[at : at + listed] = [] if listed else [e]  # delete, or insert in order
-    return Triangulation2D(points, _triangles(opp))
+    return Triangulation2D._trusted(points, opp)
 
 
 @lru_cache(maxsize=None)

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 from lattens import classify
 from lattens.classify import (
-    PLANAR_MAP,
     PRISM_FILTERS,
     ConstraintSystem,
-    _planar_rows,
-    _pull_back_sums,
+    _planar_assembly,
     expected_survey_rank,
     in_span,
     kernel_basis,
@@ -22,7 +20,6 @@ from lattens.classify import (
     planar_relation_rows,
     planar_reduced_rows,
     planar_system,
-    prism_maps,
     prism_system,
     rank,
 )
@@ -42,15 +39,66 @@ def build(labels, rows):
     return ConstraintSystem.build(labels, [("row", row) for row in rows])
 
 
+# order-three lattice symmetry of the standard triangle: e1 -> -e2, e2 -> e1 - e2
+PLANAR_MAP = ((0, 1), (-1, -1))
+
+
+def prism_maps(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The n lattice maps carrying T_n onto the translated prism dissection pieces, as integer matrices.
+
+    Map 1 is the identity; map i sends e_k to e_k - e_n for i-1 <= k <= n-1
+    and e_n to e_{i-1}, fixing the earlier basis vectors.
+    """
+    maps = []
+    for i in range(1, n + 1):
+        cols = []
+        for j in range(1, n + 1):  # column j = image of e_j
+            col = [0] * n
+            if i == 1:
+                col[j - 1] = 1
+            elif j <= n - 1:
+                col[j - 1] = 1
+                if i - 1 <= j <= n - 1:
+                    col[n - 1] -= 1
+            else:
+                col[i - 2] = 1
+            cols.append(col)
+        matrix = tuple(tuple(cols[j][i_row] for j in range(n)) for i_row in range(n))
+        maps.append(matrix)
+    return maps
+
+
+def pull_back_sums(terms, alphas):
+    """Each alpha in order, with the row sum of s * (pull-back of z^alpha through M) over (M, s) in terms.
+
+    The former classify._pull_back_sums, kept as the reference for the closed-form rows.  M is pulled
+    back with its rows, and alpha, reversed, the same product, so that consecutive alphas share the
+    power of M's last row and more.  Entries that cancel stay in the row as zeros.
+    """
+    streams = [_pull_back_rows(matrix[::-1], [alpha[::-1] for alpha in alphas]) for matrix, _ in terms]
+    for alpha, pulled in zip(alphas, zip(*streams)):
+        row = {}
+        for (_, sign), (_, part) in zip(terms, pulled):
+            for beta, c in part.items():
+                row[beta] = row.get(beta, 0) + sign * c
+        yield alpha, row
+
+
+def pull_back_planar_rows(r, matrix, sign):
+    """The non-zero rows x_a + sign * (x pulled back through matrix)_a, |a| = r: the former classify._planar_rows."""
+    rows = pull_back_sums([(((1, 0), (0, 1)), 1), (matrix, sign)], planar_labels(r))
+    return [row for _, row in rows if any(row.values())]
+
+
 def planar_square_rows(r):
     """Constraints from vanishing on the unit square: Z(T_2) + Z(-T_2) = 0."""
-    return _planar_rows(r, ((-1, 0), (0, -1)), 1)
+    return pull_back_planar_rows(r, ((-1, 0), (0, -1)), 1)
 
 
 def prism_relation_row(n, alpha):
     """Row asserting that the dissection pieces sum to zero at coordinate alpha."""
     alpha = tuple(alpha)
-    ((_, row),) = _pull_back_sums([(matrix, 1) for matrix in prism_maps(n)], [alpha])
+    ((_, row),) = pull_back_sums([(matrix, 1) for matrix in prism_maps(n)], [alpha])
     return {k: v for k, v in row.items() if v != 0}
 
 
@@ -288,7 +336,13 @@ def test_prism_system_validation():
 def test_expected_survey_ranks():
     assert expected_survey_rank(9) == 8
     assert expected_survey_rank(15) == 13
-    assert expected_survey_rank(21) is None
+    assert expected_survey_rank(21) == 18
+
+
+def test_expected_survey_rank_matches_the_even_assembly_kernels():
+    # Molien: the even assembly's kernel has dimension #{(a, b) : 2a + 3b = r}
+    for r in range(3, 31):
+        assert expected_survey_rank(r) == rank(_planar_assembly(r, +1)), r
 
 
 def test_in_span():
@@ -397,7 +451,24 @@ def test_pull_back_sums_in_any_order_match_the_eager_sums():
         expected = eager_pull_back_sums(terms, alphas)
         for _ in range(3):
             rng.shuffle(alphas)
-            assert list(_pull_back_sums(terms, alphas)) == [(alpha, expected[alpha]) for alpha in alphas]
+            assert list(pull_back_sums(terms, alphas)) == [(alpha, expected[alpha]) for alpha in alphas]
+
+
+def test_closed_form_prism_rows_match_the_pull_back_in_stream_order():
+    for n, r, coordinate_filter in PRISM_GRID:
+        system = prism_system(n, r, coordinate_filter)
+        kept = system.rows.kept
+        pulled = pull_back_sums([(matrix, 1) for matrix in prism_maps(n)], list(kept))
+        expected = [classify._pack("dissection", row) for _, row in pulled if any(row.values())]
+        assert list(system.rows) == expected, (n, r, coordinate_filter)
+
+
+def test_closed_form_planar_rows_match_the_pull_back():
+    for r in range(2, 42):
+        rows = planar_relation_rows(r)
+        expected = pull_back_planar_rows(r, PLANAR_MAP, -1)
+        # the same entries, cancelled zeros included, in the same order of rows
+        assert rows == expected, r
 
 
 def reference_prism_build(n, r, coordinate_filter):
@@ -451,16 +522,17 @@ def test_prism_systems_compare_by_value_through_their_rows():
 def test_full_rank_prism_stops_after_few_rows(monkeypatch):
     built = []
 
-    def counting(terms, alphas):
-        for alpha, row in _pull_back_sums(terms, alphas):
-            built.append(alpha)
-            yield alpha, row
+    closed_form = classify._dissection_row
 
-    monkeypatch.setattr(classify, "_pull_back_sums", counting)
+    def counting(alpha):
+        built.append(alpha)
+        return closed_form(alpha)
+
+    monkeypatch.setattr(classify, "_dissection_row", counting)
     system = prism_system(7, 8, "all")
     assert rank(system) == system.unknowns == 3003
     # 21 orbit columns, filled by the 27th row read; no row after it is built
-    assert len(built) <= 27
+    assert 21 <= len(built) <= 27
 
 
 def test_prism_rows_iterate_again_for_rank_then_kernel():

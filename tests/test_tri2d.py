@@ -500,6 +500,26 @@ def test_flip_walk_retests_only_the_flipped_quadrilateral(monkeypatch):
     assert walked.triangles == reference_flip_walk(base, 5, steps).triangles
 
 
+def test_walks_and_flips_keep_their_map_without_validating_again(monkeypatch):
+    rng = random.Random(71)
+    bases = [unimodular_triangulation(random_polytope(rng, ambient=2, coord_bound=8, dim=2)) for _ in range(6)]
+    checked = []
+    original = tri2d.validate_triangulation
+    monkeypatch.setattr(tri2d, "validate_triangulation", lambda tri: checked.append(tri) or original(tri))
+    results = []
+    for base in bases:
+        results += [flip_walk(base, seed, 2 * len(base.triangles)) for seed in range(3)]
+        results += [flip(base, edge) for edge in base.admissible[:2]]
+        results.append(flip_walk(results[-1], 9, len(base.triangles)))  # a walk from a kept map
+    assert checked == []
+    monkeypatch.undo()
+    for tri in results:
+        rebuilt = Triangulation2D(tri.points, tri.triangles)
+        assert tri == rebuilt and tri.triangles == rebuilt.triangles
+        assert tri.opp == rebuilt.opp == reference_opp(tri.points, tri.triangles)
+        assert tri.admissible == rebuilt.admissible
+
+
 def test_long_strip_triangulates_in_a_second():
     # the boundary-cycle insertion tested every boundary edge for each point: 10-15 s on 2 vCPUs, Python 3.11
     script = (
