@@ -45,11 +45,11 @@ PackedRow = tuple[str, tuple[tuple[MultiIndex, int], ...]]
 class ConstraintSystem:
     """Sparse exact linear system over the labelled tensor coordinates of Z(T_n).
 
-    Rows carry a provenance tag and their sorted non-zero (label, value)
-    pairs; ``rows`` is any re-iterable of them.  The coordinates agree on
-    every A_n-orbit of positions, x_alpha = x_{alpha o sigma} for even sigma,
-    because even permutation matrices lie in SL_n(Z) and fix T_n; rank and
-    kernel computations fold the system onto these orbits.
+    Rows carry a provenance tag and their non-zero (label, value) pairs in
+    build order; ``rows`` is any re-iterable of them.  The coordinates agree
+    on every A_n-orbit of positions, x_alpha = x_{alpha o sigma} for even
+    sigma, because even permutation matrices lie in SL_n(Z) and fix T_n;
+    rank and kernel computations fold the system onto these orbits.
     """
 
     labels: tuple[MultiIndex, ...]
@@ -83,7 +83,7 @@ def _orbit_rep(label: MultiIndex) -> MultiIndex:
 
 
 def _pack(tag: str, row: Row) -> PackedRow:
-    return tag, tuple(sorted((tuple(a), v) for a, v in row.items() if v != 0))
+    return tag, tuple((tuple(a), v) for a, v in row.items() if v != 0)
 
 
 def _fold(system: ConstraintSystem):

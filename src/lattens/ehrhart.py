@@ -18,10 +18,11 @@ Faulhaber's polynomials (Beck and Robins, Computing the Continuous
 Discretely).  The blocks hold their runs as parallel integer lists; one
 call joins the blocks of a whole enumeration, and each power, Faulhaber
 sum and monomial sum is one pass over all runs, never a loop over runs.
-For a lower-dimensional P, one integer plan per polytope and rank pushes
-the sums of monomials in y to the sums of monomials in x, unless the
-points are fewer than the plan's entries; then they are mapped to x and
-summed as one-point runs.
+For a lower-dimensional P, x = A^t y with A = lattice_rows(P), so each
+x^alpha pulls back to an integer polynomial in y, and one plan of these
+per polytope and rank pushes the sums of monomials in y to the sums of
+monomials in x, unless the points are fewer than the plan's entries; then
+they are mapped to x and summed as one-point runs.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import factorial, lcm
 from operator import add, mul, sub
 
-from .arith import multinomial, power_sum_polynomial
+from .arith import power_sum_polynomial
 from .linalg import det, invert_matrix
 from .points import _count, _expand, fibers, lattice_rows
 from .polytope import LatticePolytope, UnimodularMap, faces, negate, transform, translate
@@ -61,19 +62,17 @@ def _tensor_sum(blocks, dim: int, rank: int) -> list[int]:
 
     The runs of all blocks are joined into parallel integer lists, and
     every step below is one pass over all runs at once.  Write a point of a
-    run as y = (h, v, u): h = y_1..y_(dim-2), then v, and u, the run's
-    coordinate, lo <= u <= hi.  By Faulhaber's polynomials the run's sum of
-    u^e is S_e / D_e with S_e = sum_j N_j (hi^j - (lo - 1)^j), an integer
-    multiple of D_e; the sum of y^beta for beta = (h, a, e) is then the sum
-    over runs of h^beta_h v^a S_e, divided by D_e once.
+    run as y = (h, v, u): h = y_1..y_(dim-2), then v, the last head, and u,
+    the run's coordinate, lo <= u <= hi.  By Faulhaber's polynomials the
+    run's sum of u^e is S_e / D_e with S_e = sum_j N_j (hi^j - (lo - 1)^j),
+    an integer multiple of D_e; the sum of y^beta for beta = (h, a, e) is
+    then the sum over runs of h^beta_h v^a S_e, divided by D_e once.
     """
     width = max(dim - 2, 0)
     outer, vs, below, his = [[] for _ in range(width)], [], [], []
-    for heads, v, lo, hi in blocks:
-        for coords, h in zip(outer, heads):
+    for heads, lo, hi in blocks:
+        for coords, h in zip((*outer, vs), heads):
             coords += h
-        if dim > 1:
-            vs += v
         below += lo
         his += hi
     below = list(map(sub, below, repeat(1)))
@@ -119,11 +118,11 @@ def _tensor_sum(blocks, dim: int, rank: int) -> list[int]:
 def _summer(p: LatticePolytope, rank: int):
     """The map from blocks of p to the exact sums of x^alpha over their points, |alpha| = rank.
 
-    Blocks live in p's lattice coordinates y.  Unless y = x, x = sum_i y_i A_i
-    with A = lattice_rows(p), and expanding (x . z)^rank both ways,
-    multinomial(rank, alpha) times the sum of x^alpha is the sum over beta
-    of multinomial(rank, beta) times the sum of y^beta times the coefficient
-    of z^alpha in prod_i (A_i . z)^beta_i, given by tensor's pull-back kernel.
+    Blocks live in p's lattice coordinates y.  Unless y = x, x_j = C_j . y
+    for the columns C_j of A = lattice_rows(p), so tensor's pull-back kernel
+    gives the integers c_beta in x^alpha = prod_j (C_j . y)^alpha_j =
+    sum_beta c_beta y^beta, the same map apply_linear makes, and the sum of
+    x^alpha is sum_beta c_beta times the sum of y^beta.
     That plan has up to |betas| |alphas| entries, so it is built, once per
     map, only for blocks with at least as many points: fewer points are
     mapped to x and summed as one-point runs, and the plan never outgrows them.
@@ -138,20 +137,19 @@ def _summer(p: LatticePolytope, rank: int):
         nonlocal plan
         blocks = list(blocks)
         if _count(blocks) < len(betas) * len(alphas):
-            # one block of one-point runs: heads x[:-2], vs x[-2] (None when n = 1), lo = hi = x[-1]
+            # one block of one-point runs: heads x[:-1], lo = hi = x[-1]
             xs = list(zip(*_expand(p, blocks)))
-            return _tensor_sum([(xs[:-2], xs[-2] if n > 1 else None, xs[-1], xs[-1])] if xs else [], n, rank)
+            return _tensor_sum([(xs[:-1], xs[-1], xs[-1])] if xs else [], n, rank)
         if plan is None:
-            index = {alpha: i for i, alpha in enumerate(alphas)}
-            pulled = _pull_back_rows(rows, betas)
-            terms = [[(index[a], multinomial(rank, beta) * c) for a, c in row.items()] for beta, row in pulled]
-            plan = terms, [multinomial(rank, alpha) for alpha in alphas]
-        terms, divisors = plan
-        out = [0] * len(alphas)
-        for s, row in zip(_tensor_sum(blocks, len(rows), rank), terms):
-            for i, c in row:
-                out[i] += c * s
-        return [x // d for x, d in zip(out, divisors)]
+            # every alpha's terms side by side, so each push is one pass over all of them
+            pulled = [row for _, row in _pull_back_rows(list(zip(*rows)), alphas)]
+            ends = [0, *accumulate(map(len, pulled))]
+            plan = [b for row in pulled for b in row], [c for row in pulled for c in row.values()], ends
+        keys, coeffs, ends = plan
+        sums = dict(zip(betas, _tensor_sum(blocks, len(rows), rank)))
+        # the sum of x^alpha is the difference of two prefix sums of the terms
+        acc = list(accumulate(map(mul, coeffs, map(sums.__getitem__, keys)), initial=0))
+        return list(map(sub, map(acc.__getitem__, ends[1:]), map(acc.__getitem__, ends)))
 
     return push
 

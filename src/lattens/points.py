@@ -20,15 +20,15 @@ facet rows themselves, so the runs are exact.
 On kP the lattice coordinates are y = x for a full-dimensional P, else
 y = (k, t) with x = sum_i y_i A_i and A = (o, E_1..E_m).
 
-fibers yields blocks (heads, vs, los, his) of integer sequences of one
-length: run q holds y = (heads[0][q], .., heads[-1][q], vs[q], s) for
-los[q] <= s <= his[q].  Every run holds a point, a block holds at most
-_BLOCK runs, and blocks and runs come in lex order of y.  When y has one
-coordinate, heads is empty, vs is None and the block's single run holds
-y = (s,).  Each level holds its prefixes t_1..t_j as parallel lists, bounds
-t_(j+1) for all of them in one pass per row, drops in bulk the prefixes with
-no child and cuts the children into slices of at most _BLOCK, which may
-split one prefix's range.  The last level's bounds are the runs.
+fibers yields blocks (heads, los, his) of integer sequences of one
+length: run q holds y = (heads[0][q], .., heads[-1][q], s) for
+los[q] <= s <= his[q], so heads holds every coordinate of y but the last
+and is empty when y has one.  Every run holds a point, a block holds at
+most _BLOCK runs, and blocks and runs come in lex order of y.  Each level
+holds its prefixes t_1..t_j as parallel lists, bounds t_(j+1) for all of
+them in one pass per row, drops in bulk the prefixes with no child and cuts
+the children into slices of at most _BLOCK, which may split one prefix's
+range.  The last level's bounds are the runs.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ def lattice_rows(p: LatticePolytope) -> tuple[tuple[int, ...], ...] | None:
 
 
 def fibers(p: LatticePolytope, relint: bool = False, scale: int = 1):
-    """Blocks (heads, vs, los, his) covering the lattice points y of scale * p in lex order.
+    """Blocks (heads, los, his) covering the lattice points y of scale * p in lex order.
 
     y is in p's lattice coordinates (see lattice_rows); the module docstring
     gives the block contract and the walk.
@@ -177,7 +177,7 @@ def fibers(p: LatticePolytope, relint: bool = False, scale: int = 1):
         raise ScanTooLarge("bounding box too large to scan; reduce the dilation or dimension")
     if not frame.levels:
         # p is a point o, so y = (scale,) and x = scale * o
-        return iter([([], None, [scale], [scale])])
+        return iter([([], [scale], [scale])])
     return _walk(frame.levels, scale, relint and scale > 0, frame.full)
 
 
@@ -197,8 +197,7 @@ def _walk(levels, scale, strict, full):
         if len(stack) < len(levels):
             stack.append(_slices(ts, los, his))
         elif his:
-            ys = ts if full else [[scale] * len(his), *ts]
-            yield ys[:-1], (ys[-1] if ys else None), los, his
+            yield (ts if full else [[scale] * len(his), *ts]), los, his
 
 
 def _ranges(level, ts, scale, strict):
@@ -241,13 +240,7 @@ def _slices(ts, los, his):
 
 def _expand(p: LatticePolytope, blocks):
     """The points x of blocks of p, one at a time."""
-    # a block of one coordinate has vs None: los stands in for it, and y = (s,)
-    ys = (
-        (*h, v, s) if vs else (s,)
-        for heads, vs, los, his in blocks
-        for *h, v, lo, hi in zip(*heads, vs or los, los, his)
-        for s in range(lo, hi + 1)
-    )
+    ys = ((*h, s) for heads, los, his in blocks for *h, lo, hi in zip(*heads, los, his) for s in range(lo, hi + 1))
     rows = lattice_rows(p)
     if rows is None:
         return ys
@@ -266,7 +259,7 @@ def relint_lattice_points(p: LatticePolytope) -> list[tuple[int, ...]]:
 
 
 def _count(blocks) -> int:
-    return sum(len(his) + sum(his) - sum(los) for _, _, los, his in blocks)
+    return sum(len(his) + sum(his) - sum(los) for _, los, his in blocks)
 
 
 def count(p: LatticePolytope) -> int:

@@ -100,12 +100,6 @@ class LatticePolytope:
             _dot(a, p) <= b for a, b in self.facet_inequalities
         )
 
-    def contains_relint(self, point) -> bool:
-        p = tuple(point)
-        return all(_dot(a, p) == b for a, b in self.hull_equalities) and all(
-            _dot(a, p) < b for a, b in self.facet_inequalities
-        )
-
     def bounding_box(self) -> tuple[Point, Point]:
         lo = tuple(min(v[i] for v in self.vertices) for i in range(self.ambient_dim))
         hi = tuple(max(v[i] for v in self.vertices) for i in range(self.ambient_dim))
@@ -335,12 +329,6 @@ class UnimodularMap:
     def linear(matrix) -> UnimodularMap:
         return UnimodularMap(tuple(tuple(row) for row in matrix), (0,) * len(matrix))
 
-    def apply(self, point) -> Point:
-        n = len(self.matrix)
-        return tuple(
-            sum(self.matrix[i][j] * point[j] for j in range(n)) + self.translation[i] for i in range(n)
-        )
-
     def inverse(self) -> UnimodularMap:
         inv = invert_matrix(self.matrix)
         m = tuple(tuple(int(x) for x in row) for row in inv)
@@ -399,15 +387,11 @@ def faces(p: LatticePolytope) -> list[LatticePolytope]:
 
 
 def random_unimodular(n: int, seed: int, steps: int) -> UnimodularMap:
-    """Deterministic pseudo-random element of SL_n(Z) built from shears and even permutations."""
+    """Deterministic pseudo-random element of SL_n(Z) built by row operations: shears and 3-cycles of rows."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
     rng = random.Random(seed)
     mat = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def matmul(a, b):
-        return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-
     for _ in range(steps):
         if n >= 2 and (n < 3 or rng.random() < 0.7):
             j = rng.randrange(n)
@@ -415,14 +399,10 @@ def random_unimodular(n: int, seed: int, steps: int) -> UnimodularMap:
             if k >= j:
                 k += 1
             s = rng.choice((1, -1))
-            shear = [[int(i == l) for l in range(n)] for i in range(n)]
-            shear[j][k] = s
-            mat = matmul(shear, mat)
+            mat[j] = [a + s * b for a, b in zip(mat[j], mat[k])]
         elif n >= 3:
             i, j, k = rng.sample(range(n), 3)
-            perm = [[int(a == b) for b in range(n)] for a in range(n)]
-            perm[i], perm[j], perm[k] = perm[j], perm[k], perm[i]
-            mat = matmul(perm, mat)
+            mat[i], mat[j], mat[k] = mat[j], mat[k], mat[i]
     return UnimodularMap(tuple(tuple(row) for row in mat), (0,) * n)
 
 

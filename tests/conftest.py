@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 from hypothesis import strategies as st
 
@@ -36,6 +37,26 @@ def random_polytope(rng: random.Random, ambient: int, coord_bound: int = 4, dim:
         shift = tuple(rng.randint(-2, 2) for _ in range(ambient))
         return polytope.translate(embedded, shift)
     raise RuntimeError("could not sample a polytope of the requested dimension")
+
+
+def contains_relint(p, x) -> bool:
+    """Whether x lies in the relative interior of p: hull equalities kept, facets strict."""
+    return all(polytope._dot(a, x) == b for a, b in p.hull_equalities) and all(
+        polytope._dot(a, x) < b for a, b in p.facet_inequalities
+    )
+
+
+def brute_force_points(p, relint=False):
+    """The box scan enumeration used to run: every cell of the bounding box, tested."""
+    if p.is_empty:
+        return []
+    inside = (lambda x: contains_relint(p, x)) if relint and p.dim > 0 else p.contains
+    lo, hi = p.bounding_box()
+    return [
+        x
+        for x in product(*(range(l, h + 1) for l, h in zip(lo, hi)))
+        if inside(x)
+    ]
 
 
 def random_point(rng: random.Random, ambient: int, bound: int = 3):

@@ -3,14 +3,15 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
-from math import comb, prod
+from math import comb, factorial, prod
 from operator import add, mul
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import polytopes, random_point, random_polytope, sample_polytopes
+from conftest import brute_force_points, polytopes, random_point, random_polytope, sample_polytopes
 from lattens import ehrhart
 from lattens.cli import EHRHART_MAX_RANK
 from lattens.ehrhart import (
@@ -354,11 +355,7 @@ def reference_tensor_sum(runs, dim, rank):
 
 def block_runs(blocks):
     """The runs (head, lo, hi) of blocks, head holding every coordinate but the last."""
-    return [
-        ((*h, v) if vs is not None else (), lo, hi)
-        for heads, vs, los, his in blocks
-        for *h, v, lo, hi in zip(*heads, vs if vs is not None else los, los, his)
-    ]
+    return [(tuple(h), lo, hi) for heads, los, his in blocks for *h, lo, hi in zip(*heads, los, his)]
 
 
 def test_range_power_sums_match_direct_sums():
@@ -367,7 +364,7 @@ def test_range_power_sums_match_direct_sums():
         for rank in range(19):
             direct = [sum(u**e for u in range(lo, hi + 1)) for e in range(rank + 1)]
             assert reference_range_power_sums(lo, hi, rank) == direct, (lo, hi, rank)
-            assert _tensor_sum([([], None, [lo], [hi])], 1, rank) == direct[-1:], (lo, hi, rank)
+            assert _tensor_sum([([], [lo], [hi])], 1, rank) == direct[-1:], (lo, hi, rank)
 
 
 @settings(max_examples=120, deadline=None)
@@ -382,6 +379,39 @@ def test_tensor_sum_matches_run_by_run_reference_and_point_sums(p, rank, relint,
     ys = [head + (s,) for head, lo, hi in runs for s in range(lo, hi + 1)]
     brute = [sum(prod(c**e for c, e in zip(y, beta)) for y in ys) for beta in multi_indices(dim, rank)]
     assert sums == brute
+
+
+def point_moment(pts, n, r):
+    """(1/r!) sum of x^r over the points."""
+    sums = {a: sum(prod(map(pow, x, a)) for x in pts) for a in multi_indices(n, r)}
+    return SymTensor(n, r, {a: Fraction(s, factorial(r)) for a, s in sums.items()})
+
+
+# a lower-dimensional sum takes the one-point push when _count(blocks) is below the plan's size, else the plan
+PUSH_PATHS = pytest.mark.parametrize("points_counted", [-1, float("inf")], ids=["one-point", "plan"])
+
+
+@PUSH_PATHS
+@settings(max_examples=40, deadline=None)
+@given(polytopes().filter(lambda p: p.dim < p.ambient_dim), st.integers(0, 4))
+def test_both_push_paths_match_point_sums(points_counted, p, r):
+    n = p.ambient_dim
+    with mock.patch.object(ehrhart, "_count", lambda blocks: points_counted):
+        assert discrete_moment(p, r) == point_moment(brute_force_points(p), n, r)
+        assert discrete_moment_relint(p, r) == point_moment(brute_force_points(p, relint=True), n, r)
+        expansion = ehrhart_tensors(p, r)
+    for k in (0, 1, 2):
+        assert expansion.evaluate_at(k) == point_moment(brute_force_points(dilate(p, k)), n, r)
+
+
+@PUSH_PATHS
+def test_both_push_paths_on_a_segment_in_z6_at_rank_12(points_counted):
+    seg = from_points([(0,) * 6, (5,) * 6])
+    with mock.patch.object(ehrhart, "_count", lambda blocks: points_counted):
+        assert discrete_moment(seg, 12) == point_moment([(i,) * 6 for i in range(6)], 6, 12)
+        assert discrete_moment_relint(seg, 12) == point_moment([(i,) * 6 for i in range(1, 5)], 6, 12)
+        expansion = ehrhart_tensors(seg, 12)
+    assert expansion.evaluate_at(2) == point_moment([(i,) * 6 for i in range(11)], 6, 12)
 
 
 def test_check_equivariance_examples():

@@ -1,7 +1,6 @@
 import random
 import time
 import tracemalloc
-from itertools import product
 from unittest import mock
 from fractions import Fraction
 from math import factorial, prod
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_polytope
+from conftest import brute_force_points, random_polytope
 from lattens import points
 from lattens.ehrhart import discrete_moment, discrete_moment_relint
 from lattens.points import (
@@ -35,19 +34,6 @@ from lattens.polytope import (
     translate,
 )
 from lattens.tensor import multi_indices
-
-
-def brute_force_points(p, relint=False):
-    """The box scan enumeration used to run: every cell of the bounding box, tested."""
-    if p.is_empty:
-        return []
-    inside = p.contains_relint if relint and p.dim > 0 else p.contains
-    lo, hi = p.bounding_box()
-    return [
-        x
-        for x in product(*(range(l, h + 1) for l, h in zip(lo, hi)))
-        if inside(x)
-    ]
 
 
 def test_lattice_points_examples():
@@ -177,8 +163,8 @@ def test_thin_triangle_drops_its_empty_runs():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
-    assert sum(len(his) for _, _, _, his in blocks) <= 3
-    assert all(len(his) <= points._BLOCK for _, _, _, his in blocks)
+    assert sum(len(his) for _, _, his in blocks) <= 3
+    assert all(len(his) <= points._BLOCK for _, _, his in blocks)
     assert moment_coords(discrete_moment(p, 2), 2, 2) == point_sums(expected, 2, 2)
 
 
@@ -235,18 +221,14 @@ def lifted_runs(p, rows, blocks):
     """The points of blocks, mapped to x = sum_i y_i A_i unless rows is None.
 
     Checks the block contract on the way: sequences of one length, no empty
-    run, and vs is None exactly when y has one coordinate.
+    run, and one head list for every coordinate of y but the last.
     """
+    dim = p.ambient_dim if rows is None else len(rows)
     ys = []
-    for heads, vs, los, his in blocks:
-        assert len(los) == len(his) and all(lo <= hi for lo, hi in zip(los, his))
-        if vs is None:
-            assert heads == [] and len(los) == 1
-            ys += [(s,) for s in range(los[0], his[0] + 1)]
-        else:
-            assert all(len(h) == len(los) for h in heads) and len(vs) == len(los)
-            ys += [(*h, v, s) for *h, v, lo, hi in zip(*heads, vs, los, his) for s in range(lo, hi + 1)]
-    assert all(len(y) == (p.ambient_dim if rows is None else len(rows)) for y in ys)
+    for heads, los, his in blocks:
+        assert len(heads) == dim - 1 and all(type(x) is list and len(x) == len(his) for x in (*heads, los, his))
+        assert all(lo <= hi for lo, hi in zip(los, his))
+        ys += [(*h, s) for *h, lo, hi in zip(*heads, los, his) for s in range(lo, hi + 1)]
     if rows is None:
         return ys
     return [tuple(sum(c * a[i] for c, a in zip(y, rows)) for i in range(p.ambient_dim)) for y in ys]
@@ -387,11 +369,7 @@ def reference_runs(columns):
 
 def block_runs(blocks):
     """The runs (y without its last coordinate, lo, hi) of blocks, in block order."""
-    return [
-        ((*h, v) if vs is not None else (), lo, hi)
-        for heads, vs, los, his in blocks
-        for *h, v, lo, hi in zip(*heads, vs if vs is not None else los, los, his)
-    ]
+    return [(tuple(h), lo, hi) for heads, los, his in blocks for *h, lo, hi in zip(*heads, los, his)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -400,12 +378,12 @@ def test_blocks_hold_the_reference_walks_runs_in_order(p, relint, scale):
     runs = reference_runs(reference_fibers(p, relint, scale))
     blocks = list(fibers(p, relint=relint, scale=scale))
     assert block_runs(blocks) == runs
-    assert all(his for _, _, _, his in blocks)
+    assert all(his for _, _, his in blocks)
     # a bound of two entries cuts every level into slices of at most two
     with mock.patch.object(points, "_BLOCK", 2):
         blocks = list(fibers(p, relint=relint, scale=scale))
         assert block_runs(blocks) == runs
-        assert all(len(his) <= 2 for _, _, _, his in blocks)
+        assert all(len(his) <= 2 for _, _, his in blocks)
 
 
 def test_a_block_holds_at_most_its_bound_of_pairs():
@@ -419,5 +397,5 @@ def test_a_block_holds_at_most_its_bound_of_pairs():
         tracemalloc.stop()
     assert peak < 16 * 2**20
     blocks = list(fibers(box))
-    assert len(blocks) > 1 and max(len(his) for _, _, _, his in blocks) <= points._BLOCK
+    assert len(blocks) > 1 and max(len(his) for _, _, his in blocks) <= points._BLOCK
     assert block_runs(blocks) == reference_runs(reference_fibers(box))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import polytopes, random_polytope, sample_polytopes
+from conftest import contains_relint, polytopes, random_polytope, sample_polytopes
 from lattens import linalg, points, polytope
 from lattens.ehrhart import moment_tensor
 from lattens.linalg import (
@@ -165,6 +165,39 @@ def test_random_unimodular_determinism_and_determinant():
     assert random_unimodular(2, seed=9, steps=7) == random_unimodular(2, seed=9, steps=7)
 
 
+def reference_random_unimodular(n, seed, steps):
+    """The matrix random_unimodular built by multiplying dense shear and permutation matrices."""
+    rng = random.Random(seed)
+    mat = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def matmul(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+    for _ in range(steps):
+        if n >= 2 and (n < 3 or rng.random() < 0.7):
+            j = rng.randrange(n)
+            k = rng.randrange(n - 1)
+            if k >= j:
+                k += 1
+            s = rng.choice((1, -1))
+            shear = [[int(i == l) for l in range(n)] for i in range(n)]
+            shear[j][k] = s
+            mat = matmul(shear, mat)
+        elif n >= 3:
+            i, j, k = rng.sample(range(n), 3)
+            perm = [[int(a == b) for b in range(n)] for a in range(n)]
+            perm[i], perm[j], perm[k] = perm[j], perm[k], perm[i]
+            mat = matmul(perm, mat)
+    return tuple(tuple(row) for row in mat)
+
+
+def test_random_unimodular_row_operations_match_the_matrix_products():
+    for n in range(1, 7):
+        for seed in range(60):
+            for steps in (0, 1, 2, 5, 6, 20, 100):
+                assert random_unimodular(n, seed, steps).matrix == reference_random_unimodular(n, seed, steps)
+
+
 def test_prism():
     t1 = from_points([(0, 0), (1, 0)])
     assert prism(t1) == unit_square()
@@ -209,7 +242,7 @@ def test_dissect_prism_covers_prism_with_disjoint_interiors():
     for x in points.lattice_points(pr):
         owners = [piece for piece in doubled if piece.contains(x)]
         assert owners, x
-        interior_owners = [piece for piece in doubled if piece.contains_relint(x)]
+        interior_owners = [piece for piece in doubled if contains_relint(piece, x)]
         assert len(interior_owners) <= 1, x
 
 
@@ -543,6 +576,11 @@ def reference_image(p, f):
     return LatticePolytope([f(v) for v in p.vertices], ambient_dim=p.ambient_dim)
 
 
+def apply_map(phi, x):
+    """The image M x + t of the point x under phi = (M, t)."""
+    return tuple(_dot(row, x) + t for row, t in zip(phi.matrix, phi.translation))
+
+
 def assert_same_polytope(q, ref):
     assert (q.ambient_dim, q.dim, q.vertices) == (ref.ambient_dim, ref.dim, ref.vertices)
     # equal polytopes share a cached frame, so enumerate each from its own
@@ -588,7 +626,7 @@ def test_translate_and_negate_match_rehull(p, y):
 def test_transform_matches_rehull(p, seed, steps, t):
     n = p.ambient_dim
     phi = UnimodularMap(random_unimodular(n, seed=seed, steps=steps).matrix, tuple(t[:n]))
-    assert_same_polytope(transform(p, phi), reference_image(p, phi.apply))
+    assert_same_polytope(transform(p, phi), reference_image(p, lambda x: apply_map(phi, x)))
 
 
 def test_transform_refuses_map_of_wrong_size():
