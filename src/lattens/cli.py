@@ -5,8 +5,8 @@ from --input or stdin; main reads and validates it once and hands it to the
 subcommand's handler, which prints JSON to stdout.  Exit status: 0 on
 success or a passing verification, 1 when a verification fails (a
 structured counterexample report is still printed), 2 on malformed input
-or out-of-range parameters.  All randomness is seeded, so identical
-invocations produce identical bytes.
+or arguments or out-of-range parameters.  All randomness is seeded, so
+identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -245,10 +245,16 @@ def _cmd_rank(args) -> int:
 # -- parser --------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    # a usage error exits 2 with a JSON error like any other malformed input; subparsers share this class
+    def error(self, message):
+        raise InputError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parse_args leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lattens",
         description="Exact lattice polytope tensor computations (JSON in, JSON/CSV out)",
     )
@@ -317,8 +323,8 @@ _POLYTOPE_HANDLERS = {
 
 def main(argv=None) -> int:
     """Parse arguments and dispatch; returns the process exit status."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.subcommand == "rank":
             return _cmd_rank(args)
         return _POLYTOPE_HANDLERS[args.subcommand](_read_polytope(args), args)

@@ -38,7 +38,10 @@ from .arith import power_sum_polynomial
 from .linalg import det, invert_matrix
 from .points import _count, _expand, fibers, lattice_rows
 from .polytope import LatticePolytope, UnimodularMap, faces, negate, transform, translate
-from .tensor import MultiIndex, SymTensor, _multinomials, _poly_mul_linear, _pull_back_rows, apply_linear, multi_indices
+from .tensor import (
+    MultiIndex, SymTensor, _multinomials, _poly_mul_linear, _pull_back_rows, apply_linear, multi_indices, sym_power,
+    sym_product,
+)
 
 
 @lru_cache(maxsize=None)
@@ -335,8 +338,6 @@ def check_reciprocity(p: LatticePolytope, r: int) -> CheckReport:
 
 def check_translation_covariance(p: LatticePolytope, r: int, y) -> CheckReport:
     """Expansion of the translate vs the binomial-type mix of lower-rank expansions."""
-    from .tensor import sym_power, sym_product
-
     failures: list[str] = []
     n = p.ambient_dim
     shifted = ehrhart_tensors(translate(p, y), r)

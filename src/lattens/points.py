@@ -13,10 +13,14 @@ b - 1, which is exact because both sides are integers.
 
 The bounds on t_j for a fixed prefix t_1..t_(j-1) come from Fourier-Motzkin
 projections of those rows onto the first j coordinates, computed once per
-polytope and pruned to the facets of each projection.  Every projected row
-is a nonnegative combination of facet rows, and integer points satisfy it
-with a primitive normal and a floored offset.  The last level uses the
-facet rows themselves, so the runs are exact.
+polytope and pruned to the facets of each projection.  Every row carries
+its set of tight vertices as a bitmask.  A projected row is a positive
+combination of two rows, so a vertex is tight on it iff on both, and its
+set is the AND of theirs.  A row tight at no vertex is dropped, and of the
+rest those with maximal sets are the facets (polytope._maximal).  A kept
+row is tight at a lattice vertex, so the gcd of its normal divides its
+offset, and dividing by it keeps every lattice point.  The last level uses
+the facet rows themselves, so the runs are exact.
 On kP the lattice coordinates are y = x for a full-dimensional P, else
 y = (k, t) with x = sum_i y_i A_i and A = (o, E_1..E_m).
 
@@ -41,7 +45,7 @@ from math import ceil, gcd
 from operator import le, mul, neg, sub
 
 from .linalg import integer_kernel
-from .polytope import LatticePolytope, _dot, _identity, _maximal_tight
+from .polytope import LatticePolytope, _dot, _identity, _maximal
 
 _MAX_SCAN_CELLS = 50_000_000
 # entries per slice of a level and runs per block: bounds the lists held at once
@@ -52,25 +56,17 @@ class ScanTooLarge(ValueError):
     """The bounding box in lattice coordinates holds more cells than the cap allows."""
 
 
-def _primitive(c, d, s):
-    """(c, d, s) divided by the gcd g of c, or None when g does not divide d: then c . t = d at no lattice t."""
-    g = 0
-    for x in c:
-        g = gcd(g, x)
-    return None if d % g else (tuple(x // g for x in c), d // g, Fraction(s, g))
-
-
 class _Frame:
     """Lattice frame and Fourier-Motzkin levels of a non-empty polytope.
 
-    Level j has rows (c, d, s) over t_1..t_(j+1) with c primitive and
-    nonzero in its last entry.  Each row is a nonnegative combination of
-    facet rows with weights summing to s, so c . t <= k d holds on kP and,
-    as each facet row loses 1 on the relative interior, c . t <= k d - ceil(s)
-    holds there.  levels[j] holds, upper-bound rows (c_(j+1) > 0) first, each
-    row's nonzero pairs (i, c_(i+1)) over t_1..t_j, |c_(j+1)| of either kind,
-    the d and ceil(s).  The levels are built on first use, after the scan cap
-    check.
+    Level j has rows (c, d, s, tight) over t_1..t_(j+1), c primitive and
+    nonzero in its last entry, tight the vertices on c . t = d as bits.  Each
+    row is a nonnegative combination of facet rows with weights summing to s,
+    so c . t <= k d holds on kP and, as each facet row loses 1 on the
+    relative interior, c . t <= k d - ceil(s) holds there.  levels[j] holds,
+    upper-bound rows (c_(j+1) > 0) first, each row's nonzero pairs
+    (i, c_(i+1)) over t_1..t_j, |c_(j+1)| of either kind, the d and ceil(s).
+    The levels are built on first use, after the scan cap check.
     """
 
     def __init__(self, p: LatticePolytope):
@@ -91,23 +87,25 @@ class _Frame:
 
     @cached_property
     def levels(self):
-        # facet rows in t; each is tight at a vertex, so _primitive keeps it
-        levels = []
-        if self.basis:
-            levels.append([
-                _primitive([_dot(a, e) for e in self.basis], b - _dot(a, self.origin), 1) for a, b in self.facets
-            ])
+        # facet rows in t, each tight at a vertex, so its gcd g divides its offset
+        levels = [[]] if self.basis else []
+        for a, b in self.facets:
+            c = [_dot(a, e) for e in self.basis]
+            d = b - _dot(a, self.origin)
+            g = gcd(*c)
+            tight = sum(1 << k for k, v in enumerate(self.verts) if _dot(c, v) == d)
+            levels[0].append((tuple(x // g for x in c), d // g, Fraction(1, g), tight))
         for j in range(len(self.basis) - 1, 0, -1):
-            levels.append(_project(levels[-1], j, self.verts))
+            levels.append(_project(levels[-1], j))
         out = []
         for j, level in enumerate(reversed(levels)):
             rows = sorted((row for row in level if row[0][-1]), key=lambda row: row[0][-1] < 0)
             out.append((
-                [[(i, c[i]) for i in range(j) if c[i]] for c, _, _ in rows],
-                [c[-1] for c, _, _ in rows if c[-1] > 0],
-                [-c[-1] for c, _, _ in rows if c[-1] < 0],
-                [d for _, d, _ in rows],
-                [ceil(s) for _, _, s in rows],
+                [[(i, c[i]) for i in range(j) if c[i]] for c, *_ in rows],
+                [c[-1] for c, *_ in rows if c[-1] > 0],
+                [-c[-1] for c, *_ in rows if c[-1] < 0],
+                [d for _, d, *_ in rows],
+                [ceil(s) for _, _, s, _ in rows],
             ))
         return out
 
@@ -123,23 +121,22 @@ class _Frame:
         return tuple(t)
 
 
-def _project(rows, j, verts):
+def _project(rows, j):
     """Facet rows of the projection onto t_1..t_j of the polytope cut out by rows over t_1..t_(j+1)."""
-    keep = [(c[:j], d, s) for c, d, s in rows if not c[j]]
+    keep = [(c[:j], d, s, t) for c, d, s, t in rows if not c[j]]
     ups = [r for r in rows if r[0][j] > 0]
     downs = [r for r in rows if r[0][j] < 0]
-    for cu, du, su in ups:
-        for cd, dd, sd in downs:
-            u, w = -cd[j], cu[j]
-            c = [u * x + w * y for x, y in zip(cu[:j], cd[:j])]
-            # a row tight at no lattice point is tight at no vertex, so it is no facet
-            if any(c) and (row := _primitive(c, u * du + w * dd, u * su + w * sd)):
-                keep.append(row)
-    # a row is a facet of the projection iff its set of tight projected
-    # vertices is maximal; of equal facets _maximal_tight keeps the first,
-    # here the one with the largest s
+    for cu, du, su, tu in ups:
+        for cd, dd, sd, td in downs:
+            # a vertex is tight on the combination iff on both rows; a row tight at no vertex is no facet
+            if t := tu & td:
+                u, w = -cd[j], cu[j]
+                c = [u * x + w * y for x, y in zip(cu[:j], cd[:j])]
+                g = gcd(*c)
+                keep.append((tuple(x // g for x in c), (u * du + w * dd) // g, Fraction(u * su + w * sd, g), t))
+    # of rows with equal sets _maximal keeps the first, here the one with the largest s
     keep.sort(key=lambda row: row[2], reverse=True)
-    return _maximal_tight(keep, verts)
+    return _maximal(keep)
 
 
 @lru_cache(maxsize=8)

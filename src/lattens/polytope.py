@@ -9,18 +9,21 @@ points of a lower-dimensional polytope are enumerated is derived from
 these fields in points.
 
 Only the constructor, on point sets, runs the convex hull: double
-description in integers (Motzkin, Raiffa, Thompson and Thrall 1953;
-Fukuda and Prodon 1996) from the first m-simplex among the sorted
-points, adding the others in lex order.  Three eliminations give that
-simplex and its facets for any number of points.  Normals lie in the
-direction space, so each facet has one row.  A facet is a row whose set
-of tight points is maximal (_maximal_tight), the rule that also gives a
-face's facets and the fiber bounds in points.  Faces are read off the
-vertex-facet incidences and keep their parent's normals.  Images under
-dilation, translation, negation and unimodular maps map the vertices and
-half-spaces through one code path: x -> k M x + t with M in GL_n(Z)
-sends a . x <= b to (a M^-1) . x <= k b + (a M^-1) . t, and primitive
-normals stay primitive because M^-1 is an integer matrix.
+description in integers (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda
+and Prodon 1996) from the first m-simplex among the sorted points, adding
+the others in lex order.  Three eliminations give that simplex and its
+facets for any number of points.  Normals lie in the direction space, so
+each facet has one row.  Each row carries its set of tight points as a
+bitmask, and a facet is a row whose set is maximal (_maximal), the rule
+that also gives a face's facets and the fiber bounds in points.  A new row
+is always a positive combination of two valid rows, so a point is tight on
+it exactly when it is tight on both: its set is the AND of theirs, and no
+row is evaluated at the points again.  Faces are read off the vertex-facet
+incidences and keep their parent's normals.  Images under dilation,
+translation, negation and unimodular maps map the vertices and half-spaces
+through one code path: x -> k M x + t with M in GL_n(Z) sends a . x <= b
+to (a M^-1) . x <= k b + (a M^-1) . t, and primitive normals stay
+primitive because M^-1 is an integer matrix.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import comb, gcd
 from numbers import Integral
-from operator import and_, mul, or_
+from operator import and_, mul
 
 from .linalg import _echelon, _reduced, det, invert_matrix, rational_row_space_equations
 
@@ -114,10 +117,12 @@ class LatticePolytope:
         Its inequalities are the other facets of self whose tight vertex sets
         on it are maximal among the non-empty proper subsets.
         """
+        sets = [sum(1 << k for k, v in enumerate(self.vertices) if _dot(a, v) == b) for a, b in self.facet_inequalities]
         out = []
-        for a, b in self.facet_inequalities:
-            verts = tuple(v for v in self.vertices if _dot(a, v) == b)
-            kept = tuple(_maximal_tight(self.facet_inequalities, verts))
+        for (a, b), face in zip(self.facet_inequalities, sets):
+            verts = tuple(v for k, v in enumerate(self.vertices) if face >> k & 1)
+            rows = [(c, d, s & face) for (c, d), s in zip(self.facet_inequalities, sets) if s & face != face]
+            kept = tuple((c, d) for c, d, _ in _maximal(rows))
             out.append(_polytope(self.ambient_dim, self.dim - 1, verts, self.hull_equalities + ((a, b),), kept))
         return tuple(out)
 
@@ -137,22 +142,17 @@ class LatticePolytope:
         return f"LatticePolytope({list(map(list, self.vertices))})"
 
 
-def _maximal_tight(rows, points) -> list:
-    """The rows (a, b, ...), in order, whose tight points, a . x = b, form maximal non-empty proper sets.
+def _maximal(rows) -> list:
+    """The rows (..., t), in order, whose tight sets t, bitmasks, are non-empty and in no other row's set.
 
-    Of rows with equal sets, the first is kept.
+    Of rows with equal sets, the first is kept: the sort by size is stable.
     """
-    full = (1 << len(points)) - 1
-    first = {}  # each set, a bitmask over the points, and its first row
-    for i, (a, b, *_) in enumerate(rows):
-        s = sum(1 << k for k, x in enumerate(points) if _dot(a, x) == b)
-        if s and s != full:
-            first.setdefault(s, i)
-    kept = []
-    for s in sorted(first, key=int.bit_count, reverse=True):
-        if all(s & t != s for t in kept):
-            kept.append(s)
-    return [rows[i] for i in sorted(first[s] for s in kept)]
+    kept = []  # the rows kept so far, by index, largest sets first
+    for i in sorted(range(len(rows)), key=lambda i: rows[i][-1].bit_count(), reverse=True):
+        s = rows[i][-1]
+        if s and all(s & rows[k][-1] != s for k in kept):
+            kept.append(i)
+    return [rows[i] for i in sorted(kept)]
 
 
 def _first_simplex(points: list[Point], n: int) -> tuple[list[Point], list[list[int]], list[tuple[Point, int, int]]]:
@@ -187,10 +187,8 @@ def _facets_of_point_set(points: list[Point], simplex: list[Point], facets: list
     ridge's m - 1 points with.
     """
     m = len(simplex) - 1
-    # the points on the boundary of the hull so far, by bit; a point inside it stays inside
-    live = dict(enumerate(simplex))
-    for i, p in enumerate((q for q in points if q not in simplex), m + 1):
-        live[i] = p
+    added = simplex + [q for q in points if q not in simplex]
+    for i, p in enumerate(added[m + 1 :], m + 1):
         slacks = [(f, f[1] - _dot(f[0], p)) for f in facets]
         outs = [(f, s) for f, s in slacks if s < 0]
         ins = [(f, s) for f, s in slacks if s > 0]
@@ -202,12 +200,9 @@ def _facets_of_point_set(points: list[Point], simplex: list[Point], facets: list
                     g = gcd(*normal)
                     through.append((tuple(x // g for x in normal), (u * b - s * d) // g, t & w | 1 << i))
         # the facets p satisfies strictly stay; of the rows through p, those with maximal tight sets are facets
-        facets = [f for f, _ in ins] + _maximal_tight(through, list(live.values()))
-        boundary = reduce(or_, (t for _, _, t in facets))
-        live = {k: x for k, x in live.items() if boundary >> k & 1}
-    # each t is exact, as a point the hull swallows is never on a facet again; so a point is a
-    # vertex iff it is the only point on every facet through it
-    vertices = [x for k, x in live.items() if reduce(and_, (t for _, _, t in facets if t >> k & 1)) == 1 << k]
+        facets = [f for f, _ in ins] + _maximal(through)
+    # each t is exact, so a point is a vertex iff it is the only point on every facet through it
+    vertices = [x for k, x in enumerate(added) if reduce(and_, (t for _, _, t in facets if t >> k & 1), -1) == 1 << k]
     return sorted((a, b) for a, b, _ in facets), tuple(sorted(vertices))
 
 

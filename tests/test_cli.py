@@ -145,6 +145,23 @@ def test_malformed_input_exits_two(monkeypatch, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv", [["rank", "--filter", "bad"], ["count", "--bogus"], ["tensor", "-r", "x"], ["tensor"], ["frob"], []]
+)
+def test_usage_errors_exit_two_with_a_json_error(argv):
+    # argparse printed its usage text and raised SystemExit(2) outside main's JSON contract
+    done = in_child(argv)
+    assert done.returncode == 2 and done.stdout == ""
+    assert "usage:" not in done.stderr and done.stderr.count("\n") == 1
+    assert json.loads(done.stderr)["error"]
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: lattens")
+
+
 def test_caps_exit_two(monkeypatch, capsys):
     code, _, err = run_cli(monkeypatch, capsys, ["ehrhart", "-r", "99"])
     assert code == 2 and "rank" in json.loads(err)["error"]

@@ -3,13 +3,14 @@ import time
 import tracemalloc
 from unittest import mock
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_points, random_polytope
+from test_polytope import reference_maximal_tight, tight_set
 from lattens import points
 from lattens.ehrhart import discrete_moment, discrete_moment_relint
 from lattens.points import (
@@ -399,3 +400,53 @@ def test_a_block_holds_at_most_its_bound_of_pairs():
     blocks = list(fibers(box))
     assert len(blocks) > 1 and max(len(his) for _, _, his in blocks) <= points._BLOCK
     assert block_runs(blocks) == reference_runs(reference_fibers(box))
+
+
+# -- Fourier-Motzkin levels against the re-tested projection ------------------------
+
+
+def reference_primitive(c, d, s):
+    """(c, d, s) divided by the gcd g of c, or None when g does not divide d: then c . t = d at no lattice t."""
+    g = gcd(*c)
+    return None if d % g else (tuple(x // g for x in c), d // g, Fraction(s, g))
+
+
+def reference_project(rows, j, verts):
+    """The projection _project replaced: each combined row kept when it meets a lattice point, then the rows
+    whose sets of tight projected vertices, each row tested at every vertex, are maximal among the non-empty
+    proper sets.  The rows returned carry those sets, so the levels are built from them as from _project's.
+    """
+    keep = [(c[:j], d, s) for c, d, s, _ in rows if not c[j]]
+    ups = [r for r in rows if r[0][j] > 0]
+    downs = [r for r in rows if r[0][j] < 0]
+    for cu, du, su, _ in ups:
+        for cd, dd, sd, _ in downs:
+            u, w = -cd[j], cu[j]
+            c = [u * x + w * y for x, y in zip(cu[:j], cd[:j])]
+            if any(c) and (row := reference_primitive(c, u * du + w * dd, u * su + w * sd)):
+                keep.append(row)
+    keep.sort(key=lambda row: row[2], reverse=True)
+    # _dot stops at the shorter argument, so a row over t_1..t_j is evaluated at each vertex's first j coordinates
+    return [(c, d, s, tight_set(c, d, verts)) for c, d, s in reference_maximal_tight(keep, verts)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(polytopes())
+def test_levels_match_the_retested_projection(p):
+    frame = points._Frame(p)
+    project = points._project
+    calls = []
+
+    def checked(rows, j):
+        # every carried set is the row's tight set at the frame's vertices
+        out = project(rows, j)
+        for c, d, _, t in rows + out:
+            assert t == tight_set(c, d, frame.verts)
+        calls.append(j)
+        return out
+
+    with mock.patch.object(points, "_project", checked):
+        levels = points._Frame(p).levels
+    assert len(calls) == max(p.dim - 1, 0)
+    with mock.patch.object(points, "_project", lambda rows, j: reference_project(rows, j, frame.verts)):
+        assert levels == points._Frame(p).levels

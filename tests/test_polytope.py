@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -26,8 +27,9 @@ from lattens.polytope import (
     LatticePolytope,
     UnimodularMap,
     _dot,
+    _facets_of_point_set,
     _first_simplex,
-    _maximal_tight,
+    _maximal,
     dilate,
     dissect_prism,
     faces,
@@ -561,11 +563,75 @@ def test_library_counts_the_6_cube_in_seconds():
     assert done.stdout == "64\n"
 
 
+# -- carried tight sets against the dot-product rule -----------------------------------
+
+
+def tight_set(a, b, points):
+    """The points on a . x = b, as bits in the order of points."""
+    return sum(1 << k for k, x in enumerate(points) if _dot(a, x) == b)
+
+
+def reference_maximal_tight(rows, points):
+    """The rule _maximal replaced: rows (a, b, ...), in order, whose sets of tight points are maximal
+    among the non-empty proper sets, each tested against every point.  Of rows with equal sets, the first is kept.
+    """
+    full = (1 << len(points)) - 1
+    first = {}  # each set, a bitmask over the points, and its first row
+    for i, (a, b, *_) in enumerate(rows):
+        s = tight_set(a, b, points)
+        if s and s != full:
+            first.setdefault(s, i)
+    kept = []
+    for s in sorted(first, key=int.bit_count, reverse=True):
+        if all(s & t != s for t in kept):
+            kept.append(s)
+    return [rows[i] for i in sorted(first[s] for s in kept)]
+
+
 def test_maximal_tight_keeps_first_of_equal_sets_in_order():
     square = [(0, 0), (1, 0), (0, 1), (1, 1)]
     rows = [((1, 0), 1, "right"), ((1, 1), 2, "corner"), ((2, 0), 2, "right again"), ((1, 0), 0, "left"),
-            ((0, 0), 0, "everywhere"), ((1, 1), 9, "nowhere"), ((0, 1), 1, "top")]
-    assert [row[2] for row in _maximal_tight(rows, square)] == ["right", "left", "top"]
+            ((1, 1), 9, "nowhere"), ((0, 1), 1, "top")]
+    # _maximal reads each row's set from its last field; "nowhere" carries the empty set
+    carried = [(a, b, name, tight_set(a, b, square)) for a, b, name in rows]
+    assert [row[2] for row in _maximal(carried)] == ["right", "left", "top"]
+    # rows come back in their order, not by the size of their sets
+    assert [row[0] for row in _maximal([("a", 0b0011), ("b", 0b1110), ("c", 0b0110)])] == ["a", "b"]
+    # the reference also drops a row tight everywhere, which _maximal's callers leave out
+    everywhere = rows[:4] + [((0, 0), 0, "everywhere")] + rows[4:]
+    assert [row[2] for row in reference_maximal_tight(everywhere, square)] == ["right", "left", "top"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_sets())
+def test_facets_of_faces_match_the_dot_product_rule(case):
+    # each face drops its own hyperplane, tight on all of it, before _maximal
+    n, pts = case
+    p = LatticePolytope(pts, ambient_dim=n)
+    for face in p._facets:
+        assert face.facet_inequalities == tuple(reference_maximal_tight(p.facet_inequalities, face.vertices))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(point_sets(), redundant_point_sets().map(lambda pts: (len(pts[0]), pts))))
+def test_hull_rows_carry_their_tight_sets(case):
+    n, pts = case
+    pts = sorted(set(pts))
+    simplex, _, facets = _first_simplex(pts, n)
+    added = simplex + [q for q in pts if q not in simplex]
+    calls = []
+
+    def checked(rows):
+        # a row through the i-th added point carries the points 0..i on it
+        for a, b, t in rows:
+            assert t == tight_set(a, b, added[: t.bit_length()])
+        calls.append(len(rows))
+        return _maximal(rows)
+
+    if facets:
+        with mock.patch.object(polytope, "_maximal", checked):
+            _facets_of_point_set(pts, simplex, facets)
+        assert len(calls) == len(added) - len(simplex)
 
 
 # -- mapped half-space data against the re-hull ------------------------------------
