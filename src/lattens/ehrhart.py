@@ -2,15 +2,15 @@
 
 The rank-r discrete moment tensor of a polytope is (1/r!) times the sum of
 the r-fold symmetric powers of its lattice points.  On the dilates kP it
-is a polynomial in k of degree m + r, m = dim P, so evaluating it for
-k = 0..m+r and solving the Vandermonde system per tensor coordinate
-produces the homogeneous expansion; the coefficients of degree m+r+1..n+r
-are zero.  The leading coefficient of a full-dimensional P is checked
-independently against exact simplex integration of the moment tensor.
-The interpolation runs in integers: the inverse Vandermonde matrix is
-cached per degree as W / D with W an integer matrix, the integer power
-sums of the dilates are combined with W, and each coefficient is one
-integer tensor over D * r!, reduced once, not a fraction per coordinate.
+is a polynomial in k of degree m + r, m = dim P, so its values on m + r + 1
+nodes (half of them relint dilates, by reciprocity; see _expansions) and the
+Vandermonde system per tensor coordinate give the homogeneous expansion;
+the coefficients of degree m+r+1..n+r are zero.  The leading coefficient of
+a full-dimensional P is checked against exact simplex integration of the
+moment tensor.  The interpolation runs in integers: the inverse Vandermonde
+matrix is cached per node tuple as W / D with W an integer matrix, the
+integer power sums of the dilates are combined with W, and each coefficient
+is one integer tensor over D * r!, reduced once, not a fraction per coordinate.
 
 Power sums are taken over the runs in the blocks of points.fibers,
 stretches of the last of P's lattice coordinates y, in closed form by
@@ -193,38 +193,47 @@ class EhrhartTensorExpansion:
 
 
 @lru_cache(maxsize=None)
-def _vandermonde_inverse(degree: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(W, D) with W an integer matrix and W / D the inverse of (k^j) on nodes k = 0..degree."""
-    inv = invert_matrix([[k**j for j in range(degree + 1)] for k in range(degree + 1)])
+def _vandermonde_inverse(nodes: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(W, D) with W an integer matrix and W / D the inverse of (k^j), k in nodes, j = 0..len(nodes) - 1."""
+    inv = invert_matrix([[k**j for j in range(len(nodes))] for k in nodes])
     d = lcm(*(x.denominator for row in inv for x in row))
     return tuple(tuple(int(x * d) for x in row) for row in inv), d
 
 
-def _expansions(p: LatticePolytope, ranks) -> list[EhrhartTensorExpansion]:
-    """Expansions of every rank in ranks, from one enumeration of each dilate kP."""
+def _expansions(p: LatticePolytope, ranks, positive: bool = False) -> list[EhrhartTensorExpansion]:
+    """Expansions of every rank in ranks, from one enumeration of each dilate walked.
+
+    Reciprocity, L^r(-kP) = (-1)^(m+r) L^r(relint kP) for k >= 1, gives the m + r + 1 nodes
+    -a..b, a = (m + r) // 2, b = m + r - a: closed kP for 0 <= k <= b, relint kP for 1 <= k <= a.
+    positive takes the closed nodes 0..m+r, for check_reciprocity, whose test at -1 would hold by construction.
+    """
+    if min(ranks) < 0:
+        raise ValueError("rank must be non-negative")
     if p.is_empty:
         raise ValueError("expansion needs a non-empty polytope")
     n, m = p.ambient_dim, p.dim
-    sums = {r: [] for r in ranks}
-    # fibers checks the scan cap when called, so every dilate is checked first
-    dilates = [fibers(p, scale=k) for k in range(m + max(ranks) + 1)]
+    nodes = {r: tuple(range(-a, m + r - a + 1)) for r in ranks for a in [0 if positive else (m + r) // 2]}
+    sums = {r: {} for r in ranks}
+    # the nodes of the top rank hold every other rank's; fibers checks the scan cap when
+    # called, so every dilate is checked first, and node -k walks relint kP
+    dilates = {k: fibers(p, relint=k < 0, scale=abs(k)) for k in nodes[max(ranks)]}
     summers = {r: _summer(p, r) for r in ranks}
-    for k, dilate_blocks in enumerate(dilates):
+    for k, dilate_blocks in dilates.items():
         blocks = list(dilate_blocks)
         for r in ranks:
-            if k <= m + r:
-                sums[r].append(summers[r](blocks))
+            if k in nodes[r]:
+                sums[r][k] = summers[r](blocks)
     out = []
     for r in ranks:
-        weights, d = _vandermonde_inverse(m + r)
+        weights, d = _vandermonde_inverse(nodes[r])
         alphas = multi_indices(n, r)
         coeffs = []
         for row in weights:
-            # one pass per node k over all coordinates of the k-th dilate's sums
+            # one pass per node k over all coordinates of its dilate's sums, negated for relint when m + r is odd
             total = repeat(0)
-            for w, values in zip(row, sums[r]):
+            for w, k in zip(row, nodes[r]):
                 if w:
-                    total = map(add, total, map(mul, values, repeat(w)))
+                    total = map(add, total, map(mul, sums[r][k], repeat(w if k >= 0 else w * (-1) ** (m + r))))
             coeffs.append(SymTensor._ints(n, r, dict(zip(alphas, total)), d * factorial(r)))
         coeffs += [SymTensor.zero(n, r)] * (n - m)  # the degree is at most m + r
         out.append(EhrhartTensorExpansion(rank=r, coefficients=tuple(coeffs)))
@@ -321,7 +330,7 @@ def check_reciprocity(p: LatticePolytope, r: int) -> CheckReport:
     m = p.dim
     n = p.ambient_dim
     interior = discrete_moment_relint(p, r)
-    expansion = ehrhart_tensors(p, r)
+    expansion = _expansions(p, [r], positive=True)[0]
     sign = Fraction((-1) ** (m + r))
     _compare("alternating-sum reciprocity", interior, expansion.evaluate_at(-1) * sign, failures)
 
@@ -330,7 +339,7 @@ def check_reciprocity(p: LatticePolytope, r: int) -> CheckReport:
         face_sum = face_sum + discrete_moment(f, r) * Fraction((-1) ** f.dim)
     _compare("face-sum interior formula", interior, face_sum * Fraction((-1) ** m), failures)
 
-    mirror_sum = ehrhart_tensors(negate(p), r).evaluate_at(-1)
+    mirror_sum = _expansions(negate(p), [r], positive=True)[0].evaluate_at(-1)
     _compare("face-sum vs mirrored expansion", face_sum, mirror_sum, failures)
 
     return CheckReport("reciprocity", not failures, failures)

@@ -85,7 +85,7 @@ def test_criterion_2_degree_one_values():
     assert ehrhart_tensors(t2, 1).coefficient(1).coord((1, 0)) == Fraction(1, 3)
 
 
-@criterion("3. interior reciprocity on 100 random polytopes", 20.0)
+@criterion("3. interior reciprocity on 100 random polytopes", 5.0)
 def test_criterion_3_reciprocity():
     rng = random.Random(2026)
     lower_dimensional = 0
@@ -99,7 +99,7 @@ def test_criterion_3_reciprocity():
     assert lower_dimensional >= 10
 
 
-@criterion("4. translation covariance and equivariance on 100 random instances", 20.0)
+@criterion("4. translation covariance and equivariance on 100 random instances", 5.0)
 def test_criterion_4_covariance_equivariance():
     rng = random.Random(411)
     for i in range(100):
@@ -111,7 +111,7 @@ def test_criterion_4_covariance_equivariance():
         assert check_equivariance(p, r, phi).ok, (i, p.vertices, r)
 
 
-@criterion("5. leading coefficient equals the integral moment tensor", 60.0)
+@criterion("5. leading coefficient equals the integral moment tensor", 5.0)
 def test_criterion_5_leading_coefficient():
     rng = random.Random(55)
     for i in range(20):
@@ -130,7 +130,7 @@ def test_criterion_5_leading_coefficient():
             assert expansion.coefficient(degree + r).is_zero, (i, p.vertices, r, degree)
 
 
-@criterion("6. rank-9 triangulation valuation", 120.0)
+@criterion("6. rank-9 triangulation valuation", 10.0)
 def test_criterion_6_valuation():
     square = from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
     assert valuation_n(square).is_zero

@@ -7,7 +7,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -204,6 +204,38 @@ def test_lower_dimensional_expansion_is_not_refused(monkeypatch, capsys):
     p = from_points(vertices)
     for k in (1, 2):
         assert expansion.evaluate_at(k) == discrete_moment(dilate(p, k), 12)
+
+
+def faulhaber_coefficients(e):
+    """[c_0..c_(e+1)] with sum_(x=1..t) x^e = sum_j c_j t^j, by Bernoulli's formula with B_1 = +1/2."""
+    bernoulli = [Fraction(1)]
+    for i in range(1, e + 1):
+        bernoulli.append(-sum(comb(i + 1, j) * bernoulli[j] for j in range(i)) / (i + 1))
+    if e >= 1:
+        bernoulli[1] = -bernoulli[1]
+    c = [Fraction(0)] * (e + 2)
+    for j in range(e + 1):
+        c[e + 1 - j] = comb(e + 1, j) * bernoulli[j] / (e + 1)
+    return c
+
+
+def test_faulhaber_oracle_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x, t = sympy.symbols("x t")
+    for e in (0, 1, 2, 12):
+        poly = sympy.Poly(sympy.summation(x**e, (x, 1, t)), t)
+        assert [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())] == faulhaber_coefficients(e)
+
+
+def test_ehrhart_scan_cap_sees_the_largest_closed_node():
+    # L^12(k[0, N]) = (1/12!) sum_(x=1..kN) x^12; the nodes -6..7 walk 7P at most, 42,000,001 cells, inside the
+    # cap, where the closed nodes 0..13 would walk 13P; 8,000,000 still takes 56,000,001 cells and is refused
+    n = 6_000_000
+    done = in_child(["ehrhart", "-r", "12"], stdin=json.dumps({"vertices": [[0], [n]]}))
+    assert done.returncode == 0, done.stderr
+    coefficients = [SymTensor.from_json_dict(c).coord((12,)) for c in json.loads(done.stdout)]
+    assert coefficients == [c * n**j / factorial(12) for j, c in enumerate(faulhaber_coefficients(12))]
+    assert "too large" in refused_at_once(["ehrhart", "-r", "12"], stdin=json.dumps({"vertices": [[0], [8_000_000]]}))
 
 
 def test_cli_runs_without_numpy():

@@ -19,6 +19,7 @@ from lattens.ehrhart import (
     _complete_homogeneous,
     _power_sum_table,
     _simplicial_pieces,
+    _summer,
     _tensor_sum,
     _vandermonde_inverse,
     check_equivariance,
@@ -37,6 +38,7 @@ from lattens.polytope import (
     dilate,
     from_points,
     minkowski_sum,
+    negate,
     random_unimodular,
     standard_simplex,
     translate,
@@ -241,25 +243,122 @@ def test_check_translation_covariance_refuses_a_non_integer_vector():
         check_translation_covariance(standard_simplex(2, 2), 1, (0.5, 0))
 
 
-def test_translation_covariance_enumerates_each_dilate_once(monkeypatch):
+def recorded_walks(monkeypatch):
+    """The (vertices, relint, scale) of every call to ehrhart.fibers, appended as they come."""
     calls = []
 
-    def counted(p, relint=False, scale=1):
+    def recorded(p, relint=False, scale=1):
         calls.append((p.vertices, relint, scale))
         return fibers(p, relint, scale)
 
-    monkeypatch.setattr(ehrhart, "fibers", counted)
+    monkeypatch.setattr(ehrhart, "fibers", recorded)
+    return calls
+
+
+def test_translation_covariance_enumerates_each_dilate_once(monkeypatch):
+    calls = recorded_walks(monkeypatch)
     p = from_points([(0, 0), (2, 0), (0, 1), (1, 2)])
-    r = 3
-    assert check_translation_covariance(p, r, (1, -2)).ok
-    # k = 0..n+r for P and for its translate, each enumerated once
-    assert len(calls) == len(set(calls)) == 2 * (p.ambient_dim + r + 1)
+    r, y = 3, (1, -2)
+    assert check_translation_covariance(p, r, y).ok
+    # the nodes -2..3 of rank 3 hold those of ranks 0..2: closed kP for k = 0..3, relint kP for k = 1..2,
+    # for the translate and for P, each walked once
+    expected = [(q.vertices, False, k) for q in (translate(p, y), p) for k in range(4)]
+    expected += [(q.vertices, True, k) for q in (translate(p, y), p) for k in range(1, 3)]
+    assert Counter(calls) == Counter(expected)
+
+
+def test_reciprocity_walks_no_relint_dilate_for_its_expansions(monkeypatch):
+    calls = recorded_walks(monkeypatch)
+    p = from_points([(0, 0), (3, 0), (0, 2), (2, 2)])
+    r = 2
+    assert check_reciprocity(p, r).ok
+    # the one relint walk is discrete_moment_relint's of P itself; the expansions of P and -P
+    # take the closed dilates k = 0..m+r, so the test at -1 reads no value the expansion was built from
+    assert [call for call in calls if call[1]] == [(p.vertices, True, 1)]
+    mirrored = [scale for vertices, relint, scale in calls if vertices == negate(p).vertices]
+    assert sorted(mirrored) == list(range(p.dim + r + 1))
+    assert set(range(p.dim + r + 1)) <= {scale for vertices, relint, scale in calls if vertices == p.vertices}
+
+
+def test_reciprocity_fails_on_a_perturbed_relint_moment(monkeypatch):
+    true_relint = ehrhart.discrete_moment_relint
+
+    def perturbed(p, r):
+        t = true_relint(p, r)
+        return t + SymTensor(t.dim, r, {multi_indices(t.dim, r)[0]: 1})
+
+    monkeypatch.setattr(ehrhart, "discrete_moment_relint", perturbed)
+    for p, r in [(from_points([(0, 0), (3, 0), (0, 2), (2, 2)]), 2), (from_points([(1, 1), (4, 1)]), 1)]:
+        report = check_reciprocity(p, r)
+        assert not report.ok
+        assert any(f.startswith("alternating-sum reciprocity") for f in report.failures), report.failures
+
+
+def test_negative_ranks_are_refused_before_any_walk(monkeypatch):
+    calls = recorded_walks(monkeypatch)
+    t2, point = standard_simplex(2, 2), from_points([(2, -1)])
+    for call in (
+        lambda: ehrhart_tensors(t2, -1),
+        lambda: ehrhart_tensors(point, -2),
+        lambda: check_translation_covariance(t2, -1, (1, 0)),
+        lambda: ehrhart._expansions(t2, [2, -1]),
+    ):
+        with pytest.raises(ValueError, match="rank must be non-negative"):
+            call()
+    assert calls == []
+
+
+def reference_positive_expansions(p, ranks):
+    """Expansions from the closed dilates kP, k = 0..m+r only: the route _expansions took before reciprocity."""
+    n, m = p.ambient_dim, p.dim
+    sums = {r: [] for r in ranks}
+    dilates = [fibers(p, scale=k) for k in range(m + max(ranks) + 1)]
+    summers = {r: _summer(p, r) for r in ranks}
+    for k, dilate_blocks in enumerate(dilates):
+        blocks = list(dilate_blocks)
+        for r in ranks:
+            if k <= m + r:
+                sums[r].append(summers[r](blocks))
+    out = []
+    for r in ranks:
+        weights, d = _vandermonde_inverse(tuple(range(m + r + 1)))
+        alphas = multi_indices(n, r)
+        coeffs = []
+        for row in weights:
+            total = [sum(w * values[i] for w, values in zip(row, sums[r])) for i in range(len(alphas))]
+            coeffs.append(SymTensor._ints(n, r, dict(zip(alphas, total)), d * factorial(r)))
+        coeffs += [SymTensor.zero(n, r)] * (n - m)
+        out.append(ehrhart.EhrhartTensorExpansion(rank=r, coefficients=tuple(coeffs)))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(polytopes(), st.integers(0, 3))
+def test_reciprocity_nodes_match_the_positive_node_reference(p, r):
+    reference = reference_positive_expansions(p, range(r + 1))
+    assert ehrhart_tensors(p, r) == reference[r]
+    assert ehrhart._expansions(p, range(r + 1)) == reference
+    assert ehrhart._expansions(p, [r], positive=True) == reference[r:]
+
+
+@settings(max_examples=40, deadline=None)
+@given(polytopes(), st.integers(0, 3))
+def test_expansion_extrapolates_past_its_nodes(p, r):
+    # the nodes are -a..b; b + 1, b + 2 and -(a + 1) read dilates the expansion was not built from
+    n, m = p.ambient_dim, p.dim
+    a = (m + r) // 2
+    b = m + r - a
+    expansion = ehrhart_tensors(p, r)
+    for k in (b + 1, b + 2):
+        assert expansion.evaluate_at(k) == point_moment(brute_force_points(dilate(p, k)), n, r), k
+    relint = point_moment(brute_force_points(dilate(p, a + 1), relint=True), n, r)
+    assert expansion.evaluate_at(-(a + 1)) * (-1) ** (m + r) == relint
 
 
 def reference_ambient_expansion(p, r):
     """Interpolation at the ambient degree n + r, on the moments of kP for k = 0..n+r."""
     n = p.ambient_dim
-    weights, d = _vandermonde_inverse(n + r)
+    weights, d = _vandermonde_inverse(tuple(range(n + r + 1)))
     values = [discrete_moment(dilate(p, k), r) for k in range(n + r + 1)]
     coeffs = []
     for row in weights:
@@ -438,10 +537,12 @@ def test_check_equivariance_refuses_non_integer_matrix():
 
 def test_vandermonde_inverse_up_to_cli_caps():
     for degree in range(EHRHART_MAX_RANK + MAX_AMBIENT_DIM + 1):
-        weights, d = _vandermonde_inverse(degree)
-        nodes = range(degree + 1)
-        product = [[sum(k**j * weights[j][i] for j in nodes) for i in nodes] for k in nodes]
-        assert product == [[d * int(k == i) for i in nodes] for k in nodes]
+        a = degree // 2
+        for nodes in (tuple(range(degree + 1)), tuple(range(-a, degree - a + 1))):
+            weights, d = _vandermonde_inverse(nodes)
+            powers = range(degree + 1)
+            product = [[sum(k**j * weights[j][i] for j in powers) for i in powers] for k in nodes]
+            assert product == [[d * int(row == i) for i in powers] for row in powers], nodes
 
 
 def test_lower_dimensional_coordinates_vanish():
