@@ -4,9 +4,10 @@ Every subcommand but rank reads a polytope as {"vertices": [[int, ...], ...]}
 from --input or stdin; main reads and validates it once and hands it to the
 subcommand's handler, which prints JSON to stdout.  Exit status: 0 on
 success or a passing verification, 1 when a verification fails (a
-structured counterexample report is still printed), 2 on malformed input
-or arguments or out-of-range parameters.  All randomness is seeded, so
-identical invocations produce identical bytes.
+structured counterexample report is still printed), 2 on every refusal,
+which the library and this module alike raise as ValueError: main alone
+maps it to one JSON error line on stderr, never a traceback.  All
+randomness is seeded, so identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -41,10 +42,6 @@ NVAL_MAX_TRIANGLES = 1000
 NVAL_MAX_WORK = 50_000
 
 
-class InputError(ValueError):
-    """Malformed input or parameters outside the supported desk-scale caps."""
-
-
 def _read_polytope(args) -> LatticePolytope:
     try:
         if args.input:
@@ -52,17 +49,14 @@ def _read_polytope(args) -> LatticePolytope:
                 data = json.load(fh)
         else:
             data = json.load(sys.stdin)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read polytope JSON: {exc}") from exc
-    try:
-        return polytope_from_json_dict(data)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ValueError(f"cannot read polytope JSON: {exc}") from exc
+    return polytope_from_json_dict(data)
 
 
 def _check_rank(r: int) -> int:
     if not 0 <= r <= EHRHART_MAX_RANK:
-        raise InputError(f"rank must be between 0 and {EHRHART_MAX_RANK}")
+        raise ValueError(f"rank must be between 0 and {EHRHART_MAX_RANK}")
     return r
 
 
@@ -70,9 +64,9 @@ def _parse_vector(text: str, dim: int) -> tuple[int, ...]:
     try:
         vec = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise InputError(f"bad integer vector {text!r}") from exc
+        raise ValueError(f"bad integer vector {text!r}") from exc
     if len(vec) != dim:
-        raise InputError(f"vector {text!r} must have {dim} coordinates")
+        raise ValueError(f"vector {text!r} must have {dim} coordinates")
     return vec
 
 
@@ -91,12 +85,9 @@ def _cmd_count(p: LatticePolytope, args) -> int:
 def _cmd_tensor(p: LatticePolytope, args) -> int:
     r = _check_rank(args.rank)
     if args.moment and args.relint:
-        raise InputError("choose at most one of --moment and --relint")
+        raise ValueError("choose at most one of --moment and --relint")
     if args.moment:
-        try:
-            t = ehrhart.moment_tensor(p, r)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        t = ehrhart.moment_tensor(p, r)
     elif args.relint:
         t = ehrhart.discrete_moment_relint(p, r)
     else:
@@ -134,30 +125,30 @@ def _cmd_equivariance(p: LatticePolytope, args) -> int:
         try:
             rows = json.loads(args.matrix)
             phi = UnimodularMap.linear(rows)
-        except (ValueError, TypeError) as exc:
-            raise InputError(f"bad matrix: {exc}") from exc
+        except (ValueError, TypeError, RecursionError) as exc:
+            raise ValueError(f"bad matrix: {exc}") from exc
     else:
         if not 0 <= args.steps <= EQUIVARIANCE_MAX_STEPS:
-            raise InputError(f"steps must be between 0 and {EQUIVARIANCE_MAX_STEPS}")
+            raise ValueError(f"steps must be between 0 and {EQUIVARIANCE_MAX_STEPS}")
         phi = random_unimodular(p.ambient_dim, seed=args.seed, steps=args.steps)
     if len(phi.matrix) != p.ambient_dim:
-        raise InputError(f"matrix must be {p.ambient_dim} x {p.ambient_dim} to match the polytope")
+        raise ValueError(f"matrix must be {p.ambient_dim} x {p.ambient_dim} to match the polytope")
     return _report_exit(ehrhart.check_equivariance(p, _check_rank(args.rank), phi))
 
 
 def _cmd_nval(p: LatticePolytope, args) -> int:
     if p.ambient_dim != 2:
-        raise InputError("nval needs a polygon in ambient dimension 2")
+        raise ValueError("nval needs a polygon in ambient dimension 2")
     trials = args.check_independence
     if not 0 <= trials <= NVAL_MAX_TRIALS:
-        raise InputError(f"--check-independence must be between 0 and {NVAL_MAX_TRIALS}")
+        raise ValueError(f"--check-independence must be between 0 and {NVAL_MAX_TRIALS}")
     # a unimodular triangle has doubled area 1, so every unimodular
     # triangulation of p has this many triangles
     size = tri2d._hull_doubled_area(p.vertices)
     if size > NVAL_MAX_TRIANGLES:
-        raise InputError(f"the polygon has {size} unimodular triangles, capped at {NVAL_MAX_TRIANGLES}")
+        raise ValueError(f"the polygon has {size} unimodular triangles, capped at {NVAL_MAX_TRIANGLES}")
     if trials * size > NVAL_MAX_WORK:
-        raise InputError(
+        raise ValueError(
             f"--check-independence {trials} on {size} triangles needs {trials} x {size} trial triangles, "
             f"capped at {NVAL_MAX_WORK}"
         )
@@ -215,16 +206,16 @@ def _cmd_rank(args) -> int:
     n, r = args.dim, args.rank
     if n == 2:
         if not 2 <= r <= PLANAR_MAX_RANK:
-            raise InputError(f"planar rank must be between 2 and {PLANAR_MAX_RANK}")
+            raise ValueError(f"planar rank must be between 2 and {PLANAR_MAX_RANK}")
         parity = {"+1": 1, "1": 1, "-1": -1}.get(args.parity)
         if parity is None:
-            raise InputError("parity must be +1 or -1")
+            raise ValueError("parity must be +1 or -1")
         system = classify.planar_system(r, parity)
     else:
         if not 3 <= n <= PRISM_MAX_DIM:
-            raise InputError(f"prism dimension must be between 3 and {PRISM_MAX_DIM}")
+            raise ValueError(f"prism dimension must be between 3 and {PRISM_MAX_DIM}")
         if not 2 <= r <= PRISM_MAX_RANK:
-            raise InputError(f"prism rank must be between 2 and {PRISM_MAX_RANK}")
+            raise ValueError(f"prism rank must be between 2 and {PRISM_MAX_RANK}")
         system = classify.prism_system(n, r, args.filter)
     rank_value = classify.rank(system)
     payload = {
@@ -248,7 +239,7 @@ def _cmd_rank(args) -> int:
 class _Parser(argparse.ArgumentParser):
     # a usage error exits 2 with a JSON error like any other malformed input; subparsers share this class
     def error(self, message):
-        raise InputError(message)
+        raise ValueError(message)
 
 
 @functools.cache
@@ -328,7 +319,7 @@ def main(argv=None) -> int:
         if args.subcommand == "rank":
             return _cmd_rank(args)
         return _POLYTOPE_HANDLERS[args.subcommand](_read_polytope(args), args)
-    except (InputError, points.ScanTooLarge) as exc:
+    except ValueError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
 

@@ -158,20 +158,18 @@ def _summer(p: LatticePolytope, rank: int):
 
 
 def _moment(p: LatticePolytope, relint: bool, rank: int) -> SymTensor:
+    if rank < 0:
+        raise ValueError("rank must be non-negative")
     sums = _summer(p, rank)(fibers(p, relint=relint))
     return SymTensor._ints(p.ambient_dim, rank, dict(zip(multi_indices(p.ambient_dim, rank), sums)), factorial(rank))
 
 
 def discrete_moment(p: LatticePolytope, r: int) -> SymTensor:
     """(1/r!) sum of x^r over the lattice points of p; rank 0 gives the point count."""
-    if r < 0:
-        raise ValueError("rank must be non-negative")
     return _moment(p, False, r)
 
 
 def discrete_moment_relint(p: LatticePolytope, r: int) -> SymTensor:
-    if r < 0:
-        raise ValueError("rank must be non-negative")
     return _moment(p, True, r)
 
 
@@ -286,9 +284,7 @@ def moment_tensor(p: LatticePolytope, r: int) -> SymTensor:
     for simplex in _simplicial_pieces(p):
         base = simplex[0]
         edges = [[v[j] - base[j] for j in range(n)] for v in simplex[1:]]
-        vol_factor = abs(det(edges))  # n! times the simplex volume
-        if vol_factor == 0:
-            continue
+        vol_factor = abs(det(edges))  # n! times the volume, not 0: a piece joins a vertex to a facet off it
         h = _complete_homogeneous(list(simplex), n, r)
         for mono, c in h.items():
             total[mono] = total.get(mono, 0) + vol_factor * c

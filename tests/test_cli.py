@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import itertools
@@ -9,10 +10,13 @@ import time
 from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lattens import cli
+from lattens import cli, tri2d
 from lattens.ehrhart import CheckReport, EhrhartTensorExpansion, discrete_moment
 from lattens.polytope import dilate, from_points
 from lattens.tensor import SymTensor, sym_power
@@ -423,3 +427,178 @@ def test_golden_stdout_bytes(monkeypatch, capsys, argv, stdin, digest):
     code, out, _ = run_cli(monkeypatch, capsys, argv, stdin)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# undecodable input: each of these once exited 1 with a traceback, the code kept for a failing check
+LONG_LITERAL = ('{"vertices": [[' + "9" * 5000 + ", 0], [1, 0], [0, 1]]}").encode()
+DEEP_NESTING = "[" * 100_000 + "]" * 100_000
+FILE = "<file>"  # replaced by the path of a file that holds the input bytes
+UNDECODABLE = {
+    "non-utf8-file": (["count", "--input", FILE], b"\xff\xfe", "cannot read polytope JSON"),
+    "non-utf8-stdin": (["count"], b"\xff", "cannot read polytope JSON"),
+    "long-literal-stdin": (["count"], LONG_LITERAL, "cannot read polytope JSON"),
+    "long-literal-file": (["count", "--input", FILE], LONG_LITERAL, "cannot read polytope JSON"),
+    "deep-polytope": (["count"], DEEP_NESTING.encode(), "cannot read polytope JSON"),
+    "deep-matrix": (["equivariance", "-r", "1", "--matrix", DEEP_NESTING], T2_JSON.encode(), "bad matrix"),
+}
+
+
+def run_on_bytes(argv, data: bytes, path: Path):
+    """main on data, read from a strict UTF-8 stdin or, in place of FILE, from path; (code, stdout, stderr)."""
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    with mock.patch.object(sys, "stdin", stdin), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([str(path) if arg == FILE else arg for arg in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv, data, prefix", UNDECODABLE.values(), ids=UNDECODABLE)
+def test_undecodable_input_exits_two_with_a_json_error(tmp_path, argv, data, prefix):
+    code, out, err = run_on_bytes(argv, data, tmp_path / "input.json")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"].startswith(prefix)
+
+
+def test_undecodable_input_prints_no_traceback():
+    for stdin in (DEEP_NESTING, LONG_LITERAL.decode()):
+        done = in_child(["count"], stdin=stdin)
+        assert done.returncode == 2 and done.stdout == "" and "Traceback" not in done.stderr
+        assert json.loads(done.stderr)["error"].startswith("cannot read polytope JSON")
+
+
+# -- contract fuzzer ------------------------------------------------------------------------
+# Accepted work stays small: coordinates in [-3, 3], at most 8 points, drawn ranks, dimensions and
+# steps at most 3 (--steps defaults to 6), nval trials x triangles at most 50. Larger ones are past a
+# cap that refuses them before any work, and a huge coordinate leaves a box past the scan or triangle
+# cap, or a polytope of few points; no coordinate lies in 4..10^12, so no thin wide polygon, whose
+# walk pays for its width, is drawn. Nothing starts a process or a thread.
+SMALL = st.integers(-3, 3)
+HUGE = st.integers(10**12, 10**40) | st.integers(-(10**40), -(10**12))
+# no token holds a decimal digit, so none reads as an accepted number, and none starts with "-"
+# (MALFORMED_FLAGS has those), so none asks for --help
+TEXT = st.text(st.characters(exclude_categories=("Nd", "Cs")), max_size=4).filter(lambda t: not t.startswith("-"))
+TOKENS = TEXT | st.sampled_from(["", "1.5", "1e3", "0x1", " 2", "+1", "-0", "9" * 5000, "\udcff", "[", "[" * 2000])
+MALFORMED_FLAGS = ["--bogus", "-", "--", "-r", "--rank=", "--input", "-i", "--seed", "--matrix", "-x", "---", "-r-1"]
+JUNK = st.one_of(
+    st.booleans(), st.none(), st.floats(), st.text(max_size=3), st.lists(SMALL, max_size=2), HUGE,
+    st.dictionaries(st.text(max_size=2), SMALL, max_size=1),
+)
+POINTS = st.integers(1, 3).flatmap(lambda n: st.lists(st.lists(SMALL, min_size=n, max_size=n), min_size=1, max_size=8))
+
+
+def mostly(usual, odd):
+    """usual about seven times in eight, else odd."""
+    return st.sampled_from([usual] * 7 + [odd]).flatmap(lambda s: s)
+
+
+def numbers(lo: int, hi: int, refused_from: int):
+    """Mostly decimal strings of [lo, hi], else of numbers from refused_from on, huge negative ones, or odd tokens."""
+    refused = st.integers(refused_from, 10**40) | HUGE.filter(lambda x: x < 0)
+    return mostly(st.integers(lo, hi).map(str), refused.map(str) | TOKENS)
+
+
+@st.composite
+def spoiled_points(draw):
+    """A point list with one coordinate replaced by a value of another type, or by a huge one."""
+    points = draw(POINTS)
+    i = draw(st.integers(0, len(points) - 1))
+    points[i][draw(st.integers(0, len(points[i]) - 1))] = draw(JUNK)
+    return points
+
+
+DEPTHS = st.sampled_from([2, 900, 990, 1000, 1100, 100_000])
+POLYTOPE_TEXT = mostly(
+    POINTS.map(lambda vertices: json.dumps({"vertices": vertices})),
+    st.one_of(
+        st.one_of(spoiled_points(), st.lists(st.lists(SMALL, max_size=7), max_size=4), JUNK)
+        .map(lambda vertices: json.dumps({"vertices": vertices})),
+        JUNK.map(json.dumps),
+        DEPTHS.map(lambda d: '{"vertices": ' + "[" * d + "]" * d + "}"),
+        DEPTHS.map(lambda d: "[" * d + "]" * d),
+        st.sampled_from([4300, 4301, 5000]).map(lambda k: '{"vertices": [[' + "9" * k + "]]}"),
+    ),
+)
+ODD_BYTES = st.binary(max_size=6) | POLYTOPE_TEXT.map(lambda t: b"\xff" + t.encode())
+INPUT_BYTES = mostly(POLYTOPE_TEXT.map(str.encode), ODD_BYTES)
+MATRICES = mostly(
+    st.sampled_from([[[1, 1], [0, 1]], [[0, -1], [1, 0]], [[1]], [[1, 0, 2], [0, 1, -1], [0, 0, 1]]]).map(json.dumps),
+    st.one_of(
+        st.integers(1, 3).flatmap(lambda n: st.lists(st.lists(SMALL, min_size=n, max_size=n), min_size=n, max_size=n)),
+        st.lists(JUNK, max_size=3),
+        JUNK,
+    ).map(json.dumps) | TOKENS | DEPTHS.map(lambda d: "[" * d + "]" * d),
+)
+
+
+def nval_triangles(data: bytes) -> int:
+    """The unimodular triangles of the polygon in data, or 0 if data is no polygon nval accepts."""
+    try:
+        vertices = json.loads(data)["vertices"]
+        return tri2d._hull_doubled_area([tuple(v) for v in vertices if len(v) == 2])
+    except (ValueError, TypeError, KeyError, RecursionError):
+        return 0
+
+
+@st.composite
+def invocations(draw):
+    """(argv, input bytes): one subcommand, its options, and now and then a malformed flag."""
+    name = draw(mostly(st.sampled_from([*cli._POLYTOPE_HANDLERS, "rank", "rank"]), TOKENS))
+    argv, data = [name], draw(INPUT_BYTES)
+
+    def option(flag, values, weight=1):
+        if draw(st.sampled_from([True] * weight + [False])):
+            argv.extend([flag, draw(values)])
+
+    if name == "rank":
+        option("-n", numbers(-3, 3, cli.PRISM_MAX_DIM + 1))
+        option("-r", numbers(-3, 3, cli.PLANAR_MAX_RANK + 1))
+        option("--parity", mostly(st.sampled_from(["+1", "-1", "1"]), st.sampled_from(["0", "2"]) | TOKENS))
+        option("--filter", st.sampled_from(["all", "en-odd", "en-even", "bad"]))
+        option("--format", st.sampled_from(["json", "csv", "xml"]))
+        argv += draw(st.lists(st.sampled_from(["--kernel", "--survey"]), max_size=2))
+    elif name in cli._POLYTOPE_HANDLERS:
+        if name not in ("count", "nval"):
+            option("-r", numbers(-3, 3, cli.EHRHART_MAX_RANK + 1), weight=4)
+        if name == "tensor":
+            argv += draw(st.lists(st.sampled_from(["--relint", "--moment"]), max_size=2))
+        if name == "covariance":
+            vectors = st.lists(SMALL, min_size=1, max_size=4).map(lambda v: ",".join(map(str, v)))
+            option("-y", mostly(vectors, TOKENS), weight=4)
+        if name == "equivariance":
+            option("--matrix", MATRICES)
+            option("--seed", numbers(-3, 3, 10**12))
+            option("--steps", numbers(-3, 3, cli.EQUIVARIANCE_MAX_STEPS + 1))
+        if name == "nval":
+            option("--seed", numbers(-3, 3, 10**12))
+            trials = 50 // max(nval_triangles(data), 1)
+            option("--check-independence", numbers(0, trials, cli.NVAL_MAX_TRIALS + 1))
+        if draw(st.booleans()):
+            argv += ["--input", FILE]
+    if draw(mostly(st.just(False), st.just(True))):
+        for _ in range(draw(st.integers(1, 2))):
+            argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(MALFORMED_FLAGS) | TOKENS))
+    return argv, data
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.json"
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(invocation=invocations())
+@example(invocation=(["count", "--input", FILE], b"\xff\xfe"))
+@example(invocation=(["count"], b"\xff"))
+@example(invocation=(["count"], LONG_LITERAL))
+@example(invocation=(["tensor", "-r", "1", "--input", FILE], LONG_LITERAL))
+@example(invocation=(["count"], DEEP_NESTING.encode()))
+@example(invocation=(["equivariance", "-r", "1", "--matrix", DEEP_NESTING], T2_JSON.encode()))
+def test_every_invocation_keeps_the_exit_code_contract(fuzz_path, invocation):
+    """In process, no exception leaves main, and it exits 0, 1 or 2; exit 2 prints one JSON error, nothing else."""
+    code, out, err = run_on_bytes(*invocation, fuzz_path)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and err.count("\n") == 1 and isinstance(json.loads(err)["error"], str)
+    else:
+        assert out and err == ""

@@ -30,6 +30,7 @@ from lattens.ehrhart import (
     ehrhart_tensors,
     moment_tensor,
 )
+from lattens.linalg import det
 from lattens.points import count, fibers, lattice_rows
 from lattens.polytope import (
     MAX_AMBIENT_DIM,
@@ -302,6 +303,8 @@ def test_negative_ranks_are_refused_before_any_walk(monkeypatch):
         lambda: ehrhart_tensors(point, -2),
         lambda: check_translation_covariance(t2, -1, (1, 0)),
         lambda: ehrhart._expansions(t2, [2, -1]),
+        lambda: discrete_moment(t2, -1),
+        lambda: discrete_moment_relint(point, -3),
     ):
         with pytest.raises(ValueError, match="rank must be non-negative"):
             call()
@@ -619,7 +622,13 @@ def reference_simplicial_pieces(p):
 @settings(max_examples=100, deadline=None)
 @given(polytopes())
 def test_simplicial_pieces_match_rehull(p):
-    assert Counter(_simplicial_pieces(p)) == Counter(reference_simplicial_pieces(p))
+    pieces = _simplicial_pieces(p)
+    assert Counter(pieces) == Counter(reference_simplicial_pieces(p))
+    # each piece joins a vertex to a simplex of a facet off it, so each spans p's dimension: its Gram
+    # determinant is non-zero, and moment_tensor meets no piece of volume 0
+    for piece in pieces:
+        edges = [[a - b for a, b in zip(v, piece[0])] for v in piece[1:]]
+        assert det([[sum(map(mul, e, f)) for f in edges] for e in edges]) != 0
 
 
 def test_simplicial_pieces_of_sample_polytopes_match_rehull():

@@ -38,8 +38,11 @@ class Mutant:
     tests: tuple[str, ...]
 
 
-EHRHART, POINTS = "src/lattens/ehrhart.py", "src/lattens/points.py"
-TEST_CLI, TEST_EHRHART, TEST_POINTS = "tests/test_cli.py::", "tests/test_ehrhart.py::", "tests/test_points.py::"
+CLI, EHRHART, POINTS, POLYTOPE = (f"src/lattens/{name}.py" for name in ("cli", "ehrhart", "points", "polytope"))
+TEST_CLI, TEST_EHRHART, TEST_POINTS, TEST_POLYTOPE = (
+    f"tests/test_{name}.py::" for name in ("cli", "ehrhart", "points", "polytope")
+)
+CONTRACT_FUZZER = TEST_CLI + "test_every_invocation_keeps_the_exit_code_contract"
 
 MUTANTS = (
     Mutant(
@@ -78,6 +81,58 @@ MUTANTS = (
 """,
         "",
         (TEST_EHRHART + "test_negative_ranks_are_refused_before_any_walk",),
+    ),
+    Mutant(
+        "a negative rank reaches the moment's walk",
+        EHRHART,
+        """    if rank < 0:
+        raise ValueError("rank must be non-negative")
+    sums = _summer""",
+        "    sums = _summer",
+        (TEST_EHRHART + "test_negative_ranks_are_refused_before_any_walk",),
+    ),
+    Mutant(
+        "the polytope reader lets a RecursionError through",
+        CLI,
+        "except (OSError, ValueError, RecursionError) as exc:",
+        "except (OSError, ValueError) as exc:",
+        (
+            TEST_CLI + "test_undecodable_input_exits_two_with_a_json_error[deep-polytope]",
+            TEST_CLI + "test_undecodable_input_prints_no_traceback",
+            CONTRACT_FUZZER,
+        ),
+    ),
+    Mutant(
+        "main maps only a refused scan, not every ValueError, to exit 2",
+        CLI,
+        "    except ValueError as exc:\n        print(json.dumps",
+        "    except points.ScanTooLarge as exc:\n        print(json.dumps",
+        (
+            TEST_CLI + "test_caps_exit_two",
+            TEST_CLI + "test_undecodable_input_exits_two_with_a_json_error[non-utf8-stdin]",
+            CONTRACT_FUZZER,
+        ),
+    ),
+    Mutant(
+        "a joined hull row loses the new point's bit",
+        POLYTOPE,
+        "(u * b - s * d) // g, t & w | 1 << i)",
+        "(u * b - s * d) // g, t & w)",
+        (TEST_POLYTOPE + "test_hull_rows_carry_their_tight_sets",),
+    ),
+    Mutant(
+        "a face keeps its own full set among its facet rows",
+        POLYTOPE,
+        "for (c, d), s in zip(self.facet_inequalities, sets) if s & face != face]",
+        "for (c, d), s in zip(self.facet_inequalities, sets)]",
+        (TEST_POLYTOPE + "test_facets_of_faces_match_the_dot_product_rule",),
+    ),
+    Mutant(
+        "_maximal takes the smallest sets first",
+        POLYTOPE,
+        "key=lambda i: rows[i][-1].bit_count(), reverse=True)",
+        "key=lambda i: rows[i][-1].bit_count())",
+        (TEST_POLYTOPE + "test_maximal_tight_keeps_first_of_equal_sets_in_order",),
     ),
     Mutant(
         "a projected row keeps the vertices tight on either row, not on both",
