@@ -5,9 +5,10 @@ from --input or stdin; main reads and validates it once and hands it to the
 subcommand's handler, which prints JSON to stdout.  Exit status: 0 on
 success or a passing verification, 1 when a verification fails (a
 structured counterexample report is still printed), 2 on every refusal,
-which the library and this module alike raise as ValueError: main alone
-maps it to one JSON error line on stderr, never a traceback.  All
-randomness is seeded, so identical invocations produce identical bytes.
+which the library and this module alike raise as ValueError, and on a
+stdout the reader has closed: main alone maps both to one JSON error line
+on stderr, never a traceback.  All randomness is seeded, so identical
+invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 
 from . import classify, ehrhart, points, tri2d
@@ -40,6 +42,8 @@ NVAL_MAX_TRIALS = 1000
 # triangle, and trials * T = 50,000 took at most 2.8 s (2 vCPUs, Python 3.11)
 NVAL_MAX_TRIANGLES = 1000
 NVAL_MAX_WORK = 50_000
+# rank's defaults, filled in after parsing, so that --survey can refuse each of these options when given
+RANK_DEFAULTS = {"dim": 2, "rank": 3, "parity": "+1", "filter": "all"}
 
 
 def _read_polytope(args) -> LatticePolytope:
@@ -171,25 +175,18 @@ def _cmd_nval(p: LatticePolytope, args) -> int:
 
 
 def _survey_rows(entries) -> list[dict]:
-    rows = []
-    for entry in entries:
-        for name in sorted(entry["assemblies"]):
-            info = entry["assemblies"][name]
-            rows.append(
-                {
-                    "r": entry["r"],
-                    "assembly": name,
-                    "unknowns": entry["unknowns"],
-                    "rank": info["rank"],
-                    "kernel_dim": info["kernel_dim"],
-                    "matches_expected": info["matches_expected"],
-                }
-            )
-    return rows
+    # an assembly's entry holds its rank, kernel_dim and matches_expected; the writer orders the columns
+    return [
+        {"r": entry["r"], "assembly": name, "unknowns": entry["unknowns"], **entry["assemblies"][name]}
+        for entry in entries
+        for name in sorted(entry["assemblies"])
+    ]
 
 
 def _cmd_rank(args) -> int:
     if args.survey:
+        if args.kernel or any(getattr(args, name) is not None for name in RANK_DEFAULTS):
+            raise ValueError("--survey takes none of -n, -r, --parity, --filter and --kernel")
         entries = classify.high_rank_survey([9, 11, 13, 15, 17, 19])
         if args.format == "json":
             _emit(entries)
@@ -203,6 +200,7 @@ def _cmd_rank(args) -> int:
             sys.stdout.write(buf.getvalue())
         return 0
 
+    vars(args).update({name: value for name, value in RANK_DEFAULTS.items() if getattr(args, name) is None})
     n, r = args.dim, args.rank
     if n == 2:
         if not 2 <= r <= PLANAR_MAX_RANK:
@@ -290,12 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--seed", type=int, default=0)
 
     cmd = sub.add_parser("rank", help="exact rank and kernel of the classification systems")
-    cmd.add_argument("--dim", "-n", "--n", type=int, default=2)
-    cmd.add_argument("--rank", "-r", "--r", type=int, default=3)
-    cmd.add_argument("--parity", default="+1", help="planar coordinate-swap parity (+1 or -1)")
-    cmd.add_argument("--filter", default="all", choices=classify.PRISM_FILTERS)
+    cmd.add_argument("--dim", "-n", "--n", type=int, help="default 2")
+    cmd.add_argument("--rank", "-r", "--r", type=int, help="default 3")
+    cmd.add_argument("--parity", help="planar coordinate-swap parity (+1, the default, or -1)")
+    cmd.add_argument("--filter", choices=classify.PRISM_FILTERS, help="default all")
     cmd.add_argument("--kernel", action="store_true", help="include a kernel basis")
-    cmd.add_argument("--survey", action="store_true", help="emit the odd high-rank table")
+    cmd.add_argument("--survey", action="store_true", help="emit the odd high-rank table; takes only --format")
     cmd.add_argument("--format", default="csv", choices=("json", "csv"))
 
     return parser
@@ -316,10 +314,15 @@ def main(argv=None) -> int:
     """Parse arguments and dispatch; returns the process exit status."""
     try:
         args = build_parser().parse_args(argv)
-        if args.subcommand == "rank":
-            return _cmd_rank(args)
-        return _POLYTOPE_HANDLERS[args.subcommand](_read_polytope(args), args)
-    except ValueError as exc:
+        sub = args.subcommand
+        code = _cmd_rank(args) if sub == "rank" else _POLYTOPE_HANDLERS[sub](_read_polytope(args), args)
+        sys.stdout.flush()  # a closed stdout fails here, inside the try, not in the interpreter's flush at exit
+        return code
+    except (ValueError, BrokenPipeError) as exc:
+        if isinstance(exc, BrokenPipeError):  # the reader closed stdout: what is left in its buffer goes nowhere
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
 

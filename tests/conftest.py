@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -89,3 +93,12 @@ def sample_polytopes():
     cross = polytope.from_points([tuple(s * int(i == j) for j in range(3)) for i in range(3) for s in (1, -1)])
     pentagon = polytope.from_points([(0, 0, 0), (2, 0, 0), (3, 2, 0), (1, 3, 0), (-1, 1, 0)])
     return {"cube": cube, "cross-polytope": cross, "pentagon prism": polytope.prism(pentagon)}
+
+
+def in_child(argv, stdin="", script=None) -> subprocess.CompletedProcess:
+    """The CLI, or script if given, in a child process that must end within seconds: a blow-up fails, not hangs."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    program = ["-c", script] if script else ["-m", "lattens.cli"]
+    return subprocess.run(
+        [sys.executable, *program, *argv], input=stdin, capture_output=True, text=True, env=env, timeout=10
+    )

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import in_child
 from lattens import cli, tri2d
 from lattens.ehrhart import CheckReport, EhrhartTensorExpansion, discrete_moment
 from lattens.polytope import dilate, from_points
@@ -115,6 +116,23 @@ def test_rank_survey_csv(monkeypatch, capsys):
     assert even9 == "9,even,10,8,2,True"
 
 
+SURVEY_EXTRAS = {
+    "dim": ["-n", "2"],
+    "rank": ["-r", "3"],
+    "parity": ["--parity", "+1"],
+    "filter": ["--filter", "all"],
+    "kernel": ["--kernel"],
+    "refused-values": ["-r", "-7655179222832", "--parity", "2"],
+}
+
+
+@pytest.mark.parametrize("flags", SURVEY_EXTRAS.values(), ids=SURVEY_EXTRAS)
+def test_rank_survey_refuses_the_other_options(monkeypatch, capsys, flags):
+    # --survey ignored them and exited 0, even on values the other form of rank refuses; a given default counts too
+    error = cli_error(monkeypatch, capsys, ["rank", "--survey", *flags, "--format", "json"], stdin="")
+    assert error == "--survey takes none of -n, -r, --parity, --filter and --kernel"
+
+
 def test_determinism(monkeypatch, capsys):
     a = run_cli(monkeypatch, capsys, ["equivariance", "-r", "2", "--seed", "5"])
     b = run_cli(monkeypatch, capsys, ["equivariance", "-r", "2", "--seed", "5"])
@@ -154,7 +172,7 @@ def test_malformed_input_exits_two(monkeypatch, capsys):
 )
 def test_usage_errors_exit_two_with_a_json_error(argv):
     # argparse printed its usage text and raised SystemExit(2) outside main's JSON contract
-    done = in_child(argv)
+    done = in_child(argv, T2_JSON)
     assert done.returncode == 2 and done.stdout == ""
     assert "usage:" not in done.stderr and done.stderr.count("\n") == 1
     assert json.loads(done.stderr)["error"]
@@ -259,20 +277,32 @@ def test_cli_runs_without_numpy():
         assert json.loads(done.stdout)
 
 
+@pytest.mark.parametrize(
+    "argv", [["rank", "-n", "2", "-r", "3"], ["rank", "--survey", "--format", "json"], ["count"]],
+    ids=["rank", "survey", "count"],
+)
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_two_with_a_json_error(argv, unbuffered):
+    # the reader closes stdout before the child writes: with an unbuffered stdout each exited 1 with a
+    # BrokenPipeError traceback, and with a buffered one 120, when the interpreter's flush at exit failed
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "lattens.cli", *argv],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+    )
+    child.stdout.close()
+    _, err = child.communicate(T2_JSON, timeout=10)
+    assert child.returncode == 2 and err.count("\n") == 1
+    assert "Broken pipe" in json.loads(err)["error"]
+
+
 def test_non_object_json_exits_two(monkeypatch, capsys):
     assert "vertices" in cli_error(monkeypatch, capsys, ["count"], stdin="[1,2]")
 
 
 def test_negative_steps_exit_two(monkeypatch, capsys):
     assert "steps" in cli_error(monkeypatch, capsys, ["equivariance", "-r", "2", "--steps", "-1"])
-
-
-def in_child(argv, stdin=T2_JSON) -> subprocess.CompletedProcess:
-    """The CLI in a child process that must finish within seconds, so a blow-up fails, not hangs."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    return subprocess.run(
-        [sys.executable, "-m", "lattens.cli", *argv], input=stdin, capture_output=True, text=True, env=env, timeout=10
-    )
 
 
 def refused_at_once(argv, stdin=T2_JSON) -> str:

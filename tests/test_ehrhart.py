@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -11,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_points, polytopes, random_point, random_polytope, sample_polytopes
+from conftest import brute_force_points, in_child, polytopes, random_point, random_polytope, sample_polytopes
 from lattens import ehrhart
 from lattens.cli import EHRHART_MAX_RANK
 from lattens.ehrhart import (
     CheckReport,
     _complete_homogeneous,
     _power_sum_table,
+    _segment_moment,
     _simplicial_pieces,
     _summer,
     _tensor_sum,
@@ -37,6 +39,7 @@ from lattens.polytope import (
     LatticePolytope,
     UnimodularMap,
     dilate,
+    faces,
     from_points,
     minkowski_sum,
     negate,
@@ -229,6 +232,51 @@ def test_check_reciprocity_on_lower_dimensional_instances():
     point = from_points([(2, -1)])
     for r in (0, 1, 2):
         assert check_reciprocity(point, r).ok
+
+
+@st.composite
+def segments(draw):
+    """Endpoints (a, b) in Z^1..Z^6 up to 10^6 apart in each coordinate: a point, a wide step or a repeated one."""
+    n = draw(st.integers(1, 6))
+    a = draw(st.tuples(*[st.integers(-(10**6), 10**6)] * n))
+    step = draw(st.tuples(*[st.integers(-3, 3)] * n))
+    times = draw(st.sampled_from([0, 1, 2]) | st.integers(0, 10**6 // 3))
+    wide = st.tuples(*[st.integers(-(10**6), 10**6)] * n).map(lambda d: tuple(map(add, a, d)))
+    return a, draw(st.just(tuple(x + times * d for x, d in zip(a, step))) | wide)
+
+
+@settings(max_examples=150, deadline=None)
+@given(segments(), st.integers(0, 6))
+def test_segment_moment_matches_discrete_moment(ends, r):
+    a, b = ends
+    assert _segment_moment(a, b, r) == discrete_moment(from_points([a, b]), r)
+
+
+def test_face_sum_walks_no_vertex_or_edge(monkeypatch):
+    dims, true_moment = [], ehrhart.discrete_moment
+
+    def recorded(f, r):
+        dims.append(f.dim)
+        return true_moment(f, r)
+
+    monkeypatch.setattr(ehrhart, "discrete_moment", recorded)
+    for p in sample_polytopes().values():
+        for r in (0, 1, 2):
+            dims.clear()
+            assert check_reciprocity(p, r).ok
+            assert Counter(dims) == Counter(f.dim for f in faces(p) if f.dim >= 2)
+
+
+def test_reciprocity_on_a_long_segment_takes_no_loop_over_its_points():
+    # [0, 10^7] has 10^7 + 1 points, and its largest dilate 4P is inside the scan cap; the face sum takes its
+    # vertices and its edge in closed form, which costs as little on 10^30 + 1 points, past any loop
+    done = in_child(["reciprocity", "-r", "3"], json.dumps({"vertices": [[0], [10**7]]}))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["pass"]
+    n = 10**30
+    script = f"from lattens import ehrhart; print(ehrhart._segment_moment((0,), ({n},), 3).coord((3,)))"
+    done = in_child([], script=script)
+    assert done.stdout.strip() == str(Fraction((n * (n + 1) // 2) ** 2, 6)), done.stderr
 
 
 def test_check_translation_covariance_examples():

@@ -105,13 +105,27 @@ MUTANTS = (
     Mutant(
         "main maps only a refused scan, not every ValueError, to exit 2",
         CLI,
-        "    except ValueError as exc:\n        print(json.dumps",
-        "    except points.ScanTooLarge as exc:\n        print(json.dumps",
+        "    except (ValueError, BrokenPipeError) as exc:",
+        "    except (points.ScanTooLarge, BrokenPipeError) as exc:",
         (
             TEST_CLI + "test_caps_exit_two",
             TEST_CLI + "test_undecodable_input_exits_two_with_a_json_error[non-utf8-stdin]",
             CONTRACT_FUZZER,
         ),
+    ),
+    Mutant(
+        "main leaves the flush of stdout to the interpreter's exit",
+        CLI,
+        "        sys.stdout.flush()  # a closed stdout",
+        "        # a closed stdout",
+        (TEST_CLI + "test_closed_stdout_exits_two_with_a_json_error[buffered-count]",),
+    ),
+    Mutant(
+        "rank --survey ignores the other options",
+        CLI,
+        "        if args.kernel or any(getattr(args, name) is not None for name in RANK_DEFAULTS):",
+        "        if False:",
+        (TEST_CLI + "test_rank_survey_refuses_the_other_options[kernel]",),
     ),
     Mutant(
         "a joined hull row loses the new point's bit",
@@ -163,6 +177,16 @@ MUTANTS = (
         (
             TEST_EHRHART + "test_both_push_paths_match_point_sums[plan]",
             TEST_EHRHART + "test_both_push_paths_on_a_segment_in_z6_at_rank_12[plan]",
+        ),
+    ),
+    Mutant(
+        "the face sum's vertex and edge sums start at t = 1",
+        EHRHART,
+        "return (g + 1, *(int(faulhaber_sum(g, e))",
+        "return (g, *(int(faulhaber_sum(g, e))",
+        (
+            TEST_EHRHART + "test_segment_moment_matches_discrete_moment",
+            TEST_EHRHART + "test_check_reciprocity_on_lower_dimensional_instances",
         ),
     ),
     Mutant(
