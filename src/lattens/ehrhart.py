@@ -15,14 +15,15 @@ is one integer tensor over D * r!, reduced once, not a fraction per coordinate.
 Power sums are taken over the runs in the blocks of points.fibers,
 stretches of the last of P's lattice coordinates y, in closed form by
 Faulhaber's polynomials (Beck and Robins, Computing the Continuous
-Discretely).  The blocks hold their runs as parallel integer lists; one
-call joins the blocks of a whole enumeration, and each power, Faulhaber
-sum and monomial sum is one pass over all runs, never a loop over runs.
-For a lower-dimensional P, x = A^t y with A = lattice_rows(P), so each
-x^alpha pulls back to an integer polynomial in y, and one plan of these
-per polytope and rank pushes the sums of monomials in y to the sums of
-monomials in x, unless the points are fewer than the plan's entries; then
-they are mapped to x and summed as one-point runs.
+Discretely).  An expansion sums all its dilates and ranks in one call:
+the blocks come in chunks of at most points._BLOCK runs, and each power,
+Faulhaber sum and monomial sum is one pass over a chunk's runs, never a
+loop over runs, split among its dilates by their run counts.  For a
+lower-dimensional P, x = A^t y with A = lattice_rows(P), so each x^alpha
+pulls back to an integer polynomial in y, and one plan of these per
+polytope and rank pushes the sums of monomials in y to the sums of
+monomials in x, unless the dilates hold fewer points on average than the
+plans' entries; then they are mapped to x and summed as one-point runs.
 """
 
 from __future__ import annotations
@@ -30,13 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, islice, repeat
 from math import factorial, gcd, lcm
 from operator import add, mul, sub
 
 from .arith import faulhaber_sum, power_sum_polynomial
 from .linalg import det, invert_matrix
-from .points import _count, _expand, fibers, lattice_rows
+from .points import _BLOCK, _count, _expand, fibers, lattice_rows
 from .polytope import LatticePolytope, UnimodularMap, faces, negate, transform, translate
 from .tensor import (
     MultiIndex, SymTensor, _multinomials, _poly_mul_linear, _pull_back_rows, apply_linear, multi_indices, sym_power,
@@ -60,107 +61,128 @@ def _power_sum_table(rank: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(table)
 
 
-def _tensor_sum(blocks, dim: int, rank: int) -> list[int]:
-    """Exact sums of y^beta over the points of blocks, one per beta of multi_indices(dim, rank).
+def _chunks(segments, dim: int):
+    """The runs of segments' blocks in dim coordinates, in order, in chunks of at most _BLOCK runs.
 
-    The runs of all blocks are joined into parallel integer lists, and
-    every step below is one pass over all runs at once.  Write a point of a
-    run as y = (h, v, u): h = y_1..y_(dim-2), then v, the last head, and u,
-    the run's coordinate, lo <= u <= hi.  By Faulhaber's polynomials the
-    run's sum of u^e is S_e / D_e with S_e = sum_j N_j (hi^j - (lo - 1)^j),
-    an integer multiple of D_e; the sum of y^beta for beta = (h, a, e) is
-    then the sum over runs of h^beta_h v^a S_e, divided by D_e once.
+    A chunk is (columns, runs of each segment in it): its dim - 1 heads, los and his as parallel lists,
+    each block joined onto them as it comes, so the blocks themselves are not held.
     """
-    width = max(dim - 2, 0)
-    outer, vs, below, his = [[] for _ in range(width)], [], [], []
-    for heads, lo, hi in blocks:
-        for coords, h in zip((*outer, vs), heads):
-            coords += h
-        below += lo
-        his += hi
-    below = list(map(sub, below, repeat(1)))
-    pa, pb = [below], [his]
-    for _ in range(rank):
-        pa.append(list(map(mul, pa[-1], below)))
-        pb.append(list(map(mul, pb[-1], his)))
-    diffs = [list(map(sub, b, a)) for a, b in zip(pa, pb)]
-    scaled = []
-    for coeffs, d in _power_sum_table(rank):
-        total = repeat(0)
-        for c, diff in zip(coeffs, diffs):
-            if c:
-                total = map(add, total, map(mul, diff, repeat(c)))
-        scaled.append((list(total), d))
-    vpows = [None]
-    for _ in range(rank if dim > 1 else 0):
-        vpows.append(vs if vpows[-1] is None else list(map(mul, vpows[-1], vs)))
-    monos = {(0,) * width: None}  # h^beta_h per run by exponent; None is all ones
-
-    def mono(h):
-        if h not in monos:
-            i = next(i for i, x in enumerate(h) if x)
-            parent = mono(h[:i] + (h[i] - 1,) + h[i + 1 :])
-            monos[h] = outer[i] if parent is None else list(map(mul, parent, outer[i]))
-        return monos[h]
-
-    weighted = {}  # (a, e) -> v^a S_e per run
-    out, h = [], None
-    for beta in multi_indices(dim, rank):
-        a, e = (beta[-2] if dim > 1 else 0), beta[-1]
-        if (a, e) not in weighted:
-            s = scaled[e][0]
-            weighted[a, e] = s if vpows[a] is None else list(map(mul, vpows[a], s))
-        if beta[:width] != h:  # lex order keeps the betas of one h together
-            h = beta[:width]
-            m = mono(h)
-        w = weighted[a, e]
-        out.append((sum(w) if m is None else sum(map(mul, m, w))) // scaled[e][1])
-    return out
+    columns, counts = [[] for _ in range(dim + 1)], [0] * len(segments)
+    for i, segment in enumerate(segments):
+        for heads, los, his in segment:
+            if sum(counts) + len(his) > _BLOCK:
+                yield columns, counts
+                columns, counts = [[] for _ in columns], [0] * len(segments)
+            for column, xs in zip(columns, (*heads, los, his)):
+                column += xs
+            counts[i] += len(his)
+    yield columns, counts
 
 
-def _summer(p: LatticePolytope, rank: int):
-    """The map from blocks of p to the exact sums of x^alpha over their points, |alpha| = rank.
+def _tensor_sum(segments, dim: int, ranks) -> list[list[list[int]]]:
+    """Per segment, per rank in ranks, the exact sums of y^beta over its points, beta in multi_indices(dim, rank).
+
+    The runs of all segments come in order, in chunks of at most _BLOCK
+    runs joined into parallel integer lists (_chunks), and each step below
+    is one pass over a chunk's runs.  Write a point of a run as
+    y = (h, v, u): h = y_1..y_(dim-2), then v, the last head, and u, the
+    run's coordinate, lo <= u <= hi.  By Faulhaber's polynomials the run's
+    sum of u^e is S_e / D_e with S_e = sum_j N_j (hi^j - (lo - 1)^j), an
+    integer multiple of D_e; the sum of y^beta for beta = (h, a, e) is then
+    the sum over runs of h^beta_h v^a S_e, split among a chunk's segments
+    by their run counts, added up over the chunks and divided by D_e once.
+    The betas of all ranks share a chunk's powers, and those with one (h, a)
+    share the weights h^beta_h v^a, formed once and dropped after use.
+    """
+    width, top = max(dim - 2, 0), max(ranks)
+    betas = [beta for r in ranks for beta in multi_indices(dim, r)]
+    groups = {}  # (h, a) -> [(j, e)]: the betas j = (h, a, e) of all ranks, which share h^beta_h v^a
+    for j, beta in enumerate(betas):
+        groups.setdefault((beta[:width], beta[-2] if dim > 1 else 0), []).append((j, beta[-1]))
+    table = _power_sum_table(top)
+    totals = [[0] * len(segments) for _ in betas]
+    for (*heads, below, his), counts in _chunks(segments, dim):
+        outer, vs = heads[:width], heads[-1] if heads else None
+        below = list(map(sub, below, repeat(1)))
+        pa, pb, diffs = below, his, [list(map(sub, his, below))]
+        for _ in range(top):  # hi^j - (lo - 1)^j, holding two powers at a time
+            pa, pb = list(map(mul, pa, below)), list(map(mul, pb, his))
+            diffs.append(list(map(sub, pb, pa)))
+        scaled = []
+        for coeffs, _ in table:
+            total = repeat(0)
+            for c, diff in zip(coeffs, diffs):
+                if c:
+                    total = map(add, total, map(mul, diff, repeat(c)))
+            scaled.append(list(total))
+        del below, his, pa, pb, diffs  # a chunk may hold many dilates: keep only what the betas read
+        vpows = [None]
+        for _ in range(top if dim > 1 else 0):
+            vpows.append(vs if vpows[-1] is None else list(map(mul, vpows[-1], vs)))
+        monos = {(0,) * width: None}  # h^beta_h per run by exponent; None is all ones
+
+        def mono(h):
+            if h not in monos:
+                i = next(i for i, x in enumerate(h) if x)
+                parent = mono(h[:i] + (h[i] - 1,) + h[i + 1 :])
+                monos[h] = outer[i] if parent is None else list(map(mul, parent, outer[i]))
+            return monos[h]
+
+        for (h, a), members in groups.items():
+            m, v = mono(h), vpows[a]
+            w = m if v is None else v if m is None else list(map(mul, m, v))  # h^beta_h v^a per run
+            for j, e in members:
+                terms = iter(scaled[e]) if w is None else map(mul, w, scaled[e])
+                totals[j] = list(map(add, totals[j], [sum(islice(terms, c)) for c in counts]))
+    sums = [[t // table[beta[-1]][1] for t in ts] for beta, ts in zip(betas, totals)]
+    ends = [0, *accumulate(len(multi_indices(dim, r)) for r in ranks)]
+    return [[list(col[a:b]) for a, b in zip(ends, ends[1:])] for col in zip(*sums)]
+
+
+def _point_blocks(p: LatticePolytope, blocks):
+    """The points x of blocks of p as one-point runs, in blocks (x[:-1], x[-1], x[-1]) of at most _BLOCK runs."""
+    points = _expand(p, blocks)
+    while xs := list(zip(*islice(points, _BLOCK))):
+        yield xs[:-1], xs[-1], xs[-1]
+
+
+def _summer(p: LatticePolytope, segments, ranks) -> list[list[list[int]]]:
+    """Per segment of blocks of p, per rank in ranks, the exact sums of x^alpha over its points, |alpha| = rank.
 
     Blocks live in p's lattice coordinates y.  Unless y = x, x_j = C_j . y
     for the columns C_j of A = lattice_rows(p), so tensor's pull-back kernel
     gives the integers c_beta in x^alpha = prod_j (C_j . y)^alpha_j =
     sum_beta c_beta y^beta, the same map apply_linear makes, and the sum of
-    x^alpha is sum_beta c_beta times the sum of y^beta.
-    That plan has up to |betas| |alphas| entries, so it is built, once per
-    map, only for blocks with at least as many points: fewer points are
-    mapped to x and summed as one-point runs, and the plan never outgrows them.
+    x^alpha is sum_beta c_beta times the sum of y^beta.  The plans have up
+    to sum_rank |betas| |alphas| entries, and are built once, for all
+    segments, only if these hold that many points on average: fewer points
+    are mapped to x and summed as one-point runs.
     """
     n, rows = p.ambient_dim, lattice_rows(p)
     if rows is None:
-        return lambda blocks: _tensor_sum(blocks, n, rank)
-    betas, alphas = multi_indices(len(rows), rank), multi_indices(n, rank)
-    plan = None
-
-    def push(blocks):
-        nonlocal plan
-        blocks = list(blocks)
-        if _count(blocks) < len(betas) * len(alphas):
-            # one block of one-point runs: heads x[:-1], lo = hi = x[-1]
-            xs = list(zip(*_expand(p, blocks)))
-            return _tensor_sum([(xs[:-1], xs[-1], xs[-1])] if xs else [], n, rank)
-        if plan is None:
-            # every alpha's terms side by side, so each push is one pass over all of them
-            pulled = [row for _, row in _pull_back_rows(list(zip(*rows)), alphas)]
-            ends = [0, *accumulate(map(len, pulled))]
-            plan = [b for row in pulled for b in row], [c for row in pulled for c in row.values()], ends
-        keys, coeffs, ends = plan
-        sums = dict(zip(betas, _tensor_sum(blocks, len(rows), rank)))
-        # the sum of x^alpha is the difference of two prefix sums of the terms
-        acc = list(accumulate(map(mul, coeffs, map(sums.__getitem__, keys)), initial=0))
-        return list(map(sub, map(acc.__getitem__, ends[1:]), map(acc.__getitem__, ends)))
-
-    return push
+        return _tensor_sum(segments, n, ranks)
+    segments = [list(blocks) for blocks in segments]
+    entries = sum(len(multi_indices(len(rows), r)) * len(multi_indices(n, r)) for r in ranks)
+    if _count(chain.from_iterable(segments)) < len(segments) * entries:
+        return _tensor_sum([_point_blocks(p, blocks) for blocks in segments], n, ranks)
+    out = _tensor_sum(segments, len(rows), ranks)
+    for i, r in enumerate(ranks):
+        # every alpha's terms side by side, so each push is one pass over all of them
+        pulled = [row for _, row in _pull_back_rows(list(zip(*rows)), multi_indices(n, r))]
+        keys, coeffs = [b for row in pulled for b in row], [c for row in pulled for c in row.values()]
+        ends = [0, *accumulate(map(len, pulled))]
+        for by_rank in out:
+            sums = dict(zip(multi_indices(len(rows), r), by_rank[i]))
+            # the sum of x^alpha is the difference of two prefix sums of the terms
+            acc = list(accumulate(map(mul, coeffs, map(sums.__getitem__, keys)), initial=0))
+            by_rank[i] = list(map(sub, map(acc.__getitem__, ends[1:]), map(acc.__getitem__, ends)))
+    return out
 
 
 def _moment(p: LatticePolytope, relint: bool, rank: int) -> SymTensor:
     if rank < 0:
         raise ValueError("rank must be non-negative")
-    sums = _summer(p, rank)(fibers(p, relint=relint))
+    [[sums]] = _summer(p, [fibers(p, relint=relint)], [rank])
     return SymTensor._ints(p.ambient_dim, rank, dict(zip(multi_indices(p.ambient_dim, rank), sums)), factorial(rank))
 
 
@@ -183,11 +205,16 @@ class EhrhartTensorExpansion:
     def coefficient(self, i: int) -> SymTensor:
         return self.coefficients[i]
 
-    def evaluate_at(self, k: int) -> SymTensor:
-        acc = SymTensor.zero(self.coefficients[0].dim, self.rank)
-        for i, coeff in enumerate(self.coefficients):
-            acc = acc + coeff * Fraction(k) ** i
-        return acc
+    def evaluate_at(self, k) -> SymTensor:
+        """sum_i c_i k^i for k = u / v: sum_i (D / d_i) num_i u^i v^(N-i) over D v^N, D the lcm of the d_i."""
+        u, v = Fraction(k).as_integer_ratio()
+        top, den = len(self.coefficients) - 1, lcm(*(c.den for c in self.coefficients))
+        num = {}
+        for i, c in enumerate(self.coefficients):
+            w = den // c.den * u**i * v ** (top - i)
+            for alpha, x in c.num.items():
+                num[alpha] = num.get(alpha, 0) + w * x
+        return SymTensor._ints(self.coefficients[0].dim, self.rank, num, den * v**top)
 
 
 @lru_cache(maxsize=None)
@@ -199,7 +226,7 @@ def _vandermonde_inverse(nodes: tuple[int, ...]) -> tuple[tuple[tuple[int, ...],
 
 
 def _expansions(p: LatticePolytope, ranks, positive: bool = False) -> list[EhrhartTensorExpansion]:
-    """Expansions of every rank in ranks, from one enumeration of each dilate walked.
+    """Expansions of every rank in ranks, from one enumeration of each dilate walked and one summing pass over all.
 
     Reciprocity, L^r(-kP) = (-1)^(m+r) L^r(relint kP) for k >= 1, gives the m + r + 1 nodes
     -a..b, a = (m + r) // 2, b = m + r - a: closed kP for 0 <= k <= b, relint kP for 1 <= k <= a.
@@ -211,18 +238,12 @@ def _expansions(p: LatticePolytope, ranks, positive: bool = False) -> list[Ehrha
         raise ValueError("expansion needs a non-empty polytope")
     n, m = p.ambient_dim, p.dim
     nodes = {r: tuple(range(-a, m + r - a + 1)) for r in ranks for a in [0 if positive else (m + r) // 2]}
-    sums = {r: {} for r in ranks}
     # the nodes of the top rank hold every other rank's; fibers checks the scan cap when
     # called, so every dilate is checked first, and node -k walks relint kP
-    dilates = {k: fibers(p, relint=k < 0, scale=abs(k)) for k in nodes[max(ranks)]}
-    summers = {r: _summer(p, r) for r in ranks}
-    for k, dilate_blocks in dilates.items():
-        blocks = list(dilate_blocks)
-        for r in ranks:
-            if k in nodes[r]:
-                sums[r][k] = summers[r](blocks)
+    top = nodes[max(ranks)]
+    sums = dict(zip(top, _summer(p, [fibers(p, relint=k < 0, scale=abs(k)) for k in top], ranks)))
     out = []
-    for r in ranks:
+    for i, r in enumerate(ranks):
         weights, d = _vandermonde_inverse(nodes[r])
         alphas = multi_indices(n, r)
         coeffs = []
@@ -231,7 +252,7 @@ def _expansions(p: LatticePolytope, ranks, positive: bool = False) -> list[Ehrha
             total = repeat(0)
             for w, k in zip(row, nodes[r]):
                 if w:
-                    total = map(add, total, map(mul, sums[r][k], repeat(w if k >= 0 else w * (-1) ** (m + r))))
+                    total = map(add, total, map(mul, sums[k][i], repeat(w if k >= 0 else w * (-1) ** (m + r))))
             coeffs.append(SymTensor._ints(n, r, dict(zip(alphas, total)), d * factorial(r)))
         coeffs += [SymTensor.zero(n, r)] * (n - m)  # the degree is at most m + r
         out.append(EhrhartTensorExpansion(rank=r, coefficients=tuple(coeffs)))
@@ -345,8 +366,7 @@ def _segment_moment(a, b, r: int) -> SymTensor:
 def check_reciprocity(p: LatticePolytope, r: int) -> CheckReport:
     """Interior moment vs alternating Ehrhart sum, plus the face-sum route, its vertices and edges in closed form."""
     failures: list[str] = []
-    m = p.dim
-    n = p.ambient_dim
+    m, n = p.dim, p.ambient_dim
     interior = discrete_moment_relint(p, r)
     expansion = _expansions(p, [r], positive=True)[0]
     sign = Fraction((-1) ** (m + r))

@@ -3,13 +3,13 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
+from itertools import accumulate, groupby
 from math import comb, factorial, prod
-from operator import add, mul
+from operator import add, mul, sub
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_points, in_child, polytopes, random_point, random_polytope, sample_polytopes
@@ -21,7 +21,6 @@ from lattens.ehrhart import (
     _power_sum_table,
     _segment_moment,
     _simplicial_pieces,
-    _summer,
     _tensor_sum,
     _vandermonde_inverse,
     check_equivariance,
@@ -33,7 +32,7 @@ from lattens.ehrhart import (
     moment_tensor,
 )
 from lattens.linalg import det
-from lattens.points import count, fibers, lattice_rows
+from lattens.points import _BLOCK, _count, _expand, count, fibers, lattice_rows
 from lattens.polytope import (
     MAX_AMBIENT_DIM,
     LatticePolytope,
@@ -47,7 +46,7 @@ from lattens.polytope import (
     standard_simplex,
     translate,
 )
-from lattens.tensor import SymTensor, multi_indices
+from lattens.tensor import SymTensor, _pull_back_rows, multi_indices
 
 
 def unit_square():
@@ -359,12 +358,44 @@ def test_negative_ranks_are_refused_before_any_walk(monkeypatch):
     assert calls == []
 
 
+def reference_summer(p, rank):
+    """The map from one dilate's blocks of p to its sums of x^alpha, |alpha| = rank: _summer before it took segments.
+
+    One summing call per dilate and rank.  The lattice-coordinate sums of a
+    lower-dimensional p are pushed to x by the pull-back plan, or, below
+    |betas| |alphas| points, taken over the points mapped to x as one-point runs.
+    """
+    n, rows = p.ambient_dim, lattice_rows(p)
+    if rows is None:
+        return lambda blocks: _tensor_sum([blocks], n, [rank])[0][0]
+    betas, alphas = multi_indices(len(rows), rank), multi_indices(n, rank)
+    plan = None
+
+    def push(blocks):
+        nonlocal plan
+        blocks = list(blocks)
+        if _count(blocks) < len(betas) * len(alphas):
+            # one block of one-point runs: heads x[:-1], lo = hi = x[-1]
+            xs = list(zip(*_expand(p, blocks)))
+            return _tensor_sum([[(xs[:-1], xs[-1], xs[-1])] if xs else []], n, [rank])[0][0]
+        if plan is None:
+            pulled = [row for _, row in _pull_back_rows(list(zip(*rows)), alphas)]
+            ends = [0, *accumulate(map(len, pulled))]
+            plan = [b for row in pulled for b in row], [c for row in pulled for c in row.values()], ends
+        keys, coeffs, ends = plan
+        sums = dict(zip(betas, _tensor_sum([blocks], len(rows), [rank])[0][0]))
+        acc = list(accumulate(map(mul, coeffs, map(sums.__getitem__, keys)), initial=0))
+        return list(map(sub, map(acc.__getitem__, ends[1:]), map(acc.__getitem__, ends)))
+
+    return push
+
+
 def reference_positive_expansions(p, ranks):
     """Expansions from the closed dilates kP, k = 0..m+r only: the route _expansions took before reciprocity."""
     n, m = p.ambient_dim, p.dim
     sums = {r: [] for r in ranks}
     dilates = [fibers(p, scale=k) for k in range(m + max(ranks) + 1)]
-    summers = {r: _summer(p, r) for r in ranks}
+    summers = {r: reference_summer(p, r) for r in ranks}
     for k, dilate_blocks in enumerate(dilates):
         blocks = list(dilate_blocks)
         for r in ranks:
@@ -514,7 +545,7 @@ def test_range_power_sums_match_direct_sums():
         for rank in range(19):
             direct = [sum(u**e for u in range(lo, hi + 1)) for e in range(rank + 1)]
             assert reference_range_power_sums(lo, hi, rank) == direct, (lo, hi, rank)
-            assert _tensor_sum([([], [lo], [hi])], 1, rank) == direct[-1:], (lo, hi, rank)
+            assert _tensor_sum([[([], [lo], [hi])]], 1, [rank]) == [[direct[-1:]]], (lo, hi, rank)
 
 
 @settings(max_examples=120, deadline=None)
@@ -524,11 +555,124 @@ def test_tensor_sum_matches_run_by_run_reference_and_point_sums(p, rank, relint,
     rows = lattice_rows(p)
     dim = p.ambient_dim if rows is None else len(rows)
     runs = block_runs(blocks)
-    sums = _tensor_sum(blocks, dim, rank)
+    [[sums]] = _tensor_sum([blocks], dim, [rank])
     assert sums == reference_tensor_sum(runs, dim, rank)
     ys = [head + (s,) for head, lo, hi in runs for s in range(lo, hi + 1)]
     brute = [sum(prod(c**e for c, e in zip(y, beta)) for y in ys) for beta in multi_indices(dim, rank)]
     assert sums == brute
+
+
+# -- one summing pass over the segments of an expansion, in chunks of at most _BLOCK runs --
+
+BIG = "big"  # stands for one dilate of more than 2^16 runs among the drawn segments
+BIG_COPIES = 10_000
+
+
+def big_base(dim):
+    """Seven runs whose BIG_COPIES copies make the big segment."""
+    heads = [(-1, 2), (2, 0), (0, -3), (1, 1), (3, -2), (-2, -1), (0, 0)]
+    bounds = [(-3, 2), (0, 0), (-5, -1), (4, 9), (-1, 1), (2, 2), (-2, 6)]
+    return [(h[: dim - 1], lo, hi) for h, (lo, hi) in zip(heads, bounds)]
+
+
+def as_block(runs):
+    """One block (heads, los, his) holding runs (head, lo, hi) in order."""
+    return [list(c) for c in zip(*(h for h, _, _ in runs))], [lo for _, lo, _ in runs], [hi for _, _, hi in runs]
+
+
+@lru_cache(maxsize=None)
+def big_blocks(dim):
+    """The big segment: 70,000 runs in blocks of 50,000 and 20,000, so the second overflows a chunk."""
+    runs = big_base(dim) * BIG_COPIES
+    return [as_block(runs[:50_000]), as_block(runs[50_000:])]
+
+
+@st.composite
+def segment_lists(draw):
+    """(dim, segments): each segment a list of blocks, each a list of runs (head, lo, hi), or BIG; often empty."""
+    dim = draw(st.integers(1, 3))
+    run = st.tuples(st.tuples(*[st.integers(-3, 3)] * (dim - 1)), st.integers(-4, 4), st.integers(0, 4))
+    block = st.lists(run.map(lambda t: (t[0], t[1], t[1] + t[2])), min_size=1, max_size=4)
+    segments = draw(st.lists(st.lists(block, max_size=3), min_size=1, max_size=6))
+    if not draw(st.integers(0, 3)):
+        segments.insert(draw(st.integers(0, len(segments))), BIG)
+    return dim, segments
+
+
+RUN = ((1, -2), -1, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    segment_lists(),
+    st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True).map(sorted),
+    st.sampled_from([4, 9, _BLOCK]),
+)
+@example((3, [[], [[RUN]], [], [[RUN, RUN], [RUN]], []]), [0, 1, 2, 3], _BLOCK)
+@example((2, [[], [], []]), [0, 1, 2, 3], _BLOCK)
+@example((3, [[[RUN]], BIG, [[RUN, RUN]], []]), [0, 1, 2, 3], _BLOCK)
+@example((2, [[], BIG, [[((4,), 0, 2)]]]), [2], _BLOCK)
+def test_segmented_sums_match_the_run_by_run_reference(case, ranks, block):
+    # block caps a chunk's runs; the small caps cut chunks between and inside small segments
+    dim, drawn = case
+    segments = [big_blocks(dim) if s == BIG else [as_block(b) for b in s] for s in drawn]
+    with mock.patch.object(ehrhart, "_BLOCK", block):
+        sums = _tensor_sum(segments, dim, ranks)
+    assert len(sums) == len(segments)
+    for s, by_rank in zip(drawn, sums):
+        assert len(by_rank) == len(ranks)
+        for r, got in zip(ranks, by_rank):
+            if s == BIG:
+                expected = [BIG_COPIES * x for x in reference_tensor_sum(big_base(dim), dim, r)]
+            else:
+                expected = reference_tensor_sum([run for b in s for run in b], dim, r)
+            assert got == expected, (s == BIG, r)
+
+
+def test_expansions_sum_once_in_chunks_of_at_most_a_block(monkeypatch):
+    chunked, calls = [], []
+
+    def recorded(segments, dim):
+        calls.append(len(segments))
+        for columns, counts in chunks(segments, dim):
+            chunked.append(len(columns[-1]))
+            assert sum(counts) == chunked[-1] and len(columns) == dim + 1
+            yield columns, counts
+
+    chunks = ehrhart._chunks
+    monkeypatch.setattr(ehrhart, "_chunks", recorded)
+    # [0, a]^2 x [0, 1]: the nodes of rank 1 are -2..2, and 2P alone has (2a + 1)^2 > 2^16 runs
+    a = 200
+    box = from_points([(x, y, z) for x in (0, a) for y in (0, a) for z in (0, 1)])
+    constant, linear = ehrhart._expansions(box, range(2))
+    assert calls == [5]  # one summing call for all five dilates and both ranks
+    assert max(chunked) <= _BLOCK and len(chunked) > 2
+    for k in (1, 2, 3, 4):  # 3 and 4 lie past the nodes
+        side, height = a * k + 1, k + 1
+        assert constant.evaluate_at(k).scalar_value() == side * side * height
+        value = linear.evaluate_at(k)
+        assert value.coord((1, 0, 0)) == value.coord((0, 1, 0)) == a * k * side // 2 * side * height
+        assert value.coord((0, 0, 1)) == side * side * k * height // 2
+    calls.clear()
+    p = from_points([(0, 0), (2, 0), (0, 1), (1, 2)])
+    assert check_translation_covariance(p, 3, (1, -2)).ok
+    assert calls == [6, 6]  # the translate's expansion and P's expansions of ranks 0..3
+
+
+def reference_evaluate_at(expansion, k):
+    """sum_i c_i k^i, one tensor product and sum per coefficient."""
+    acc = SymTensor.zero(expansion.coefficients[0].dim, expansion.rank)
+    for i, coeff in enumerate(expansion.coefficients):
+        acc = acc + coeff * Fraction(k) ** i
+    return acc
+
+
+def test_evaluate_at_matches_the_tensor_sum_of_its_terms():
+    for p in sample_polytopes().values():
+        for r in range(4):
+            expansion = ehrhart_tensors(p, r)
+            for k in [*range(-2, 4), Fraction(1, 2), Fraction(-5, 3)]:
+                assert expansion.evaluate_at(k) == reference_evaluate_at(expansion, k), (p.vertices, r, k)
 
 
 def point_moment(pts, n, r):

@@ -87,8 +87,8 @@ MUTANTS = (
         EHRHART,
         """    if rank < 0:
         raise ValueError("rank must be non-negative")
-    sums = _summer""",
-        "    sums = _summer",
+    [[sums]] = _summer""",
+        "    [[sums]] = _summer",
         (TEST_EHRHART + "test_negative_ranks_are_refused_before_any_walk",),
     ),
     Mutant(
@@ -172,8 +172,8 @@ MUTANTS = (
     Mutant(
         "the pull-back plan adds 1 to every sum",
         EHRHART,
-        "return list(map(sub, map(acc.__getitem__, ends[1:]), map(acc.__getitem__, ends)))",
-        "return [s + 1 for s in map(sub, map(acc.__getitem__, ends[1:]), map(acc.__getitem__, ends))]",
+        "by_rank[i] = list(map(sub, map(acc.__getitem__, ends[1:]), map(acc.__getitem__, ends)))",
+        "by_rank[i] = [s + 1 for s in map(sub, map(acc.__getitem__, ends[1:]), map(acc.__getitem__, ends))]",
         (
             TEST_EHRHART + "test_both_push_paths_match_point_sums[plan]",
             TEST_EHRHART + "test_both_push_paths_on_a_segment_in_z6_at_rank_12[plan]",
@@ -192,11 +192,45 @@ MUTANTS = (
     Mutant(
         "the one-point push adds 1 to every sum",
         EHRHART,
-        "return _tensor_sum([(xs[:-1], xs[-1], xs[-1])] if xs else [], n, rank)",
-        "return [s + 1 for s in _tensor_sum([(xs[:-1], xs[-1], xs[-1])] if xs else [], n, rank)]",
+        "return _tensor_sum([_point_blocks(p, blocks) for blocks in segments], n, ranks)",
+        "return [[[s + 1 for s in sums] for sums in by_rank]"
+        " for by_rank in _tensor_sum([_point_blocks(p, blocks) for blocks in segments], n, ranks)]",
         (
             TEST_EHRHART + "test_both_push_paths_match_point_sums[one-point]",
             TEST_EHRHART + "test_both_push_paths_on_a_segment_in_z6_at_rank_12[one-point]",
+        ),
+    ),
+    Mutant(
+        "a chunk flush drops the block that overflowed",
+        EHRHART,
+        """                columns, counts = [[] for _ in columns], [0] * len(segments)
+            for column""",
+        """                columns, counts = [[] for _ in columns], [0] * len(segments)
+                continue
+            for column""",
+        (
+            TEST_EHRHART + "test_segmented_sums_match_the_run_by_run_reference",
+            TEST_EHRHART + "test_expansions_sum_once_in_chunks_of_at_most_a_block",
+        ),
+    ),
+    Mutant(
+        "a chunk credits the first run of each segment to the previous one",
+        EHRHART,
+        "[sum(islice(terms, c)) for c in counts]",
+        "[sum(islice(terms, c + 1)) for c in counts]",
+        (
+            TEST_EHRHART + "test_segmented_sums_match_the_run_by_run_reference",
+            TEST_EHRHART + "test_reciprocity_nodes_match_the_positive_node_reference",
+        ),
+    ),
+    Mutant(
+        "the split of the flat sums into ranks starts one sum late",
+        EHRHART,
+        "[list(col[a:b]) for a, b in zip(ends, ends[1:])]",
+        "[list(col[a + 1 : b + 1]) for a, b in zip(ends, ends[1:])]",
+        (
+            TEST_EHRHART + "test_segmented_sums_match_the_run_by_run_reference",
+            TEST_EHRHART + "test_check_translation_covariance_examples",
         ),
     ),
 )
