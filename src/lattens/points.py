@@ -14,13 +14,16 @@ b - 1, which is exact because both sides are integers.
 The bounds on t_j for a fixed prefix t_1..t_(j-1) come from Fourier-Motzkin
 projections of those rows onto the first j coordinates, computed once per
 polytope and pruned to the facets of each projection.  Every row carries
-its set of tight vertices as a bitmask.  A projected row is a positive
-combination of two rows, so a vertex is tight on it iff on both, and its
-set is the AND of theirs.  A row tight at no vertex is dropped, and of the
-rest those with maximal sets are the facets (polytope._maximal).  A kept
-row is tight at a lattice vertex, so the gcd of its normal divides its
-offset, and dividing by it keeps every lattice point.  The last level uses
-the facet rows themselves, so the runs are exact.
+its set of tight vertices as a bitmask; a facet row's is P's own
+(LatticePolytope._tight), as the frame map is an affine bijection.  A
+projected row is a positive combination of two rows, so a vertex is tight
+on it iff on both, and its set is the AND of theirs.  A row tight at no
+vertex is dropped, and of the rest those with maximal sets are the facets
+(polytope._maximal).  A kept row is tight at a lattice vertex, so the gcd
+of its normal divides its offset, and dividing by it keeps every lattice
+point; a full-dimensional P's facet rows are primitive, its first level as
+they stand.  The last level uses the facet rows themselves, so the runs
+are exact.
 On kP the lattice coordinates are y = x for a full-dimensional P, else
 y = (k, t) with x = sum_i y_i A_i and A = (o, E_1..E_m).
 
@@ -38,10 +41,9 @@ range.  The last level's bounds are the runs.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, compress, repeat
-from math import ceil, gcd
+from math import gcd, lcm
 from operator import le, mul, neg, sub
 
 from .linalg import integer_kernel
@@ -62,17 +64,19 @@ class _Frame:
     Level j has rows (c, d, s, tight) over t_1..t_(j+1), c primitive and
     nonzero in its last entry, tight the vertices on c . t = d as bits.  Each
     row is a nonnegative combination of facet rows with weights summing to s,
-    so c . t <= k d holds on kP and, as each facet row loses 1 on the
-    relative interior, c . t <= k d - ceil(s) holds there.  levels[j] holds,
-    upper-bound rows (c_(j+1) > 0) first, each row's nonzero pairs
-    (i, c_(i+1)) over t_1..t_j, |c_(j+1)| of either kind, the d and ceil(s).
-    The levels are built on first use, after the scan cap check.
+    an exact (numerator, denominator) pair, so c . t <= k d holds on kP and,
+    as each facet row loses 1 on the relative interior, c . t <= k d - ceil(s)
+    holds there.  levels[j] holds, upper-bound rows (c_(j+1) > 0) first, each
+    row's nonzero pairs (i, c_(i+1)) over t_1..t_j, |c_(j+1)| of either kind,
+    the d and ceil(s).  The levels are built on first use, after the scan cap
+    check.
     """
 
     def __init__(self, p: LatticePolytope):
         n = p.ambient_dim
         m = p.dim
         self.full = m == n
+        self.polytope = p
         if self.full:
             self.origin = (0,) * n
             self.basis = list(_identity(n))
@@ -80,21 +84,23 @@ class _Frame:
             self.origin = p.vertices[0]
             # a point spans no direction, so it needs no kernel
             self.basis = [tuple(e) for e in integer_kernel([a for a, _ in p.hull_equalities], n)] if m else []
+        self.verts = list(p.vertices) if self.full else [self._coordinates(v) for v in p.vertices]
         self.rows = None if self.full else (self.origin, *self.basis)
-        self.verts = [self._coordinates(v) for v in p.vertices]
-        self.extents = [max(t[j] for t in self.verts) - min(t[j] for t in self.verts) for j in range(m)]
-        self.facets = p.facet_inequalities
+        self.extents = [max(col) - min(col) for col in zip(*self.verts)]
 
     @cached_property
     def levels(self):
-        # facet rows in t, each tight at a vertex, so its gcd g divides its offset
-        levels = [[]] if self.basis else []
-        for a, b in self.facets:
-            c = [_dot(a, e) for e in self.basis]
-            d = b - _dot(a, self.origin)
-            g = gcd(*c)
-            tight = sum(1 << k for k, v in enumerate(self.verts) if _dot(c, v) == d)
-            levels[0].append((tuple(x // g for x in c), d // g, Fraction(1, g), tight))
+        p = self.polytope
+        if self.full:
+            # t = x, and P's facet rows are primitive and tight at a vertex: they are level 0 as they stand
+            levels = [[(a, b, (1, 1), t) for (a, b), t in zip(p.facet_inequalities, p._tight)]]
+        else:
+            # facet rows in t, each tight at a vertex, so its gcd g divides its offset
+            levels = [[]] if self.basis else []
+            for (a, b), t in zip(p.facet_inequalities, p._tight):
+                c = [_dot(a, e) for e in self.basis]
+                g = gcd(*c)
+                levels[0].append((tuple(x // g for x in c), (b - _dot(a, self.origin)) // g, (1, g), t))
         for j in range(len(self.basis) - 1, 0, -1):
             levels.append(_project(levels[-1], j))
         out = []
@@ -105,7 +111,7 @@ class _Frame:
                 [c[-1] for c, *_ in rows if c[-1] > 0],
                 [-c[-1] for c, *_ in rows if c[-1] < 0],
                 [d for _, d, *_ in rows],
-                [ceil(s) for _, _, s, _ in rows],
+                [-(-num // den) for _, _, (num, den), _ in rows],
             ))
         return out
 
@@ -126,16 +132,20 @@ def _project(rows, j):
     keep = [(c[:j], d, s, t) for c, d, s, t in rows if not c[j]]
     ups = [r for r in rows if r[0][j] > 0]
     downs = [r for r in rows if r[0][j] < 0]
-    for cu, du, su, tu in ups:
-        for cd, dd, sd, td in downs:
+    for cu, du, (nu, eu), tu in ups:
+        for cd, dd, (nd, ed), td in downs:
             # a vertex is tight on the combination iff on both rows; a row tight at no vertex is no facet
             if t := tu & td:
                 u, w = -cd[j], cu[j]
                 c = [u * x + w * y for x, y in zip(cu[:j], cd[:j])]
                 g = gcd(*c)
-                keep.append((tuple(x // g for x in c), (u * du + w * dd) // g, Fraction(u * su + w * sd, g), t))
-    # of rows with equal sets _maximal keeps the first, here the one with the largest s
-    keep.sort(key=lambda row: row[2], reverse=True)
+                # the weight (u nu / eu + w nd / ed) / g in lowest terms
+                num, den = u * nu * ed + w * nd * eu, g * eu * ed
+                h = gcd(num, den)
+                keep.append((tuple(x // g for x in c), (u * du + w * dd) // g, (num // h, den // h), t))
+    # of rows with equal sets _maximal keeps the first, here the one with the largest s = num / den: num * (lcd // den)
+    lcd = lcm(*(den for _, _, (_, den), _ in keep))
+    keep.sort(key=lambda row: row[2][0] * (lcd // row[2][1]), reverse=True)
     return _maximal(keep)
 
 

@@ -111,17 +111,22 @@ class LatticePolytope:
     # -- faces ----------------------------------------------------------------
 
     @cached_property
+    def _tight(self) -> tuple[int, ...]:
+        """The vertices on a . x = b of each facet inequality a . x <= b, in order, as bits in vertex order."""
+        verts = self.vertices
+        return tuple(sum(1 << k for k, v in enumerate(verts) if _dot(a, v) == b) for a, b in self.facet_inequalities)
+
+    @cached_property
     def _facets(self) -> tuple[LatticePolytope, ...]:
         """The facet on a . x = b of each facet inequality a . x <= b, in order, with no hull.
 
         Its inequalities are the other facets of self whose tight vertex sets
         on it are maximal among the non-empty proper subsets.
         """
-        sets = [sum(1 << k for k, v in enumerate(self.vertices) if _dot(a, v) == b) for a, b in self.facet_inequalities]
         out = []
-        for (a, b), face in zip(self.facet_inequalities, sets):
+        for (a, b), face in zip(self.facet_inequalities, self._tight):
             verts = tuple(v for k, v in enumerate(self.vertices) if face >> k & 1)
-            rows = [(c, d, s & face) for (c, d), s in zip(self.facet_inequalities, sets) if s & face != face]
+            rows = [(c, d, s & face) for (c, d), s in zip(self.facet_inequalities, self._tight) if s & face != face]
             kept = tuple((c, d) for c, d, _ in _maximal(rows))
             out.append(_polytope(self.ambient_dim, self.dim - 1, verts, self.hull_equalities + ((a, b),), kept))
         return tuple(out)

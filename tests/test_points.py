@@ -3,7 +3,7 @@ import time
 import tracemalloc
 from unittest import mock
 from fractions import Fraction
-from math import factorial, gcd, prod
+from math import ceil, factorial, gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,6 +13,7 @@ from conftest import brute_force_points, random_polytope
 from test_polytope import reference_maximal_tight, tight_set
 from lattens import points
 from lattens.ehrhart import discrete_moment, discrete_moment_relint
+from lattens.linalg import integer_kernel
 from lattens.points import (
     ScanTooLarge,
     count,
@@ -25,9 +26,15 @@ from lattens.points import (
 from lattens.polytope import (
     LatticePolytope,
     UnimodularMap,
+    _dot,
+    _identity,
+    _maximal,
     dilate,
+    dissect_prism,
     faces,
     from_points,
+    minkowski_sum,
+    negate,
     prism,
     random_unimodular,
     standard_simplex,
@@ -293,7 +300,8 @@ def reference_fibers(p, relint=False, scale=1):
     """
     if p.is_empty:
         return
-    frame = points._frame(p)
+    # the levels of the frame that re-derived its facet rows, not fibers' own
+    frame = reference_frame(p)
     strict = relint and p.dim > 0 and scale > 0
     # level j's columns over t_1..t_j, from the nonzero pairs of its rows
     levels = [
@@ -303,10 +311,10 @@ def reference_fibers(p, relint=False, scale=1):
             lows,
             [scale * d - (e if strict else 0) for d, e in zip(ds, ceils)],
         )
-        for j, (rows, ups, lows, ds, ceils) in enumerate(frame.levels)
+        for j, (rows, ups, lows, ds, ceils) in enumerate(frame["levels"])
     ]
     m = len(levels)
-    prefix = () if frame.full else (scale,)
+    prefix = () if frame["full"] else (scale,)
 
     def bounds(level, res):
         _, ups, lows, _ = level
@@ -414,20 +422,25 @@ def reference_primitive(c, d, s):
 def reference_project(rows, j, verts):
     """The projection _project replaced: each combined row kept when it meets a lattice point, then the rows
     whose sets of tight projected vertices, each row tested at every vertex, are maximal among the non-empty
-    proper sets.  The rows returned carry those sets, so the levels are built from them as from _project's.
+    proper sets.  The rows returned carry those sets, and their weights as (numerator, denominator) in lowest
+    terms, so the levels are built from them as from _project's.
     """
-    keep = [(c[:j], d, s) for c, d, s, _ in rows if not c[j]]
+    keep = [(c[:j], d, Fraction(*s)) for c, d, s, _ in rows if not c[j]]
     ups = [r for r in rows if r[0][j] > 0]
     downs = [r for r in rows if r[0][j] < 0]
     for cu, du, su, _ in ups:
         for cd, dd, sd, _ in downs:
             u, w = -cd[j], cu[j]
             c = [u * x + w * y for x, y in zip(cu[:j], cd[:j])]
-            if any(c) and (row := reference_primitive(c, u * du + w * dd, u * su + w * sd)):
+            s = u * Fraction(*su) + w * Fraction(*sd)
+            if any(c) and (row := reference_primitive(c, u * du + w * dd, s)):
                 keep.append(row)
     keep.sort(key=lambda row: row[2], reverse=True)
     # _dot stops at the shorter argument, so a row over t_1..t_j is evaluated at each vertex's first j coordinates
-    return [(c, d, s, tight_set(c, d, verts)) for c, d, s in reference_maximal_tight(keep, verts)]
+    return [
+        (c, d, (s.numerator, s.denominator), tight_set(c, d, verts))
+        for c, d, s in reference_maximal_tight(keep, verts)
+    ]
 
 
 @settings(max_examples=150, deadline=None)
@@ -450,3 +463,123 @@ def test_levels_match_the_retested_projection(p):
     assert len(calls) == max(p.dim - 1, 0)
     with mock.patch.object(points, "_project", lambda rows, j: reference_project(rows, j, frame.verts)):
         assert levels == points._Frame(p).levels
+
+
+# -- frames against the frame that re-derived its facet rows ----------------------------
+
+
+def reference_frame_project(rows, j):
+    """_project before its weights were integer pairs: s is a Fraction, summed and divided as one."""
+    keep = [(c[:j], d, s, t) for c, d, s, t in rows if not c[j]]
+    ups = [r for r in rows if r[0][j] > 0]
+    downs = [r for r in rows if r[0][j] < 0]
+    for cu, du, su, tu in ups:
+        for cd, dd, sd, td in downs:
+            if t := tu & td:
+                u, w = -cd[j], cu[j]
+                c = [u * x + w * y for x, y in zip(cu[:j], cd[:j])]
+                g = gcd(*c)
+                keep.append((tuple(x // g for x in c), (u * du + w * dd) // g, Fraction(u * su + w * sd, g), t))
+    keep.sort(key=lambda row: row[2], reverse=True)
+    return _maximal(keep)
+
+
+def reference_frame(p):
+    """The fields of the frame _Frame built before it read its polytope's facet rows and tight sets.
+
+    Every polytope, full-dimensional or not, took its facet rows through the
+    basis (unit vectors when full-dimensional) and the origin, divided each
+    by its gcd with weight Fraction(1, g), and tested every vertex in t for
+    its tight set.
+    """
+    n, m = p.ambient_dim, p.dim
+    full = m == n
+    if full:
+        origin, basis = (0,) * n, list(_identity(n))
+    else:
+        origin = p.vertices[0]
+        basis = [tuple(e) for e in integer_kernel([a for a, _ in p.hull_equalities], n)] if m else []
+
+    def coordinates(x):
+        diff = [xi - oi for xi, oi in zip(x, origin)]
+        t = []
+        for e in basis:
+            col = next(i for i, v in enumerate(e) if v)
+            tj = diff[col] // e[col]
+            diff = [a - tj * b for a, b in zip(diff, e)]
+            t.append(tj)
+        return tuple(t)
+
+    verts = [coordinates(v) for v in p.vertices]
+    levels = [[]] if basis else []
+    for a, b in p.facet_inequalities:
+        c = [_dot(a, e) for e in basis]
+        d = b - _dot(a, origin)
+        g = gcd(*c)
+        tight = sum(1 << k for k, v in enumerate(verts) if _dot(c, v) == d)
+        levels[0].append((tuple(x // g for x in c), d // g, Fraction(1, g), tight))
+    for j in range(len(basis) - 1, 0, -1):
+        levels.append(reference_frame_project(levels[-1], j))
+    out = []
+    for j, level in enumerate(reversed(levels)):
+        rows = sorted((row for row in level if row[0][-1]), key=lambda row: row[0][-1] < 0)
+        out.append((
+            [[(i, c[i]) for i in range(j) if c[i]] for c, *_ in rows],
+            [c[-1] for c, *_ in rows if c[-1] > 0],
+            [-c[-1] for c, *_ in rows if c[-1] < 0],
+            [d for _, d, *_ in rows],
+            [ceil(s) for _, _, s, _ in rows],
+        ))
+    return {
+        "full": full,
+        "origin": origin,
+        "basis": basis,
+        "rows": None if full else (origin, *basis),
+        "verts": verts,
+        "extents": [max(t[j] for t in verts) - min(t[j] for t in verts) for j in range(m)],
+        "levels": out,
+    }
+
+
+def assert_frame_matches_reference(p):
+    frame, ref = points._Frame(p), reference_frame(p)
+    for name in ("full", "origin", "basis", "rows", "verts", "extents"):
+        assert getattr(frame, name) == ref[name], name
+    assert len(frame.levels) == len(ref["levels"])
+    for level, ref_level in zip(frame.levels, ref["levels"]):
+        for name, got, want in zip(("rows", "ups", "lows", "ds", "ceils"), level, ref_level):
+            assert got == want, name
+
+
+shifts6 = st.tuples(*[st.integers(-3, 3)] * 6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polytopes(), st.integers(1, 3), st.integers(0, 1000), shifts6)
+def test_frames_match_the_reference_frame(p, k, seed, shift):
+    n = p.ambient_dim
+    phi = UnimodularMap(random_unimodular(n, seed=seed, steps=3).matrix, shift[:n])
+    for q in [*faces(p), negate(p), translate(p, shift[:n]), dilate(p, k), transform(p, phi)]:
+        assert_frame_matches_reference(q)
+
+
+def assert_facet_rows_primitive_and_tight(p):
+    # a full-dimensional frame takes these rows as level 0 with weight 1, undivided
+    for a, b in p.facet_inequalities:
+        assert gcd(*a) == 1
+        assert any(_dot(a, v) == b for v in p.vertices)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polytopes(), st.integers(0, 3), st.integers(0, 1000), shifts6)
+def test_every_constructor_gives_primitive_facet_rows_tight_at_a_vertex(p, k, seed, shift):
+    n = p.ambient_dim
+    phi = UnimodularMap(random_unimodular(n, seed=seed, steps=3).matrix, shift[:n])
+    built = [p, negate(p), translate(p, shift[:n]), dilate(p, k), transform(p, phi), *faces(p), *p._facets]
+    built += [standard_simplex(i, n) for i in range(n + 1)] + (dissect_prism(n) if n >= 2 else [])
+    if n <= 4:
+        built.append(minkowski_sum(p, transform(p, phi)))
+    if n <= 5:
+        built.append(prism(from_points([(*v, 0) for v in p.vertices])))
+    for q in built:
+        assert_facet_rows_primitive_and_tight(q)

@@ -137,8 +137,8 @@ MUTANTS = (
     Mutant(
         "a face keeps its own full set among its facet rows",
         POLYTOPE,
-        "for (c, d), s in zip(self.facet_inequalities, sets) if s & face != face]",
-        "for (c, d), s in zip(self.facet_inequalities, sets)]",
+        "for (c, d), s in zip(self.facet_inequalities, self._tight) if s & face != face]",
+        "for (c, d), s in zip(self.facet_inequalities, self._tight)]",
         (TEST_POLYTOPE + "test_facets_of_faces_match_the_dot_product_rule",),
     ),
     Mutant(
@@ -165,9 +165,30 @@ MUTANTS = (
     Mutant(
         "projected rows are left unsorted",
         POINTS,
-        "    keep.sort(key=lambda row: row[2], reverse=True)\n",
+        "    keep.sort(key=lambda row: row[2][0] * (lcd // row[2][1]), reverse=True)\n",
         "",
         (TEST_POINTS + "test_levels_match_the_retested_projection",),
+    ),
+    Mutant(
+        "a full-dimensional frame's facet rows weigh nothing, so relint walks keep their boundary",
+        POINTS,
+        "levels = [[(a, b, (1, 1), t) for (a, b), t in zip(p.facet_inequalities, p._tight)]]",
+        "levels = [[(a, b, (0, 1), t) for (a, b), t in zip(p.facet_inequalities, p._tight)]]",
+        (
+            TEST_POINTS + "test_frames_match_the_reference_frame",
+            TEST_POINTS + "test_relint_examples",
+            TEST_POINTS + "test_blocks_hold_the_reference_walks_runs_in_order",
+        ),
+    ),
+    Mutant(
+        "a polytope's tight sets hold every vertex on the valid side, not on the hyperplane",
+        POLYTOPE,
+        "if _dot(a, v) == b) for a, b in self.facet_inequalities)",
+        "if _dot(a, v) <= b) for a, b in self.facet_inequalities)",
+        (
+            TEST_POINTS + "test_frames_match_the_reference_frame",
+            TEST_POLYTOPE + "test_facets_of_faces_match_the_dot_product_rule",
+        ),
     ),
     Mutant(
         "the pull-back plan adds 1 to every sum",
