@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import comb
 from operator import add
 
-from .linalg import _echelon, kernel_basis as _rational_kernel, rank_bareiss
+from .linalg import _echelon, kernel_basis as _rational_kernel
 from .tensor import MultiIndex, _multinomials, multi_indices
 
 Row = dict[MultiIndex, int]
@@ -262,18 +262,18 @@ def expected_survey_rank(r: int) -> int:
 
 
 def in_span(vectors: list[list[Fraction]], target: list[Fraction]) -> bool:
-    """Whether target lies in the rational span of the given vectors."""
-    return rank_bareiss([*vectors, target]) == rank_bareiss(vectors)
+    """Whether target lies in the rational span of the given vectors, that is, one elimination drops its row."""
+    return len(vectors) not in _echelon([*vectors, target], len(target))[2]
 
 
 def high_rank_survey(r_list) -> list[dict]:
     """Ranks of the planar assemblies for odd ranks of nine and above.
 
-    Reports each plausible assembly (per parity and relation rows alone)
-    and flags the ones matching the expected rank; at rank nine the kernel
-    of the even assembly is checked to contain the degree-1 expansion
-    coefficient of T_2 and the rank-9 triangulation valuation of T_2 as
-    independent vectors.
+    Reports each plausible assembly (per parity, and "relation-only": the
+    relation and reduced rows without parity rows) and flags the ones
+    matching the expected rank; at rank nine the kernel of the even assembly
+    is checked to contain the degree-1 expansion coefficient of T_2 and the
+    rank-9 triangulation valuation of T_2 as independent vectors.
     """
     out = []
     for r in r_list:
@@ -306,7 +306,7 @@ def _rank9_kernel_report(system: ConstraintSystem) -> dict:
     nine = valuation_n(t2)
     lead_vec = [lead.coord(alpha) for alpha in system.labels]
     nine_vec = [nine.coord(alpha) for alpha in system.labels]
-    independent = rank_bareiss([lead_vec, nine_vec]) == 2
+    independent = len(_echelon([lead_vec, nine_vec], len(lead_vec))[1]) == 2
     return {
         "kernel_dim": len(basis),
         "contains_degree_one_coefficient": in_span(basis, lead_vec),

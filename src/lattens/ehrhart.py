@@ -79,30 +79,38 @@ def _chunks(segments, dim: int):
     yield columns, counts
 
 
+@lru_cache(maxsize=None)
+def _word_plan(dim: int, ranks: tuple[int, ...]):
+    """The betas of all ranks, and their (j, e), beta j = (b, e), grouped by b's word (_tensor_sum) in lex order."""
+    betas = [beta for r in ranks for beta in multi_indices(dim, r)]
+    groups = {}
+    for j, beta in enumerate(betas):
+        groups.setdefault(sum(((i,) * x for i, x in enumerate(beta[:-1])), ()), []).append((j, beta[-1]))
+    return tuple(betas), tuple((word, tuple(members)) for word, members in sorted(groups.items()))
+
+
 def _tensor_sum(segments, dim: int, ranks) -> list[list[list[int]]]:
     """Per segment, per rank in ranks, the exact sums of y^beta over its points, beta in multi_indices(dim, rank).
 
     The runs of all segments come in order, in chunks of at most _BLOCK
     runs joined into parallel integer lists (_chunks), and each step below
-    is one pass over a chunk's runs.  Write a point of a run as
-    y = (h, v, u): h = y_1..y_(dim-2), then v, the last head, and u, the
-    run's coordinate, lo <= u <= hi.  By Faulhaber's polynomials the run's
-    sum of u^e is S_e / D_e with S_e = sum_j N_j (hi^j - (lo - 1)^j), an
-    integer multiple of D_e; the sum of y^beta for beta = (h, a, e) is then
-    the sum over runs of h^beta_h v^a S_e, split among a chunk's segments
-    by their run counts, added up over the chunks and divided by D_e once.
-    The betas of all ranks share a chunk's powers, and those with one (h, a)
-    share the weights h^beta_h v^a, formed once and dropped after use.
+    is one pass over a chunk's runs.  Write a point of a run as y = (h, u):
+    h = y_1..y_(dim-1), its heads, and u, lo <= u <= hi.  By Faulhaber's
+    polynomials the run's sum of u^e is S_e / D_e with S_e = sum_j N_j
+    (hi^j - (lo - 1)^j), an integer multiple of D_e; the sum of y^beta for
+    beta = (b, e) is then the sum over runs of h^b S_e, split among a
+    chunk's segments by their run counts, added up over the chunks and
+    divided by D_e once.  All betas share a chunk's powers, and those with
+    one b share h^b.  Spell b as a word, head i repeated b_i times: in lex
+    order the prefix of a word of length d is the latest word of length
+    d - 1, so each h^b is its prefix's weight times one head, and at most
+    top + 1 weights are held.
     """
-    width, top = max(dim - 2, 0), max(ranks)
-    betas = [beta for r in ranks for beta in multi_indices(dim, r)]
-    groups = {}  # (h, a) -> [(j, e)]: the betas j = (h, a, e) of all ranks, which share h^beta_h v^a
-    for j, beta in enumerate(betas):
-        groups.setdefault((beta[:width], beta[-2] if dim > 1 else 0), []).append((j, beta[-1]))
+    top = max(ranks)
+    betas, groups = _word_plan(dim, tuple(ranks))
     table = _power_sum_table(top)
     totals = [[0] * len(segments) for _ in betas]
     for (*heads, below, his), counts in _chunks(segments, dim):
-        outer, vs = heads[:width], heads[-1] if heads else None
         below = list(map(sub, below, repeat(1)))
         pa, pb, diffs = below, his, [list(map(sub, his, below))]
         for _ in range(top):  # hi^j - (lo - 1)^j, holding two powers at a time
@@ -116,21 +124,12 @@ def _tensor_sum(segments, dim: int, ranks) -> list[list[list[int]]]:
                     total = map(add, total, map(mul, diff, repeat(c)))
             scaled.append(list(total))
         del below, his, pa, pb, diffs  # a chunk may hold many dilates: keep only what the betas read
-        vpows = [None]
-        for _ in range(top if dim > 1 else 0):
-            vpows.append(vs if vpows[-1] is None else list(map(mul, vpows[-1], vs)))
-        monos = {(0,) * width: None}  # h^beta_h per run by exponent; None is all ones
-
-        def mono(h):
-            if h not in monos:
-                i = next(i for i, x in enumerate(h) if x)
-                parent = mono(h[:i] + (h[i] - 1,) + h[i + 1 :])
-                monos[h] = outer[i] if parent is None else list(map(mul, parent, outer[i]))
-            return monos[h]
-
-        for (h, a), members in groups.items():
-            m, v = mono(h), vpows[a]
-            w = m if v is None else v if m is None else list(map(mul, m, v))  # h^beta_h v^a per run
+        weights = [None] * (top + 1)  # h^b per run for the latest word of each length; None is all ones
+        for word, members in groups:
+            if word:
+                prefix, head = weights[len(word) - 1], heads[word[-1]]
+                weights[len(word)] = head if prefix is None else list(map(mul, prefix, head))
+            w = weights[len(word)]
             for j, e in members:
                 terms = iter(scaled[e]) if w is None else map(mul, w, scaled[e])
                 totals[j] = list(map(add, totals[j], [sum(islice(terms, c)) for c in counts]))
@@ -298,6 +297,8 @@ def moment_tensor(p: LatticePolytope, r: int) -> SymTensor:
     stays unambiguous.
     """
     n = p.ambient_dim
+    if r < 0:
+        raise ValueError("rank must be non-negative")
     if p.dim != n:
         raise ValueError("moment_tensor needs a full-dimensional polytope")
     total: dict[MultiIndex, int] = {}

@@ -54,10 +54,6 @@ _MAX_SCAN_CELLS = 50_000_000
 _BLOCK = 1 << 16
 
 
-class ScanTooLarge(ValueError):
-    """The bounding box in lattice coordinates holds more cells than the cap allows."""
-
-
 class _Frame:
     """Lattice frame and Fourier-Motzkin levels of a non-empty polytope.
 
@@ -168,9 +164,8 @@ def fibers(p: LatticePolytope, relint: bool = False, scale: int = 1):
 
     With relint, the blocks cover the relative interior instead (a point's
     relative interior is the point, and 0 * p is a point).  Raises
-    ValueError when scale < 0, and ScanTooLarge, before any level is built,
-    when the box of the vertices in lattice coordinates has more than the
-    cap's cells.
+    ValueError when scale < 0, and, before any level is built, when the box
+    of the vertices in lattice coordinates has more than the cap's cells.
     """
     if scale < 0:
         raise ValueError("scale must be nonnegative")
@@ -181,7 +176,7 @@ def fibers(p: LatticePolytope, relint: bool = False, scale: int = 1):
     for e in frame.extents:
         cells *= scale * e + 1
     if cells > _MAX_SCAN_CELLS:
-        raise ScanTooLarge("bounding box too large to scan; reduce the dilation or dimension")
+        raise ValueError("bounding box too large to scan; reduce the dilation or dimension")
     if not frame.levels:
         # p is a point o, so y = (scale,) and x = scale * o
         return iter([([], [scale], [scale])])

@@ -1,9 +1,10 @@
 import json
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, groupby
+from itertools import accumulate, groupby, islice, repeat
 from math import comb, factorial, prod
 from operator import add, mul, sub
 from unittest import mock
@@ -352,6 +353,8 @@ def test_negative_ranks_are_refused_before_any_walk(monkeypatch):
         lambda: ehrhart._expansions(t2, [2, -1]),
         lambda: discrete_moment(t2, -1),
         lambda: discrete_moment_relint(point, -3),
+        lambda: moment_tensor(t2, -1),
+        lambda: moment_tensor(t2, -2),
     ):
         with pytest.raises(ValueError, match="rank must be non-negative"):
             call()
@@ -425,6 +428,7 @@ def test_reciprocity_nodes_match_the_positive_node_reference(p, r):
 
 @settings(max_examples=40, deadline=None)
 @given(polytopes(), st.integers(0, 3))
+@example(from_points([(0, 0), (3, 0), (0, 3)]), 1)  # m + r odd, and relint P holds (1, 1): node -1 carries the sign
 def test_expansion_extrapolates_past_its_nodes(p, r):
     # the nodes are -a..b; b + 1, b + 2 and -(a + 1) read dilates the expansion was not built from
     n, m = p.ambient_dim, p.dim
@@ -657,6 +661,94 @@ def test_expansions_sum_once_in_chunks_of_at_most_a_block(monkeypatch):
     p = from_points([(0, 0), (2, 0), (0, 1), (1, 2)])
     assert check_translation_covariance(p, 3, (1, -2)).ok
     assert calls == [6, 6]  # the translate's expansion and P's expansions of ranks 0..3
+
+
+# -- the kernel before its weights were built word by word, kept as the reference for the word loop --
+
+
+def reference_grouped_tensor_sum(segments, dim, ranks):
+    """_tensor_sum with y = (h, v, u): monomials in h memoised per chunk, powers of v, and a product per (h, a)."""
+    width, top = max(dim - 2, 0), max(ranks)
+    betas = [beta for r in ranks for beta in multi_indices(dim, r)]
+    groups = {}  # (h, a) -> [(j, e)]: the betas j = (h, a, e) of all ranks, which share h^beta_h v^a
+    for j, beta in enumerate(betas):
+        groups.setdefault((beta[:width], beta[-2] if dim > 1 else 0), []).append((j, beta[-1]))
+    table = _power_sum_table(top)
+    totals = [[0] * len(segments) for _ in betas]
+    for (*heads, below, his), counts in ehrhart._chunks(segments, dim):
+        outer, vs = heads[:width], heads[-1] if heads else None
+        below = list(map(sub, below, repeat(1)))
+        pa, pb, diffs = below, his, [list(map(sub, his, below))]
+        for _ in range(top):
+            pa, pb = list(map(mul, pa, below)), list(map(mul, pb, his))
+            diffs.append(list(map(sub, pb, pa)))
+        scaled = []
+        for coeffs, _ in table:
+            total = repeat(0)
+            for c, diff in zip(coeffs, diffs):
+                if c:
+                    total = map(add, total, map(mul, diff, repeat(c)))
+            scaled.append(list(total))
+        del below, his, pa, pb, diffs
+        vpows = [None]
+        for _ in range(top if dim > 1 else 0):
+            vpows.append(vs if vpows[-1] is None else list(map(mul, vpows[-1], vs)))
+        monos = {(0,) * width: None}
+
+        def mono(h):
+            if h not in monos:
+                i = next(i for i, x in enumerate(h) if x)
+                parent = mono(h[:i] + (h[i] - 1,) + h[i + 1 :])
+                monos[h] = outer[i] if parent is None else list(map(mul, parent, outer[i]))
+            return monos[h]
+
+        for (h, a), members in groups.items():
+            m, v = mono(h), vpows[a]
+            w = m if v is None else v if m is None else list(map(mul, m, v))
+            for j, e in members:
+                terms = iter(scaled[e]) if w is None else map(mul, w, scaled[e])
+                totals[j] = list(map(add, totals[j], [sum(islice(terms, c)) for c in counts]))
+    sums = [[t // table[beta[-1]][1] for t in ts] for beta, ts in zip(betas, totals)]
+    ends = [0, *accumulate(len(multi_indices(dim, r)) for r in ranks)]
+    return [[list(col[a:b]) for a, b in zip(ends, ends[1:])] for col in zip(*sums)]
+
+
+@st.composite
+def wide_segment_lists(draw):
+    """(dim, segments) in dimensions 1 to 7: each segment a list of blocks of runs (head, lo, hi), often empty."""
+    dim = draw(st.integers(1, 7))
+    run = st.tuples(st.tuples(*[st.integers(-3, 3)] * (dim - 1)), st.integers(-4, 4), st.integers(0, 4))
+    block = st.lists(run.map(lambda t: (t[0], t[1], t[1] + t[2])), min_size=1, max_size=5)
+    return dim, draw(st.lists(st.lists(block, max_size=3), min_size=1, max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    wide_segment_lists(),
+    st.lists(st.integers(0, 4), min_size=1, max_size=4, unique=True).map(sorted),
+    st.sampled_from([3, 8, _BLOCK]),
+)
+@example((7, [[[((1, -2, 3, 0, 2, -1), -1, 3), ((2,) * 6, 0, 0)]], [[((0, 1, 0, 0, 0, 3), 2, 5)]]]), [0, 2, 4], 3)
+@example((1, [[], [[((), -4, 4)]]]), [4], _BLOCK)
+def test_word_loop_matches_the_grouped_reference(case, ranks, block):
+    dim, drawn = case
+    segments = [[as_block(b) for b in s] for s in drawn]
+    with mock.patch.object(ehrhart, "_BLOCK", block):
+        assert _tensor_sum(segments, dim, ranks) == reference_grouped_tensor_sum(segments, dim, ranks)
+
+
+def test_word_loop_holds_at_most_one_weight_per_length():
+    # the simplex in Z^4 whose expansion's chunks set its peak: 5.67 MiB with a memo of every monomial
+    s = 30
+    p = from_points([(0, 0, 0, 0), (s, 0, 0, s), (0, s, 0, s), (0, 0, s, s)])
+    tracemalloc.start()
+    try:
+        expansions = ehrhart._expansions(p, range(4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert expansions[0].evaluate_at(1).scalar_value() == count(p)
 
 
 def reference_evaluate_at(expansion, k):

@@ -15,7 +15,6 @@ from lattens import points
 from lattens.ehrhart import discrete_moment, discrete_moment_relint
 from lattens.linalg import integer_kernel
 from lattens.points import (
-    ScanTooLarge,
     count,
     count_relint,
     fibers,
@@ -125,7 +124,7 @@ def test_scan_cap_refuses_before_the_fourier_motzkin_levels():
     # the moment curve t = 0..21 in Z^6: its box is far over the cap, and building its levels took 11 s
     p = from_points([tuple(t**k for k in range(1, 7)) for t in range(22)])
     start = time.perf_counter()
-    with pytest.raises(ScanTooLarge):
+    with pytest.raises(ValueError, match="bounding box too large to scan"):
         count(p)
     assert time.perf_counter() - start < 2
 

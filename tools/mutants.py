@@ -38,10 +38,11 @@ class Mutant:
     tests: tuple[str, ...]
 
 
-CLI, EHRHART, POINTS, POLYTOPE = (f"src/lattens/{name}.py" for name in ("cli", "ehrhart", "points", "polytope"))
-TEST_CLI, TEST_EHRHART, TEST_POINTS, TEST_POLYTOPE = (
-    f"tests/test_{name}.py::" for name in ("cli", "ehrhart", "points", "polytope")
-)
+LAYERS = ("arith", "classify", "cli", "ehrhart", "linalg", "points", "polytope", "tensor", "tri2d")
+ARITH, CLASSIFY, CLI, EHRHART, LINALG, POINTS, POLYTOPE, TENSOR, TRI2D = (f"src/lattens/{name}.py" for name in LAYERS)
+(
+    TEST_ARITH, TEST_CLASSIFY, TEST_CLI, TEST_EHRHART, TEST_LINALG, TEST_POINTS, TEST_POLYTOPE, TEST_TENSOR, TEST_TRI2D
+) = (f"tests/test_{name}.py::" for name in LAYERS)
 CONTRACT_FUZZER = TEST_CLI + "test_every_invocation_keeps_the_exit_code_contract"
 
 MUTANTS = (
@@ -103,10 +104,10 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "main maps only a refused scan, not every ValueError, to exit 2",
+        "main maps only a closed stdout, not every ValueError, to exit 2",
         CLI,
         "    except (ValueError, BrokenPipeError) as exc:",
-        "    except (points.ScanTooLarge, BrokenPipeError) as exc:",
+        "    except BrokenPipeError as exc:",
         (
             TEST_CLI + "test_caps_exit_two",
             TEST_CLI + "test_undecodable_input_exits_two_with_a_json_error[non-utf8-stdin]",
@@ -252,6 +253,74 @@ MUTANTS = (
         (
             TEST_EHRHART + "test_segmented_sums_match_the_run_by_run_reference",
             TEST_EHRHART + "test_check_translation_covariance_examples",
+        ),
+    ),
+    Mutant(
+        "a word's weight extends the latest word of its own length, not its prefix",
+        EHRHART,
+        "prefix, head = weights[len(word) - 1], heads[word[-1]]",
+        "prefix, head = weights[len(word)], heads[word[-1]]",
+        (
+            TEST_EHRHART + "test_word_loop_matches_the_grouped_reference",
+            TEST_EHRHART + "test_tensor_sum_matches_run_by_run_reference_and_point_sums",
+        ),
+    ),
+    Mutant(
+        "a word's weight multiplies its prefix by its first head, not its last",
+        EHRHART,
+        "prefix, head = weights[len(word) - 1], heads[word[-1]]",
+        "prefix, head = weights[len(word) - 1], heads[word[0]]",
+        (
+            TEST_EHRHART + "test_word_loop_matches_the_grouped_reference",
+            TEST_EHRHART + "test_tensor_sum_matches_run_by_run_reference_and_point_sums",
+        ),
+    ),
+    Mutant(
+        "an odd arrangement of distinct entries joins the orbit of its sorted tuple",
+        CLASSIFY,
+        "        rep[-2], rep[-1] = rep[-1], rep[-2]\n",
+        "        pass\n",
+        (
+            TEST_CLASSIFY + "test_orbits_match_reference_on_prism_grid",
+            TEST_CLASSIFY + "test_orbits_match_reference_on_multi_indices[3]",
+            TEST_CLASSIFY + "test_orbits_match_reference_on_random_labels",
+        ),
+    ),
+    Mutant(
+        "a row that skips a pivot's step keeps the minor of the step before",
+        LINALG,
+        """            elif p != prev:
+                new = [p * x // prev for x in new]
+""",
+        "",
+        (
+            TEST_LINALG + "test_echelon_matches_column_reference",
+            TEST_LINALG + "test_echelon_matches_column_reference_on_late_pivots",
+        ),
+    ),
+    Mutant(
+        "an edge whose flip would be degenerate counts as flippable",
+        TRI2D,
+        "if _cross(pk, pl, points[i]) * _cross(pk, pl, points[j]) < 0:",
+        "if _cross(pk, pl, points[i]) * _cross(pk, pl, points[j]) <= 0:",
+        (TEST_TRI2D + "test_flip_targets_match_both_convexity_tests_along_walks",),
+    ),
+    Mutant(
+        "a pull-back row reuses the previous word's prefix without matching it",
+        TENSOR,
+        "while word[: len(stack[-1][0])] != stack[-1][0]:",
+        "while len(stack[-1][0]) > len(word):",
+        (TEST_TENSOR + "test_pull_back_rows_match_coordinate_rows",),
+    ),
+    Mutant(
+        "Bernoulli numbers lose the sign of their recurrence",
+        ARITH,
+        "return -acc / comb(m + 1, m)",
+        "return acc / comb(m + 1, m)",
+        (
+            TEST_ARITH + "test_bernoulli_base_values",
+            TEST_ARITH + "test_bernoulli_defining_recurrence",
+            TEST_ARITH + "test_faulhaber_matches_brute_force",
         ),
     ),
 )
